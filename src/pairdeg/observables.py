@@ -57,8 +57,7 @@ def _raw_c_normalized(spectrum: Spectrum) -> np.ndarray:
     return V
 
 
-def _operator_matrix(model: ModelSpec, spectrum: Spectrum) -> np.ndarray:
-    P = build_operator_matrices(model).P
+def _operator_matrix(P: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     U = _raw_c_normalized(spectrum)
     return U.T @ (spectrum.g * P) @ U
 
@@ -88,7 +87,8 @@ def operator_in_eigenbasis(model: ModelSpec, g: complex,
     g = complex(g)
     H = model.family().matrix(g)
     spec = eigendecompose(H, g=g, im_tol=label_im_tol)
-    return EigenbasisOperator(g=g, matrix=_operator_matrix(model, spec),
+    P = build_operator_matrices(model).P
+    return EigenbasisOperator(g=g, matrix=_operator_matrix(P, spec),
                               eigenvalues=spec.eigenvalues)
 
 
@@ -141,9 +141,8 @@ def pairing_energy_cut(model: ModelSpec, start=None, stop=None, n: int = None,
         points = np.linspace(complex(start), complex(stop), n)
     points = [complex(p) for p in points]
     res = continue_spectrum(model, points, want_vectors=True, tau_c=tau_c)
-    diag = np.array([
-        np.diag(_operator_matrix(model, s)) for s in res.spectra
-    ])
+    P = build_operator_matrices(model).P
+    diag = np.array([np.diag(_operator_matrix(P, s)) for s in res.spectra])
     return PairingCut(gs=np.array(points), diagonal=diag, pair=tuple(pair),
                       ambiguities=res.ambiguities)
 
@@ -313,10 +312,11 @@ def coefficient_extract(model: ModelSpec, g0: complex = None,
     samples = ladder_spectra(model, g0, deltas)
     dim = samples[0][1].dim
 
+    P = build_operator_matrices(model).P
     mats = []
     ds = []
     for d, spec in samples:
-        mats.append(_operator_matrix(model, spec))
+        mats.append(_operator_matrix(P, spec))
         ds.append(d)
     ds = np.array(ds)
 

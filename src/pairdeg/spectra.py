@@ -16,6 +16,9 @@ separate linearly along the paths studied here.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -218,16 +221,36 @@ def _eigs_of(x) -> np.ndarray:
     return np.asarray(x.eigenvalues if isinstance(x, Spectrum) else x)
 
 
+@functools.lru_cache(maxsize=None)
+def _permutation_table(n: int) -> np.ndarray:
+    """Every permutation of range(n) in lexicographic order, one per column.
+
+    Row i holds the image of i under each permutation, so the cost terms of
+    source state i are one contiguous gather.  int8 keeps n = 7 at 35 KB.
+    """
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.int8, count=math.factorial(n) * n,
+    )
+    table = np.ascontiguousarray(flat.reshape(-1, n).T)
+    table.flags.writeable = False  # cached: shared by every call
+    return table
+
+
 def match_states(prev, next, ambiguity_tol: float = MATCH_AMBIGUITY_TOL) -> Matching:
     """Permutation pi minimizing sum_m |E_m^prev - E_pi(m)^next|.
 
-    For dimensions up to 7 the assignment is solved exhaustively, which also
-    yields the gap to the best alternative; two assignments within
-    ``ambiguity_tol`` of each other raise the ``ambiguous`` flag.  A tie whose
-    alternatives only swap eigenvalues that coincide within 1e-9 of the
-    spectral scale is additionally marked ``benign_tie``: no refinement of the
-    step can (or needs to) resolve it.  Larger dimensions fall back to
-    scipy's assignment solver without ambiguity detection.
+    For dimensions up to 7 the assignment is solved exhaustively: the cost of
+    every permutation in a cached lexicographic permutation table is summed
+    term by term in source order, so each total is the same float as the
+    plain sum over m.  Ties are broken by that order: the best assignment is
+    the first minimum, and the runner-up is the first minimum among the
+    rest.  Two assignments within ``ambiguity_tol`` of each other raise the
+    ``ambiguous`` flag.  A tie whose alternatives only swap eigenvalues that
+    coincide within 1e-9 of the spectral scale is additionally marked
+    ``benign_tie``: no refinement of the step can (or needs to) resolve it.
+    Larger dimensions fall back to scipy's assignment solver, which reports
+    ``margin = inf`` and so detects no ambiguity.
     """
     ep = _eigs_of(prev)
     en = _eigs_of(next)
@@ -242,17 +265,19 @@ def match_states(prev, next, ambiguity_tol: float = MATCH_AMBIGUITY_TOL) -> Matc
         perm = tuple(int(c) for c in cols[np.argsort(rows)])
         return Matching(perm, float(cost[rows, cols].sum()), np.inf, False, False)
 
-    import itertools
-
-    best_perm, best_cost = None, np.inf
+    table = _permutation_table(n)
+    totals = cost[0].take(table[0])
+    for i in range(1, n):
+        totals += cost[i].take(table[i])
+    best = int(np.argmin(totals))
+    best_perm = tuple(table[:, best].tolist())
+    best_cost = float(totals[best])
     second_perm, second_cost = None, np.inf
-    for p in itertools.permutations(range(n)):
-        c = float(sum(cost[i, p[i]] for i in range(n)))
-        if c < best_cost:
-            second_perm, second_cost = best_perm, best_cost
-            best_perm, best_cost = p, c
-        elif c < second_cost:
-            second_perm, second_cost = p, c
+    if len(totals) > 1:
+        second = int(np.argmin(np.delete(totals, best)))
+        second += second >= best  # back to an index into totals
+        second_perm = tuple(table[:, second].tolist())
+        second_cost = float(totals[second])
     margin = second_cost - best_cost
     ambiguous = bool(margin <= ambiguity_tol)
     benign = False
@@ -271,7 +296,7 @@ def match_states(prev, next, ambiguity_tol: float = MATCH_AMBIGUITY_TOL) -> Matc
             abs(ep[s] - ep[t]) <= tol for s in orbit for t in orbit
         )
         benign = benign_next or benign_prev
-    return Matching(tuple(best_perm), best_cost, margin, ambiguous, benign)
+    return Matching(best_perm, best_cost, margin, ambiguous, benign)
 
 
 @dataclass

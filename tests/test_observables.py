@@ -105,6 +105,22 @@ def test_pairing_cut_linear_segment(model, pseudo_dp):
     assert cut.diagonal.shape == (9, 4)
 
 
+@pytest.mark.parametrize("samples", [2, 9, 40])
+def test_pairing_cut_builds_operators_once(monkeypatch, model, pseudo_dp, samples):
+    import pairdeg.observables as observables
+
+    calls = []
+    original = observables.build_operator_matrices
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(observables, "build_operator_matrices", counting)
+    pairing_energy_cut(model, pseudo_dp - 0.05, pseudo_dp - 0.01, samples)
+    assert len(calls) == 1
+
+
 def test_pairing_cut_csv(tmp_path, model, pseudo_dp):
     cut = pairing_energy_cut(model, pseudo_dp + 0.01, pseudo_dp + 0.05, 5)
     path = tmp_path / "pairing.csv"

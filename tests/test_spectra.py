@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pairdeg import (EigensolverError, branch_slopes, c_normalize,
                      canonical_order, continue_spectrum, eigendecompose,
                      hamiltonian_at, match_states, spectrum_along)
-from pairdeg.spectra import bilinear, semicircle
+from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, Matching, bilinear,
+                             semicircle)
 
 
 def random_complex_symmetric(rng, n=4):
@@ -129,6 +134,113 @@ def test_match_states_detects_genuine_ambiguity():
     nxt = np.array([0.5j, -0.5j])
     m = match_states(prev, nxt)
     assert m.ambiguous and not m.benign_tie
+
+
+def _exhaustive_match_oracle(prev, next, ambiguity_tol=MATCH_AMBIGUITY_TOL):
+    """Reference matcher for n <= 7: a plain loop over all permutations."""
+    ep = np.asarray(prev)
+    en = np.asarray(next)
+    n = len(ep)
+    cost = np.abs(ep[:, None] - en[None, :])
+    best_perm, best_cost = None, np.inf
+    second_perm, second_cost = None, np.inf
+    for p in itertools.permutations(range(n)):
+        c = float(sum(cost[i, p[i]] for i in range(n)))
+        if c < best_cost:
+            second_perm, second_cost = best_perm, best_cost
+            best_perm, best_cost = p, c
+        elif c < second_cost:
+            second_perm, second_cost = p, c
+    margin = second_cost - best_cost
+    ambiguous = bool(margin <= ambiguity_tol)
+    benign = False
+    if ambiguous and second_perm is not None:
+        # A tie is unresolvable-but-harmless when the competing assignments
+        # only permute eigenvalues that coincide -- on the target side, or on
+        # the source side (leaving an exact degeneracy, the branch labels are
+        # genuinely undefined and no step refinement can split them).
+        scale = max(1.0, float(np.max(np.abs(en))), float(np.max(np.abs(ep))))
+        tol = 1e-9 * scale
+        orbit = [i for i in range(n) if best_perm[i] != second_perm[i]]
+        benign_next = all(
+            abs(en[best_perm[i]] - en[second_perm[i]]) <= tol for i in orbit
+        )
+        benign_prev = all(
+            abs(ep[s] - ep[t]) <= tol for s in orbit for t in orbit
+        )
+        benign = benign_next or benign_prev
+    return Matching(tuple(best_perm), best_cost, margin, ambiguous, benign)
+
+
+def _assert_same_matching(prev, next):
+    got = match_states(prev, next)
+    want = _exhaustive_match_oracle(prev, next)
+    assert got == want
+    assert all(type(k) is int for k in got.perm)
+    assert type(got.cost) is float and type(got.margin) is float
+    return got
+
+
+oracle_settings = settings(derandomize=True, max_examples=60, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+@oracle_settings
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       step=st.sampled_from([1e-14, 1e-6, 1e-2, 0.3, 3.0]))
+def test_match_states_oracle_random_spectra(n, seed, step):
+    rng = np.random.default_rng(seed)
+    prev = rng.normal(size=n) + 1j * rng.normal(size=n)
+    nxt = prev[rng.permutation(n)] + step * (
+        rng.normal(size=n) + 1j * rng.normal(size=n))
+    _assert_same_matching(prev, nxt)
+
+
+@oracle_settings
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+       side=st.sampled_from(["prev", "next", "both"]),
+       step=st.sampled_from([0.0, 1e-15, 1e-3, 0.5]))
+def test_match_states_oracle_repeated_eigenvalues(n, seed, side, step):
+    rng = np.random.default_rng(seed)
+    prev = rng.normal(size=n) + 1j * rng.normal(size=n)
+    nxt = prev + step * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    copies = rng.integers(0, n, size=n)
+    keep = rng.random(n) < 0.5
+    if side in ("prev", "both"):
+        prev = np.where(keep, prev, prev[copies])
+    if side in ("next", "both"):
+        nxt = np.where(keep, nxt, nxt[copies])
+    _assert_same_matching(prev, nxt)
+
+
+lattice = st.builds(complex, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@oracle_settings
+@given(data=st.data(), n=st.integers(1, 7))
+def test_match_states_oracle_equal_cost_alternatives(data, n):
+    # Small Gaussian integers give many assignments of exactly equal cost
+    # (on a line every non-interleaved pairing costs the same), so the order
+    # of the search decides both the best and the runner-up.
+    prev = np.array(data.draw(st.lists(lattice, min_size=n, max_size=n)))
+    nxt = np.array(data.draw(st.lists(lattice, min_size=n, max_size=n)))
+    _assert_same_matching(prev, nxt)
+
+
+def test_match_states_tie_break_order():
+    # All six assignments cost 15: the first permutation wins and the next
+    # one in lexicographic order is the runner-up, for any input dtype.
+    for dtype in (complex, float, int):
+        m = _assert_same_matching(np.array([0, 1, 2], dtype=dtype),
+                                  np.array([5, 6, 7], dtype=dtype))
+        assert m.perm == (0, 1, 2)
+        assert m.margin == 0.0 and m.ambiguous and not m.benign_tie
+
+
+@pytest.mark.parametrize("pair", [(0.3 + 1j, 0.3 + 1j), (1.0, -2.5j), (0j, 0j)])
+def test_match_states_single_state(pair):
+    m = _assert_same_matching(np.array([pair[0]]), np.array([pair[1]]))
+    assert m.perm == (0,) and m.margin == np.inf and not m.ambiguous
 
 
 def test_match_states_large_dimension_path():
