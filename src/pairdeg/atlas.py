@@ -29,7 +29,7 @@ from .discriminant import DegeneracyRoot, find_degeneracies
 from .errors import PairdegError
 from .model import ModelSpec, as_family
 from .monodromy import LoopSpec, trace_loop
-from .spectra import DEFAULT_TAU_C, c_normalize, eigendecompose
+from .spectra import DEFAULT_TAU_C, c_normalize, closest_pair, eigendecompose
 
 __all__ = [
     "Kind",
@@ -286,12 +286,14 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
     points = []
     link_ambiguities = []
     for gamma in gammas:
-        m = model.with_gamma(float(gamma))
-        roots = find_degeneracies(m, radius=radius, cluster_factor=cluster_factor)
+        family = model.with_gamma(float(gamma)).family()
+        roots = find_degeneracies(family, radius=radius,
+                                  cluster_factor=cluster_factor)
         root_sets.append(roots)
         if classify_points:
             points.append([
-                classify(m, r, degeneracies=roots, tau_c=tau_c) for r in roots
+                classify(family, r, degeneracies=roots, tau_c=tau_c)
+                for r in roots
             ])
         else:
             points.append([
@@ -313,11 +315,9 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
         profile = []
         for roots, pts in zip(root_sets, points):
             best = (np.inf, None)
-            for i in range(len(roots)):
-                for j in range(i + 1, len(roots)):
-                    dij = abs(roots[i].g0 - roots[j].g0)
-                    if dij < best[0]:
-                        best = (dij, 0.5 * (roots[i].g0 + roots[j].g0))
+            if len(roots) >= 2:
+                a, b = (roots[k].g0 for k in closest_pair([r.g0 for r in roots]))
+                best = (abs(a - b), 0.5 * (a + b))
             # A multiplicity-2 root that is not a plain level crossing is an
             # already merged pair (a grid sample can land exactly on gamma*).
             if classify_points:
@@ -370,13 +370,9 @@ def pair_truncation_family(model_or_family, g0: complex, pair=None,
     g_ref = complex(g0) + complex(reference_offset)
     spec = c_normalize(eigendecompose(family.matrix(g_ref), g=g_ref), tau_c=tau_c)
     if pair is None:
-        e = spec.eigenvalues
-        best, pair = np.inf, (1, 2)
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                if abs(e[i] - e[j]) < best:
-                    best, pair = abs(e[i] - e[j]), (i + 1, j + 1)
-    i, j = (k - 1 for k in pair)
+        i, j = closest_pair(spec.eigenvalues)
+    else:
+        i, j = (k - 1 for k in pair)
     X = np.stack([spec.eigenvectors[:, i], spec.eigenvectors[:, j]], axis=1)
     # Bilinear Gram-Schmidt so that X^T X = I2.
     X[:, 1] = X[:, 1] - X[:, 0] * (X[:, 0] @ X[:, 1])

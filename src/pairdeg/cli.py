@@ -161,8 +161,6 @@ def _common(fn):
     fn = click.option("--out", "out_dir", default=".", show_default=True,
                       type=click.Path(file_okay=False),
                       help="Output directory.")(fn)
-    fn = click.option("--threads", default=1, show_default=True,
-                      help="Worker threads for independent samples.")(fn)
     return fn
 
 
@@ -174,7 +172,7 @@ def main():
 
 @main.command()
 @_common
-def atlas(config_path, out_dir, threads):
+def atlas(config_path, out_dir):
     """Locate and classify all degeneracies; write JSON list and |D| heatmap."""
 
     def body():
@@ -200,7 +198,7 @@ def atlas(config_path, out_dir, threads):
             {"degeneracies": [p.as_dict() for p in points]},
         )
         n = cfg.int("atlas", "heatmap_points")
-        res, ims, grid = discriminant_grid(model, window, n, n, threads=threads)
+        res, ims, grid = discriminant_grid(model, window, n, n)
         rows = []
         for i, y in enumerate(ims):
             for x, v in zip(res, grid[i]):
@@ -214,7 +212,7 @@ def atlas(config_path, out_dir, threads):
 
 @main.command()
 @_common
-def sweep(config_path, out_dir, threads):
+def sweep(config_path, out_dir):
     """Track degeneracies over a gamma interval; write trajectory and events."""
 
     def body():
@@ -243,7 +241,7 @@ def sweep(config_path, out_dir, threads):
 
 @main.command()
 @_common
-def encircle(config_path, out_dir, threads):
+def encircle(config_path, out_dir):
     """Trace eigenpairs around a loop; write phases CSV and period summary."""
 
     def body():
@@ -276,7 +274,7 @@ def encircle(config_path, out_dir, threads):
 
 @main.command()
 @_common
-def cut(config_path, out_dir, threads):
+def cut(config_path, out_dir):
     """Sample eigenvalues (and pairing energies) along a straight cut."""
 
     def body():

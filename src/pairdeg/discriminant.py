@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InterpolationError
 from .model import as_family
-from .spectra import eigendecompose
+from .spectra import closest_pair, eigendecompose
 
 __all__ = [
     "char_poly",
@@ -277,13 +277,9 @@ def _cluster(roots, rho):
 
 def _closest_gap_squared(family, g: complex) -> complex:
     e = np.linalg.eigvals(family.matrix(g))
-    best = None
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            d = e[i] - e[j]
-            if best is None or abs(d) < abs(best):
-                best = d
-    return best * best
+    i, j = closest_pair(e)
+    d = e[i] - e[j]
+    return d * d
 
 
 def _gap_newton(family, g0: complex, multiplicity: int, step_bound: float,
@@ -382,19 +378,14 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
         g0 = _gap_newton(family, g0, mult, step_bound=2 * rho)
         spec = eigendecompose(family.matrix(g0), g=g0)
         e = spec.eigenvalues
-        pair, gap = (1, 2), np.inf
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                if abs(e[i] - e[j]) < gap:
-                    gap = abs(e[i] - e[j])
-                    pair = (i + 1, j + 1)
+        i, j = closest_pair(e)
         roots.append(
             DegeneracyRoot(
                 g0=g0,
                 multiplicity=mult,
                 residual=abs(poly(g0)),
-                involved_pair=pair,
-                min_gap=float(gap),
+                involved_pair=(i + 1, j + 1),
+                min_gap=float(abs(e[i] - e[j])),
                 converged=ok,
             )
         )
@@ -413,31 +404,20 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
     return roots, diagnostics
 
 
-def discriminant_grid(model_or_family, window, n_re: int, n_im: int,
-                      threads: int = 1):
+def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
     """|D(g)| on a rectangular grid, row-major, by direct evaluation.
 
-    ``window`` is (re_min, re_max, im_min, im_max).  Rows are computed
-    independently (optionally in a thread pool) and assembled in index order
-    so the output is deterministic.
+    ``window`` is (re_min, re_max, im_min, im_max).  Returns the real and
+    imaginary grid axes and an (n_im, n_re) array whose row i holds
+    |D(re + i*ims[i])| along the real axis.
     """
     family = as_family(model_or_family)
     re_min, re_max, im_min, im_max = window
     res = np.linspace(re_min, re_max, n_re)
     ims = np.linspace(im_min, im_max, n_im)
-
-    def row(i):
-        return [
-            abs(discriminant_from_eigenvalues(
-                np.linalg.eigvals(family.matrix(complex(x, ims[i])))))
-            for x in res
-        ]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            grid = list(pool.map(row, range(n_im)))
-    else:
-        grid = [row(i) for i in range(n_im)]
+    grid = [
+        [abs(discriminant_from_eigenvalues(
+            np.linalg.eigvals(family.matrix(complex(x, y))))) for x in res]
+        for y in ims
+    ]
     return res, ims, np.array(grid)

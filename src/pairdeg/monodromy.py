@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LoopError, MatchingAmbiguityError
+from .errors import LoopError
 from .model import as_family
-from .spectra import (DEFAULT_TAU_C, Spectrum, c_normalize, eigendecompose,
-                      match_states)
+from .spectra import (DEFAULT_TAU_C, MAX_BISECT, AmbiguityRecord, Spectrum,
+                      _align_next, c_normalize, eigendecompose, match_states)
 
 __all__ = ["LoopSpec", "LoopTrace", "trace_loop", "restore_count", "RestoreResult"]
 
@@ -158,28 +158,8 @@ class LoopTrace:
         }
 
 
-def _advance(family, current: Spectrum, phi_from, phi_to, loop, tau_c, depth,
-             records, max_bisect=12):
-    """Continue one arc step with recursive bisection in phi."""
-    g_to = loop.point(phi_to)
-    nxt = eigendecompose(family.matrix(g_to), g=g_to)
-    m = match_states(current.eigenvalues, nxt.eigenvalues)
-    if m.ambiguous and not m.benign_tie:
-        if depth >= max_bisect:
-            raise MatchingAmbiguityError(
-                f"loop continuation ambiguous on phi in "
-                f"[{phi_from:.6f}, {phi_to:.6f}] after {max_bisect} refinements"
-            )
-        phi_mid = 0.5 * (phi_from + phi_to)
-        mid, inc_a = _advance(family, current, phi_from, phi_mid, loop, tau_c,
-                              depth + 1, records, max_bisect)
-        end, inc_b = _advance(family, mid, phi_mid, phi_to, loop, tau_c,
-                              depth + 1, records, max_bisect)
-        return end, inc_a + inc_b
-    if m.ambiguous:
-        records.append((loop.point(phi_from), g_to, m.margin))
-    aligned = c_normalize(nxt.permuted(m.perm), tau_c=tau_c)
-
+def _phase_increments(current: Spectrum, aligned: Spectrum) -> np.ndarray:
+    """Phase increments of one accepted step; flips ``aligned`` into the gauge."""
     increments = np.zeros(current.dim, dtype=complex)
     for k in range(current.dim):
         u_prev = current.eigenvectors[:, k]
@@ -209,7 +189,7 @@ def _advance(family, current: Spectrum, phi_from, phi_to, loop, tau_c, depth,
                 u_new, ov = -u_new, -ov
             increments[k] = -1j * np.log(ov)
         aligned.eigenvectors[:, k] = u_new
-    return aligned, increments
+    return increments
 
 
 def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
@@ -238,16 +218,21 @@ def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
     eigenvalues = np.empty((n_samples, dim), dtype=complex)
     thetas = np.zeros((n_samples, dim), dtype=complex)
     eigenvalues[0] = start.eigenvalues
-    records: list = []
+    records: list[AmbiguityRecord] = []
     loop_perms = []
     loop_re = []
     raw_loop = []
 
     current = start
     for i in range(1, n_samples):
-        current, inc = _advance(family, current, phis[i - 1], phis[i], loop,
-                                tau_c, 0, records)
-        thetas[i] = thetas[i - 1] + inc
+        increments = []
+        for aligned in _align_next(family, current, phis[i - 1], phis[i],
+                                   loop.point, True, tau_c, 0, records,
+                                   MAX_BISECT):
+            increments.append(_phase_increments(current, aligned))
+            current = aligned
+        # Sub-step increments add left to right, in path order.
+        thetas[i] = thetas[i - 1] + sum(increments[1:], increments[0])
         eigenvalues[i] = current.eigenvalues
         if i % loop.steps == 0:
             m = match_states(current.eigenvalues, start.eigenvalues)

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import Kind, classify, pair_truncation_family, sweep_gamma
+from .atlas import Kind, classify, sweep_gamma
 from .discriminant import (discriminant_at, discriminant_poly, find_degeneracies)
 from .model import ModelSpec, hamiltonian_at
 from .monodromy import LoopSpec, restore_count, trace_loop
 from .observables import (coefficient_extract, fit_power_law, ladder_spectra,
                           pairing_energy_cut)
 from .spectra import (branch_slopes, c_normalize, continue_spectrum,
-                      eigendecompose, spectrum_along)
+                      eigendecompose)
 
 __all__ = ["reference_model", "run_all", "CriterionResult", "CRITERIA"]
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EigensolverError, MatchingAmbiguityError
-from .model import MatrixFamily, as_family
+from .model import as_family
 
 __all__ = [
     "Spectrum",
@@ -38,17 +38,37 @@ __all__ = [
     "spectrum_along",
     "branch_slopes",
     "canonical_order",
+    "closest_pair",
 ]
 
 DEFAULT_TAU_C = 1e-6
 RESIDUAL_BOUND = 1e-9
 MATCH_AMBIGUITY_TOL = 1e-12
 EXHAUSTIVE_MATCH_LIMIT = 7
+MAX_BISECT = 12
 
 
 def bilinear(u: np.ndarray, v: np.ndarray) -> complex:
     """c-product sum_k u_k v_k (no conjugation)."""
     return complex(u @ v)
+
+
+def closest_pair(values) -> tuple:
+    """Indices (i, j), i < j, of the two closest values; the first pair wins a tie.
+
+    A plain loop over Python numbers: for the few states of a spectrum it is
+    several times faster than any vectorised search.
+    """
+    v = np.asarray(values).tolist()
+    if len(v) < 2:
+        raise ValueError("need at least two values")
+    best, pair = math.inf, (0, 1)
+    for i, a in enumerate(v):
+        for j in range(i + 1, len(v)):
+            d = abs(a - v[j])
+            if d < best:
+                best, pair = d, (i, j)
+    return pair
 
 
 def canonical_order(eigenvalues: np.ndarray, im_tol: float = 1e-8) -> np.ndarray:
@@ -320,9 +340,17 @@ class ContinuationResult:
         return np.array([s.eigenvalues for s in self.spectra])
 
 
-def _align_next(family, current: Spectrum, g_to, want_vectors, tau_c, depth,
-                records, max_bisect):
-    """One continuation step current -> g_to with recursive bisection."""
+def _align_next(family, current: Spectrum, t_from, t_to, point, want_vectors,
+                tau_c, depth, records, max_bisect):
+    """One continuation step from ``current`` at path parameter t_from to t_to.
+
+    ``point`` maps the path parameter to the coupling: ``complex`` for cuts,
+    whose parameter is g itself, or ``LoopSpec.point`` for loops, which
+    bisect in phi.  Returns the accepted sub-steps in path order, bisection
+    midpoints first, the last one at t_to.  Vectors are c-normalized when
+    wanted; the sign gauge is left to the caller.
+    """
+    g_to = point(t_to)
     nxt = eigendecompose(family.matrix(g_to), g=g_to)
     m = match_states(current.eigenvalues, nxt.eigenvalues)
     if m.ambiguous and not m.benign_tie:
@@ -331,31 +359,24 @@ def _align_next(family, current: Spectrum, g_to, want_vectors, tau_c, depth,
                 f"state matching still ambiguous after {max_bisect} bisections "
                 f"between g = {current.g} and g = {g_to} (margin {m.margin:.3e})"
             )
-        g_mid = 0.5 * (current.g + g_to)
-        mid = _align_next(family, current, g_mid, want_vectors, tau_c,
-                          depth + 1, records, max_bisect)
-        return _align_next(family, mid, g_to, want_vectors, tau_c,
-                           depth + 1, records, max_bisect)
+        t_mid = 0.5 * (t_from + t_to)
+        first = _align_next(family, current, t_from, t_mid, point, want_vectors,
+                            tau_c, depth + 1, records, max_bisect)
+        return first + _align_next(family, first[-1], t_mid, t_to, point,
+                                   want_vectors, tau_c, depth + 1, records,
+                                   max_bisect)
     if m.ambiguous:
         records.append(AmbiguityRecord(current.g, complex(g_to), m.margin,
                                        benign=True, refined=depth))
     aligned = nxt.permuted(m.perm)
-    if not want_vectors:
-        return aligned
-    aligned = c_normalize(aligned, tau_c=tau_c)
-    # Continue the sign gauge: make the Hermitian overlap with the previous
-    # sample lie in the right half-plane.
-    if current.c_normalized:
-        for k in range(aligned.dim):
-            ov = np.vdot(current.eigenvectors[:, k], aligned.eigenvectors[:, k])
-            if ov.real < 0:
-                aligned.eigenvectors[:, k] = -aligned.eigenvectors[:, k]
-    return aligned
+    if want_vectors:
+        aligned = c_normalize(aligned, tau_c=tau_c)
+    return [aligned]
 
 
 def continue_spectrum(model_or_family, points, want_vectors: bool = True,
                       tau_c: float = DEFAULT_TAU_C, start_im_tol: float = 1e-8,
-                      max_bisect: int = 12) -> ContinuationResult:
+                      max_bisect: int = MAX_BISECT) -> ContinuationResult:
     """Continue a labeled eigensystem through a sequence of couplings.
 
     Labels are assigned at the first point by canonical ordering (ascending
@@ -374,10 +395,19 @@ def continue_spectrum(model_or_family, points, want_vectors: bool = True,
         start = c_normalize(start, tau_c=tau_c)
     spectra = [start]
     for g_to in points[1:]:
-        spectra.append(
-            _align_next(family, spectra[-1], g_to, want_vectors, tau_c, 0,
-                        records, max_bisect)
-        )
+        current = spectra[-1]
+        for aligned in _align_next(family, current, current.g, g_to, complex,
+                                   want_vectors, tau_c, 0, records, max_bisect):
+            if want_vectors:
+                # Continue the sign gauge: make the Hermitian overlap with
+                # the previous sample lie in the right half-plane.
+                for k in range(aligned.dim):
+                    ov = np.vdot(current.eigenvectors[:, k],
+                                 aligned.eigenvectors[:, k])
+                    if ov.real < 0:
+                        aligned.eigenvectors[:, k] = -aligned.eigenvectors[:, k]
+            current = aligned
+        spectra.append(current)
     return ContinuationResult(spectra=spectra, ambiguities=records)
 
 
@@ -415,7 +445,8 @@ class CutTable:
 
 def spectrum_along(model_or_family, start, stop, n: int,
                    want_vectors: bool = False, tau_c: float = DEFAULT_TAU_C,
-                   start_im_tol: float = 1e-8, max_bisect: int = 12) -> CutTable:
+                   start_im_tol: float = 1e-8,
+                   max_bisect: int = MAX_BISECT) -> CutTable:
     """Sample a straight segment in the coupling plane with stable labels."""
     if n < 2:
         raise ValueError("need at least two samples along a cut")

@@ -164,20 +164,6 @@ def test_invalid_model_rejected(tmp_path, runner):
     assert result.exit_code == 2
 
 
-def test_threads_option(tmp_path, runner):
-    cfg = write_config(tmp_path, BASE_CONFIG + """
-[atlas]
-window = -0.2, 0.2, -0.2, 0.2
-heatmap_points = 11
-""")
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    for out, threads in ((out1, "1"), (out2, "3")):
-        result = runner.invoke(main, ["atlas", "--config", cfg, "--out",
-                                      str(out), "--threads", threads])
-        assert result.exit_code == 0, result.output
-    assert (out1 / "heatmap.csv").read_bytes() == (out2 / "heatmap.csv").read_bytes()
-
-
 def test_outputs_byte_identical(tmp_path, runner):
     cfg = write_config(tmp_path, BASE_CONFIG + """
 [atlas]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from pairdeg import (LoopError, LoopSpec, find_degeneracies, restore_count,
-                     trace_loop)
+import pairdeg.spectra
+from pairdeg import (LoopError, LoopSpec, MatrixFamily, find_degeneracies,
+                     restore_count, trace_loop)
+from pairdeg.spectra import AmbiguityRecord
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +148,55 @@ def test_loop_trace_csv_and_summary(tmp_path, model, roots, pdp_root):
     summary = trace.summary()
     assert summary["permutations"] == ["identity"]
     assert len(summary["loop_re_theta"][0]) == 4
+
+
+def test_loop_over_doubled_blocks_records_benign_ties():
+    # Two identical 2x2 blocks: every eigenvalue is doubly degenerate along
+    # the whole loop, so each step is a benign tie, recorded and not bisected.
+    # The blocks' own EPs sit at g = +-0.5i, outside the loop.
+    block = np.zeros((4, 4))
+    block[[1, 3], [1, 3]] = 1.0
+    hop = np.zeros((4, 4))
+    hop[[0, 1, 2, 3], [1, 0, 3, 2]] = 1.0
+    family = MatrixFamily(block, hop)
+    trace = trace_loop(family, LoopSpec(0.2 + 0j, 0.1, steps=64),
+                       degeneracies=[])
+    assert len(trace.ambiguities) == 64
+    assert all(isinstance(r, AmbiguityRecord) and r.benign and r.refined == 0
+               for r in trace.ambiguities)
+    assert trace.loop_permutations[0] == (0, 1, 2, 3)
+
+
+def test_forced_loop_bisection(model, roots, pdp_root, monkeypatch):
+    loop = LoopSpec(pdp_root.g0, 0.01, steps=64)
+    plain = trace_loop(model, loop, degeneracies=roots)
+
+    match_states = pairdeg.spectra.match_states
+    eigendecompose = pairdeg.spectra.eigendecompose
+    calls = {"match": 0, "eig": 0}
+
+    def tie_once(prev, nxt):
+        calls["match"] += 1
+        m = match_states(prev, nxt)
+        if calls["match"] == 20:
+            return m._replace(ambiguous=True, benign_tie=False)
+        return m
+
+    def counted(*args, **kwargs):
+        calls["eig"] += 1
+        return eigendecompose(*args, **kwargs)
+
+    monkeypatch.setattr(pairdeg.spectra, "match_states", tie_once)
+    monkeypatch.setattr(pairdeg.spectra, "eigendecompose", counted)
+    forced = trace_loop(model, loop, degeneracies=roots)
+
+    # The tied step is split at its phi midpoint: one more sample, and the
+    # step's end point solved again.
+    assert calls["eig"] == 64 + 2
+    assert calls["match"] == 64 + 2
+    assert forced.ambiguities == plain.ambiguities == []
+    assert forced.loop_permutations == plain.loop_permutations
+    np.testing.assert_array_equal(forced.loop_re_theta, plain.loop_re_theta)
+    np.testing.assert_array_equal(forced.eigenvalues, plain.eigenvalues)
+    assert np.max(np.abs(forced.thetas - plain.thetas)) <= 1e-4
+    assert np.max(np.abs(forced.thetas - plain.thetas)) > 0

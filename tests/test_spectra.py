@@ -9,7 +9,7 @@ from pairdeg import (EigensolverError, branch_slopes, c_normalize,
                      canonical_order, continue_spectrum, eigendecompose,
                      hamiltonian_at, match_states, spectrum_along)
 from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, Matching, bilinear,
-                             semicircle)
+                             closest_pair, semicircle)
 
 
 def random_complex_symmetric(rng, n=4):
@@ -250,6 +250,42 @@ def test_match_states_large_dimension_path():
     m = match_states(e, e[perm])
     restored = np.array(m.perm)
     np.testing.assert_array_equal(e[perm][restored], e)
+
+
+def _closest_pair_oracle(e):
+    """The double loop that closest_pair replaced, kept as its oracle."""
+    e = np.asarray(e)
+    gap, pair = np.inf, (0, 1)
+    for i in range(len(e)):
+        for j in range(i + 1, len(e)):
+            if abs(e[i] - e[j]) < gap:
+                gap, pair = abs(e[i] - e[j]), (i, j)
+    return pair
+
+
+@oracle_settings
+@given(n=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from([1e-12, 1.0, 1e6]))
+def test_closest_pair_oracle_random_spectra(n, seed, spread):
+    rng = np.random.default_rng(seed)
+    e = spread * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    assert closest_pair(e) == _closest_pair_oracle(e)
+    assert closest_pair(e.real) == _closest_pair_oracle(e.real)
+
+
+@oracle_settings
+@given(data=st.data(), n=st.integers(2, 9))
+def test_closest_pair_oracle_exact_ties(data, n):
+    # Gaussian integers repeat distances exactly: the first pair must win.
+    e = np.array(data.draw(st.lists(lattice, min_size=n, max_size=n)))
+    assert closest_pair(e) == _closest_pair_oracle(e)
+
+
+def test_closest_pair_first_tie_and_short_input():
+    assert closest_pair([0.0, 1.0, 2.0, 3.0]) == (0, 1)
+    assert closest_pair([5j, 0j, 1 + 5j, 0j]) == (1, 3)
+    with pytest.raises(ValueError):
+        closest_pair([1.0])
 
 
 def test_spectrum_along_hermitian_limit(model):
