@@ -25,9 +25,10 @@ from enum import Enum
 
 import numpy as np
 
-from .discriminant import DegeneracyRoot, find_degeneracies
+from .discriminant import (DegeneracyRoot, _polish_root, _root_clusters,
+                           discriminant_poly, find_degeneracies)
 from .errors import PairdegError
-from .model import ModelSpec, as_family
+from .model import MatrixFamily, ModelSpec, as_family, build_operator_matrices
 from .monodromy import LoopSpec, trace_loop
 from .spectra import DEFAULT_TAU_C, c_normalize, closest_pair, eigendecompose
 
@@ -226,21 +227,37 @@ def _nearest_pair_distance(roots, center, focus):
     return abs(a.g0 - b.g0), 0.5 * (a.g0 + b.g0)
 
 
-def _refine_merge(model: ModelSpec, g_lo, g_hi, center, focus, radius,
+def _probe(family, center, focus, radius, cluster_factor):
+    """``_nearest_pair_distance`` of the family's roots, polishing only some.
+
+    Polishing moves a cluster centroid by at most four cluster radii (two on
+    the derivative, two on the gap), or not at all, so a cluster whose
+    centroid lies farther than that outside the focus window cannot end up
+    inside it.  Only the other clusters are polished; the result is the
+    same as from the full ``find_degeneracies`` list.
+    """
+    poly = discriminant_poly(family, radius=radius)
+    reach = focus + 4 * cluster_factor * poly.radius
+    roots = [_polish_root(family, poly, cluster, cluster_factor)
+             for cluster in _root_clusters(poly, cluster_factor)
+             if abs(cluster.centroid - center) <= reach]
+    roots.sort(key=lambda r: (r.g0.imag, r.g0.real))
+    return _nearest_pair_distance(roots, center, focus)
+
+
+def _refine_merge(family_at, g_lo, g_hi, center, focus, radius,
                   cluster_factor, merge_radius, gamma_floor=1e-9):
     """Golden-section refinement of the pair-distance minimum over gamma.
 
     The pair separation scales like sqrt(|gamma - gamma*|) near a merger, so
     the bracket must collapse far below the wanted gamma resolution before
     the distance drops below the merge radius; iteration stops as soon as it
-    does (or at the gamma floor).
+    does (or at the gamma floor).  ``family_at`` maps gamma to the family.
     """
     invphi = (np.sqrt(5.0) - 1) / 2
 
     def f(gamma):
-        roots = find_degeneracies(model.with_gamma(gamma), radius=radius,
-                                  cluster_factor=cluster_factor)
-        return _nearest_pair_distance(roots, center, focus)
+        return _probe(family_at(gamma), center, focus, radius, cluster_factor)
 
     a, b = g_lo, g_hi
     c = b - invphi * (b - a)
@@ -282,11 +299,17 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
     if steps < 2:
         raise PairdegError("gamma sweep needs at least 2 samples")
     gammas = np.linspace(gamma_start, gamma_stop, steps)
+    ops = build_operator_matrices(model)
+
+    def family_at(gamma):
+        # The expression of ModelSpec.family(), so the bits are the same.
+        return MatrixFamily(ops.T, ops.P + float(gamma) * ops.Q)
+
     root_sets = []
     points = []
     link_ambiguities = []
     for gamma in gammas:
-        family = model.with_gamma(float(gamma)).family()
+        family = family_at(gamma)
         roots = find_degeneracies(family, radius=radius,
                                   cluster_factor=cluster_factor)
         root_sets.append(roots)
@@ -346,7 +369,7 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
             g_lo = gammas[max(k - 1, 0)]
             g_hi = gammas[min(k + 1, len(gammas) - 1)]
             gamma_star, dist, g_star = _refine_merge(
-                model, float(g_lo), float(g_hi), center, focus, radius,
+                family_at, float(g_lo), float(g_hi), center, focus, radius,
                 cluster_factor, merge_radius)
             if dist <= merge_radius:
                 events.append(MergeEvent(float(gamma_star), complex(g_star),

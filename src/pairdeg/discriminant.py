@@ -18,6 +18,7 @@ polynomial with its derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -332,6 +333,66 @@ def _gcd_degree(coeffs, radius: float) -> int:
     return S.shape[0] - rank
 
 
+class _Cluster(NamedTuple):
+    """Polynomial roots merged into one candidate degeneracy."""
+
+    centroid: complex
+    multiplicity: int
+    converged: bool
+
+
+def _root_clusters(poly: DiscriminantPoly, cluster_factor: float) -> list:
+    """Companion roots of D, Newton-polished on D and clustered.
+
+    Roots within ``cluster_factor * poly.radius`` of each other form one
+    cluster: double-precision coefficient rounding splits a true double root
+    by roughly sqrt(eps * local scale / |D''|), which is of order 1e-5 here,
+    so the cluster radius must sit above that.
+    """
+    if poly.degree < 1:
+        return []
+    coeffs = poly.coefficients
+    raw = np.roots(coeffs[::-1])
+    raw, converged = _newton_polish(coeffs, raw)
+    return [
+        _Cluster(complex(np.mean(raw[members])), len(members),
+                 bool(np.all(converged[members])))
+        for members in _cluster(raw, cluster_factor * poly.radius)
+    ]
+
+
+def _polish_root(family, poly: DiscriminantPoly, cluster: _Cluster,
+                 cluster_factor: float) -> DegeneracyRoot:
+    """Sharpen a cluster centroid into a root on the eigenvalue gap.
+
+    A centroid of multiplicity m is first re-polished on the (m-1)-th
+    derivative of D, where the root is simple again, then on the squared
+    gap.  Each polish moves it by at most twice the cluster radius, or not
+    at all.
+    """
+    rho = cluster_factor * poly.radius
+    g0, mult = cluster.centroid, cluster.multiplicity
+    if mult >= 2:
+        dk = poly.coefficients
+        for _ in range(mult - 1):
+            dk = poly_derivative(dk)
+        polished, conv = _newton_polish(dk, np.array([g0]))
+        if conv[0] and abs(polished[0] - g0) <= 2 * rho:
+            g0 = complex(polished[0])
+    g0 = _gap_newton(family, g0, mult, step_bound=2 * rho)
+    spec = eigendecompose(family.matrix(g0), g=g0)
+    e = spec.eigenvalues
+    i, j = closest_pair(e)
+    return DegeneracyRoot(
+        g0=g0,
+        multiplicity=mult,
+        residual=abs(poly(g0)),
+        involved_pair=(i + 1, j + 1),
+        min_gap=float(abs(e[i] - e[j])),
+        converged=cluster.converged,
+    )
+
+
 def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
                       cluster_factor: float = DEFAULT_CLUSTER_FACTOR,
                       poly: DiscriminantPoly = None,
@@ -340,12 +401,10 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
 
     Roots come from the companion matrix of the reconstructed discriminant,
     are Newton-polished on D, and clustered with radius
-    ``cluster_factor * radius``: double-precision coefficient rounding splits
-    a true double root by roughly sqrt(eps * local scale / |D''|), which is
-    of order 1e-5 here, so the cluster radius must sit above that.  Cluster
-    centroids of multiplicity m are re-polished on the (m-1)-th derivative,
-    where the root is simple again.  Multiplicities are cross-checked against
-    the numerically estimated degree of gcd(D, D').
+    ``cluster_factor * radius`` (see ``_root_clusters``).  Each cluster is
+    then polished on the eigenvalue gap (see ``_polish_root``).
+    Multiplicities are cross-checked against the numerically estimated
+    degree of gcd(D, D').
     """
     family = as_family(model_or_family)
     if poly is None:
@@ -355,40 +414,8 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
         return ([], {"gcd_degree": 0, "multiplicity_consistent": True}) \
             if with_diagnostics else []
 
-    raw = np.roots(coeffs[::-1])
-    raw, converged = _newton_polish(coeffs, raw)
-    rho = cluster_factor * poly.radius
-    clusters = _cluster(raw, rho)
-
-    roots = []
-    for members in clusters:
-        pts = raw[members]
-        mult = len(members)
-        g0 = complex(np.mean(pts))
-        ok = bool(np.all(converged[members]))
-        if mult >= 2:
-            # The (mult-1)-th derivative has a simple root at an exact
-            # multiple root; Newton there sharpens the centroid.
-            dk = coeffs
-            for _ in range(mult - 1):
-                dk = poly_derivative(dk)
-            polished, conv = _newton_polish(dk, np.array([g0]))
-            if conv[0] and abs(polished[0] - g0) <= 2 * rho:
-                g0 = complex(polished[0])
-        g0 = _gap_newton(family, g0, mult, step_bound=2 * rho)
-        spec = eigendecompose(family.matrix(g0), g=g0)
-        e = spec.eigenvalues
-        i, j = closest_pair(e)
-        roots.append(
-            DegeneracyRoot(
-                g0=g0,
-                multiplicity=mult,
-                residual=abs(poly(g0)),
-                involved_pair=(i + 1, j + 1),
-                min_gap=float(abs(e[i] - e[j])),
-                converged=ok,
-            )
-        )
+    roots = [_polish_root(family, poly, cluster, cluster_factor)
+             for cluster in _root_clusters(poly, cluster_factor)]
     roots.sort(key=lambda r: (r.g0.imag, r.g0.real))
     if not with_diagnostics:
         return roots

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import LoopError
 from .model import as_family
 from .spectra import (DEFAULT_TAU_C, MAX_BISECT, AmbiguityRecord, Spectrum,
-                      _align_next, c_normalize, eigendecompose, match_states)
+                      _align_next, _solve_path, c_normalize, eigendecompose,
+                      match_states)
 
 __all__ = ["LoopSpec", "LoopTrace", "trace_loop", "restore_count", "RestoreResult"]
 
@@ -224,10 +225,11 @@ def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
     raw_loop = []
 
     current = start
-    for i in range(1, n_samples):
+    ahead = _solve_path(family, [loop.point(phi) for phi in phis[1:]])
+    for i, nxt in enumerate(ahead, start=1):
         increments = []
         for aligned in _align_next(family, current, phis[i - 1], phis[i],
-                                   loop.point, True, tau_c, 0, records,
+                                   loop.point, nxt, True, tau_c, 0, records,
                                    MAX_BISECT):
             increments.append(_phase_increments(current, aligned))
             current = aligned

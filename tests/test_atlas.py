@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import pairdeg.atlas
+import pairdeg.model
 from pairdeg import (Kind, MatrixFamily, classify, classify_all,
                      discriminant_poly, find_degeneracies,
                      pair_truncation_family, sweep_gamma)
+from pairdeg.atlas import _nearest_pair_distance, _probe
 
 
 def block_diagonal_family():
@@ -142,3 +145,46 @@ def test_gamma_trajectory_csv(tmp_path, model):
     lines = path.read_text().splitlines()
     assert lines[1].split(",") == ["gamma", "g_re", "g_im", "kind", "multiplicity"]
     assert any("PSEUDO_DP" in line for line in lines)
+
+
+def test_sweep_gamma_builds_operators_once(model, monkeypatch):
+    calls = {"build": 0}
+    build = pairdeg.model.build_operator_matrices
+
+    def counting(m):
+        calls["build"] += 1
+        return build(m)
+
+    # ModelSpec.family() finds the builder in the model module, sweep_gamma
+    # in its own: count both.
+    monkeypatch.setattr(pairdeg.model, "build_operator_matrices", counting)
+    monkeypatch.setattr(pairdeg.atlas, "build_operator_matrices", counting)
+    traj = sweep_gamma(model, -0.52, -0.48, steps=5, classify_points=True)
+    assert traj.events
+    assert calls["build"] == 1
+
+
+# (g_lo, g_hi, pair centre) of the merge brackets refined in the reference
+# sweeps (gamma from -0.6 to -0.4 in 21 samples, and -0.52 to -0.48 in 5).
+MERGE_BRACKETS = [
+    (-0.6, -0.59, 0.0504744 + 0.1239918j),
+    (-0.51, -0.49, -0.1767767j),
+    (-0.49, -0.48, 0.1454507j),
+    (-0.44, -0.42, -0.1370902j),
+]
+
+
+@pytest.mark.parametrize("g_lo, g_hi, center", MERGE_BRACKETS)
+def test_probe_matches_full_root_set(model, g_lo, g_hi, center):
+    # Probing polishes only the clusters that can reach the focus window;
+    # the nearest pair it reports must be exactly the full root set's.
+    invphi = (np.sqrt(5.0) - 1) / 2
+    golden = [g_hi - invphi * (g_hi - g_lo), g_lo + invphi * (g_hi - g_lo)]
+    for gamma in [g_lo, *golden, 0.5 * (g_lo + g_hi), g_hi]:
+        family = model.with_gamma(gamma).family()
+        roots = find_degeneracies(family, radius=0.5, cluster_factor=1e-4)
+        for focus in (1e-3, 0.0431, 0.0566):
+            want = _nearest_pair_distance(roots, center, focus)
+            got = _probe(family, center, focus, 0.5, 1e-4)
+            assert got == want
+            assert type(got[0]) is type(want[0])

@@ -169,11 +169,19 @@ def test_loop_over_doubled_blocks_records_benign_ties():
 
 def test_forced_loop_bisection(model, roots, pdp_root, monkeypatch):
     loop = LoopSpec(pdp_root.g0, 0.01, steps=64)
+    stack = pairdeg.spectra._eigendecompose_stack
+    calls = {"match": 0, "eig": 0}
+
+    def counted(H, gs, *args, **kwargs):
+        # Every solve, single or stacked, runs here once per matrix.
+        calls["eig"] += len(gs)
+        return stack(H, gs, *args, **kwargs)
+
+    monkeypatch.setattr(pairdeg.spectra, "_eigendecompose_stack", counted)
     plain = trace_loop(model, loop, degeneracies=roots)
+    assert calls["eig"] == 1 + 64  # the start point and the 64 steps
 
     match_states = pairdeg.spectra.match_states
-    eigendecompose = pairdeg.spectra.eigendecompose
-    calls = {"match": 0, "eig": 0}
 
     def tie_once(prev, nxt):
         calls["match"] += 1
@@ -182,17 +190,13 @@ def test_forced_loop_bisection(model, roots, pdp_root, monkeypatch):
             return m._replace(ambiguous=True, benign_tie=False)
         return m
 
-    def counted(*args, **kwargs):
-        calls["eig"] += 1
-        return eigendecompose(*args, **kwargs)
-
     monkeypatch.setattr(pairdeg.spectra, "match_states", tie_once)
-    monkeypatch.setattr(pairdeg.spectra, "eigendecompose", counted)
+    calls["eig"] = 0
     forced = trace_loop(model, loop, degeneracies=roots)
 
-    # The tied step is split at its phi midpoint: one more sample, and the
-    # step's end point solved again.
-    assert calls["eig"] == 64 + 2
+    # The tied step is split at its phi midpoint: one more sample solved, and
+    # the second half reuses the step's end point.
+    assert calls["eig"] == 1 + 64 + 1
     assert calls["match"] == 64 + 2
     assert forced.ambiguities == plain.ambiguities == []
     assert forced.loop_permutations == plain.loop_permutations

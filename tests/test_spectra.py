@@ -5,11 +5,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pairdeg import (EigensolverError, branch_slopes, c_normalize,
-                     canonical_order, continue_spectrum, eigendecompose,
-                     hamiltonian_at, match_states, spectrum_along)
-from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, Matching, bilinear,
-                             closest_pair, semicircle)
+import pairdeg.spectra
+from pairdeg import (EigensolverError, LoopSpec, MatrixFamily, branch_slopes,
+                     c_normalize, canonical_order, continue_spectrum,
+                     eigendecompose, find_degeneracies, hamiltonian_at,
+                     match_states, spectrum_along, trace_loop)
+from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, SOLVE_BLOCK, Matching,
+                             _eigendecompose_stack, bilinear, closest_pair,
+                             semicircle)
 
 
 def random_complex_symmetric(rng, n=4):
@@ -363,3 +366,204 @@ def test_cut_table_csv(tmp_path, model):
     header = lines[2].split(",")
     assert header[:4] == ["g_re", "g_im", "E1_re", "E1_im"]
     assert len(lines) == 3 + 5
+
+
+def _canonical_order_oracle(eigenvalues, im_tol=1e-8):
+    """The cluster loop that canonical_order ran on every call, kept as its oracle."""
+    e = np.asarray(eigenvalues)
+    scale = max(1.0, float(np.max(np.abs(e))) if e.size else 1.0)
+    atol = im_tol * scale
+    order = np.argsort(e.imag, kind="stable")
+    out = []
+    k = 0
+    while k < len(order):
+        j = k + 1
+        while j < len(order) and e.imag[order[j]] - e.imag[order[j - 1]] <= atol:
+            j += 1
+        cluster = order[k:j]
+        cluster = cluster[np.lexsort((e.imag[cluster], e.real[cluster]))]
+        out.extend(cluster.tolist())
+        k = j
+    return np.array(out, dtype=int)
+
+
+def _eigendecompose_oracle(H, im_tol=1e-8):
+    """The single-matrix eigendecompose the stacked kernel replaced.
+
+    Returns its eigenvalues, eigenvectors and self-orthogonality.
+    """
+    H = np.asarray(H, dtype=complex)
+    eigenvalues, vectors = np.linalg.eig(H)
+    order = _canonical_order_oracle(eigenvalues, im_tol=im_tol)
+    eigenvalues = eigenvalues[order]
+    vectors = vectors[:, order]
+    return eigenvalues, vectors, np.einsum("ij,ij->j", vectors, vectors)
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _assert_stack_matches_oracle(matrices, gs, im_tol=1e-8):
+    """Stacked rows and single solves are byte for byte the oracle's."""
+    stacked = _eigendecompose_stack(np.array(matrices), gs, im_tol)
+    assert len(stacked) == len(matrices)
+    for spec, H, g in zip(stacked, matrices, gs):
+        want = _eigendecompose_oracle(H, im_tol)
+        for solved in (spec, eigendecompose(H, g=g, im_tol=im_tol)):
+            assert solved.g == complex(g)
+            _assert_same_bytes(solved.eigenvalues, want[0])
+            _assert_same_bytes(solved.eigenvectors, want[1])
+            _assert_same_bytes(solved.self_orthogonality, want[2])
+            assert not solved.self_orthogonal.any()
+
+
+def _random_family(rng, n):
+    base = np.diag(rng.normal(size=n))
+    linear = rng.normal(size=(n, n))
+    return MatrixFamily(base, linear + linear.T)
+
+
+@oracle_settings
+@given(n=st.integers(2, 7), k=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       im_tol=st.sampled_from([1e-8, 1e-3]))
+def test_stacked_solve_oracle_random_couplings(n, k, seed, im_tol):
+    rng = np.random.default_rng(seed)
+    family = _random_family(rng, n)
+    gs = [complex(*rng.normal(size=2)) for _ in range(k)]
+    _assert_stack_matches_oracle([family.matrix(g) for g in gs], gs, im_tol)
+
+
+@oracle_settings
+@given(k=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       im_tol=st.sampled_from([1e-8, 1e-3]))
+def test_stacked_solve_oracle_real_couplings_with_ties(model, k, seed, im_tol):
+    # At g = 0 the reference model is diagonal with repeated entries, and the
+    # doubled-block family is doubly degenerate at every real g: exact ties
+    # in a single all-real Im cluster.
+    rng = np.random.default_rng(seed)
+    doubled = _doubled_family()
+    gs = [0.0] + [float(x) for x in rng.normal(size=k - 1)]
+    for family in (model.family(), doubled):
+        _assert_stack_matches_oracle([family.matrix(g) for g in gs], gs, im_tol)
+
+
+def _doubled_family():
+    """Two identical 2x2 blocks: every eigenvalue is doubly degenerate."""
+    block = np.zeros((4, 4))
+    block[[1, 3], [1, 3]] = 1.0
+    hop = np.zeros((4, 4))
+    hop[[0, 1, 2, 3], [1, 0, 3, 2]] = 1.0
+    return MatrixFamily(block, hop)
+
+
+@oracle_settings
+@given(k=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from([1e-6, 1e-4, 1e-2]))
+def test_stacked_solve_oracle_imaginary_clusters(model, pseudo_dp, k, seed, spread):
+    # Near the pseudo-DP the merging pair shares Im to within ~spread, so
+    # im_tol = 1e-3 clusters it and orders it by Re.
+    rng = np.random.default_rng(seed)
+    family = model.family()
+    gs = [pseudo_dp + spread * complex(*rng.normal(size=2)) for _ in range(k)]
+    matrices = [family.matrix(g) for g in gs]
+    _assert_stack_matches_oracle(matrices, gs, im_tol=1e-3)
+    _assert_stack_matches_oracle(matrices, gs, im_tol=1e-8)
+
+
+@oracle_settings
+@given(data=st.data(), n=st.integers(1, 7),
+       im_tol=st.sampled_from([1e-8, 1e-3, 0.5]))
+def test_canonical_order_oracle(data, n, im_tol):
+    # Lattice points plus tiny offsets put imaginary gaps on both sides of
+    # the cluster tolerance, and repeat values exactly.
+    base = data.draw(st.lists(lattice, min_size=n, max_size=n))
+    jitter = data.draw(st.lists(st.sampled_from([0.0, 1e-9, 2e-8, 1e-4, 1e-3]),
+                                min_size=n, max_size=n))
+    e = np.array(base) + 1j * np.array(jitter)
+    got = canonical_order(e, im_tol=im_tol)
+    want = _canonical_order_oracle(e, im_tol=im_tol)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+
+
+def test_canonical_order_gap_equal_to_tolerance():
+    # A gap of exactly im_tol * scale still joins a cluster (ordered by Re),
+    # so the stable argsort alone would be wrong here.
+    e = np.array([1.0 + 0j, 0.5j])
+    np.testing.assert_array_equal(canonical_order(e, im_tol=0.5), [1, 0])
+    np.testing.assert_array_equal(_canonical_order_oracle(e, im_tol=0.5), [1, 0])
+    np.testing.assert_array_equal(canonical_order(e, im_tol=0.4), [0, 1])
+
+
+@pytest.mark.parametrize("stop, n", [(1e308, 5), (2.2e307, 100)])
+def test_spectrum_along_overflow_names_first_bad_point(model, stop, n):
+    # H(g) overflows from the first g with 12 g > max float on; with 100
+    # points that g lies in the second solve block.
+    family = model.family()
+    points = np.linspace(0, stop, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = next(complex(g) for g in points
+                     if not np.isfinite(family.matrix(complex(g))).all())
+        with pytest.raises(EigensolverError, match="non-finite") as info:
+            spectrum_along(model, 0, stop, n)
+    assert info.value.g == first
+
+
+def test_residual_failure_raises_at_its_own_step(model, monkeypatch):
+    # Corrupt the solve of one path point: the steps before it run, then it
+    # raises, as when every point was solved on its own.
+    points = [0.1j + 0.01 * k for k in range(10)]
+    bad = model.family().matrix(points[6])
+    eig = np.linalg.eig
+
+    def corrupt(H):
+        w, v = eig(H)
+        v[np.all(H == bad, axis=(-2, -1))] += 0.1
+        return w, v
+
+    calls = {"match": 0}
+    match_states = pairdeg.spectra.match_states
+
+    def counted(*args):
+        calls["match"] += 1
+        return match_states(*args)
+
+    monkeypatch.setattr(np.linalg, "eig", corrupt)
+    monkeypatch.setattr(pairdeg.spectra, "match_states", counted)
+    with pytest.raises(EigensolverError, match="residual") as info:
+        continue_spectrum(model, points)
+    assert info.value.g == points[6]
+    assert calls["match"] == 5
+
+
+def test_stacked_lapack_failure_falls_back(model, pseudo_dp, monkeypatch):
+    # When LAPACK fails on a stack, its points are solved one by one, and
+    # cuts and loops come out byte for byte the same.
+    roots = find_degeneracies(model)
+    pdp = min(roots, key=lambda r: abs(r.g0 - pseudo_dp))
+    loop = LoopSpec(pdp.g0, 0.01, steps=64, loops=2)
+    points = np.linspace(-0.3 + 0.2j, 0.1 - 0.25j, 2 * SOLVE_BLOCK + 7)
+    runs = []
+    for broken in (False, True):
+        if broken:
+            eig = np.linalg.eig
+
+            def fail_stacks(H):
+                if np.ndim(H) == 3 and len(H) > 1:
+                    raise np.linalg.LinAlgError("stack failed")
+                return eig(H)
+
+            monkeypatch.setattr(np.linalg, "eig", fail_stacks)
+        cut = continue_spectrum(model, points)
+        trace = trace_loop(model, loop, degeneracies=roots)
+        runs.append((cut, trace))
+    (cut, trace), (cut_fb, trace_fb) = runs
+    for a, b in zip(cut.spectra, cut_fb.spectra):
+        _assert_same_bytes(a.eigenvalues, b.eigenvalues)
+        _assert_same_bytes(a.eigenvectors, b.eigenvectors)
+    for name in ("eigenvalues", "thetas", "loop_re_theta"):
+        _assert_same_bytes(getattr(trace, name), getattr(trace_fb, name))
+    assert trace.loop_permutations == trace_fb.loop_permutations
