@@ -230,14 +230,14 @@ def _nearest_pair_distance(roots, center, focus):
 def _probe(family, center, focus, radius, cluster_factor):
     """``_nearest_pair_distance`` of the family's roots, polishing only some.
 
-    Polishing moves a cluster centroid by at most four cluster radii (two on
-    the derivative, two on the gap), or not at all, so a cluster whose
-    centroid lies farther than that outside the focus window cannot end up
-    inside it.  Only the other clusters are polished; the result is the
-    same as from the full ``find_degeneracies`` list.
+    Each cluster gets one polish, on the derivative of D or on the gap, and
+    it moves the centroid by at most two cluster radii, or not at all.  So a
+    cluster whose centroid lies farther than that outside the focus window
+    cannot end up inside it.  Only the other clusters are polished; the
+    result is the same as from the full ``find_degeneracies`` list.
     """
     poly = discriminant_poly(family, radius=radius)
-    reach = focus + 4 * cluster_factor * poly.radius
+    reach = focus + 2 * cluster_factor * poly.radius
     roots = [_polish_root(family, poly, cluster, cluster_factor)
              for cluster in _root_clusters(poly, cluster_factor)
              if abs(cluster.centroid - center) <= reach]

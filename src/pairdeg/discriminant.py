@@ -105,6 +105,17 @@ def discriminant_from_eigenvalues(eigenvalues: np.ndarray) -> complex:
     return complex(d)
 
 
+def _eigvals_along(family, gs) -> np.ndarray:
+    """Eigenvalues of H(g) for each g of ``gs``, one row per point.
+
+    One stacked ``eigvals`` call; its rows are bitwise equal to solving each
+    ``family.matrix(g)`` on its own.
+    """
+    n = family.dim
+    stack = np.array([family.matrix(g) for g in gs]).reshape(-1, n, n)
+    return np.linalg.eigvals(stack)
+
+
 def discriminant_at(model_or_family, g: complex, method: str = "product") -> complex:
     """D(g) by the squared-gap product or by the resultant route.
 
@@ -112,11 +123,10 @@ def discriminant_at(model_or_family, g: complex, method: str = "product") -> com
     which makes it the independent oracle for the product path.
     """
     family = as_family(model_or_family)
-    H = family.matrix(complex(g))
     if method == "product":
-        return discriminant_from_eigenvalues(np.linalg.eigvals(H))
+        return discriminant_from_eigenvalues(_eigvals_along(family, [complex(g)])[0])
     if method == "resultant":
-        return discriminant_from_charpoly(char_poly(H))
+        return discriminant_from_charpoly(char_poly(family.matrix(complex(g))))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -180,10 +190,8 @@ def discriminant_poly(model_or_family, radius: float = DEFAULT_RADIUS,
     for r0 in (radius, 2 * radius, 0.5 * radius, 4 * radius, 0.25 * radius):
         Ns = M + 1
         nodes = r0 * np.exp(2j * np.pi * np.arange(Ns) / Ns)
-        samples = np.array(
-            [discriminant_from_eigenvalues(np.linalg.eigvals(family.matrix(g)))
-             for g in nodes]
-        )
+        samples = np.array([discriminant_from_eigenvalues(e)
+                            for e in _eigvals_along(family, nodes)])
         coeffs = np.fft.fft(samples) / Ns / r0 ** np.arange(Ns)
         if family.is_real:
             # D(g*) = D(g)* forces real coefficients; rounding leaves dust.
@@ -192,12 +200,11 @@ def discriminant_poly(model_or_family, radius: float = DEFAULT_RADIUS,
         poly = DiscriminantPoly(coeffs, r0, np.nan, family.is_real)
 
         rng = np.random.default_rng(20260808)
+        held = [r0 * (0.15 + 0.75 * rng.random()) * np.exp(2j * np.pi * rng.random())
+                for _ in range(holdout_points)]
         worst = 0.0
-        for _ in range(holdout_points):
-            g = r0 * (0.15 + 0.75 * rng.random()) * np.exp(2j * np.pi * rng.random())
-            direct = discriminant_from_eigenvalues(
-                np.linalg.eigvals(family.matrix(g))
-            )
+        for g, e in zip(held, _eigvals_along(family, held)):
+            direct = discriminant_from_eigenvalues(e)
             diff = abs(poly(g) - direct)
             if diff == 0.0:
                 continue  # covers identically vanishing discriminants too
@@ -276,34 +283,35 @@ def _cluster(roots, rho):
     return clusters
 
 
-def _closest_gap_squared(family, g: complex) -> complex:
-    e = np.linalg.eigvals(family.matrix(g))
-    i, j = closest_pair(e)
-    d = e[i] - e[j]
-    return d * d
+def _closest_gap_squared(family, gs) -> list:
+    """(E_a - E_b)^2 of the closest eigenvalue pair at each g of ``gs``."""
+    gaps = []
+    for e in _eigvals_along(family, gs):
+        i, j = closest_pair(e)
+        d = e[i] - e[j]
+        gaps.append(d * d)
+    return gaps
 
 
-def _gap_newton(family, g0: complex, multiplicity: int, step_bound: float,
+def _gap_newton(family, g0: complex, step_bound: float,
                 max_iter: int = 12) -> complex:
-    """Polish a root directly on the squared gap of the closest pair.
+    """Polish a simple root directly on the squared gap of the closest pair.
 
-    d(g) = (E_a - E_b)^2 is analytic through the degeneracy with a zero of
-    order equal to the root multiplicity, so the multiplicity-aware Newton
-    step m*d/d' converges quadratically and needs no branch bookkeeping
-    (d is symmetric in the pair).  The reconstructed polynomial's roots carry
-    its coefficient-rounding noise (~1e-8 here); the gap is evaluated from
-    fresh eigenvalues and reaches machine accuracy, which the eigenvector
-    coalescence measure used by classification requires.
+    d(g) = (E_a - E_b)^2 is analytic through a simple degeneracy with a
+    simple zero, so Newton converges quadratically and needs no branch
+    bookkeeping (d is symmetric in the pair).  The reconstructed polynomial's
+    roots carry its coefficient-rounding noise (~1e-8 here); the gap is
+    evaluated from fresh eigenvalues and reaches machine accuracy, which the
+    eigenvector coalescence measure used by classification requires.
     """
     g = complex(g0)
     h = 1e-6 * max(1.0, abs(g))
     for _ in range(max_iter):
-        d0 = _closest_gap_squared(family, g)
-        der = (_closest_gap_squared(family, g + h)
-               - _closest_gap_squared(family, g - h)) / (2 * h)
+        d0, d_plus, d_minus = _closest_gap_squared(family, [g, g + h, g - h])
+        der = (d_plus - d_minus) / (2 * h)
         if der == 0:
             break
-        step = multiplicity * d0 / der
+        step = d0 / der
         if abs(step) > step_bound:
             return complex(g0)
         g = g - step
@@ -321,6 +329,8 @@ def _gcd_degree(coeffs, radius: float) -> int:
     coefficients span ~12 orders of magnitude here and would drown the rank
     decision.  After scaling, the spectrum shows a multi-decade gap at the
     true deficiency; 1e-13 of the largest singular value sits inside it.
+    Nothing in the pipeline calls it: it is an independent check of the
+    cluster multiplicities for the tests.
     """
     d = len(coeffs) - 1
     if d < 2:
@@ -363,12 +373,16 @@ def _root_clusters(poly: DiscriminantPoly, cluster_factor: float) -> list:
 
 def _polish_root(family, poly: DiscriminantPoly, cluster: _Cluster,
                  cluster_factor: float) -> DegeneracyRoot:
-    """Sharpen a cluster centroid into a root on the eigenvalue gap.
+    """Sharpen a cluster centroid into a root with one polish step.
 
-    A centroid of multiplicity m is first re-polished on the (m-1)-th
-    derivative of D, where the root is simple again, then on the squared
-    gap.  Each polish moves it by at most twice the cluster radius, or not
-    at all.
+    A centroid of multiplicity m >= 2 is polished on the (m-1)-th derivative
+    of D, where the root is simple again; D's coefficients are real for a
+    real family, so conjugate clusters stay exact conjugates.  The eigenvalue
+    gap is no use there: at a defective multiple root the eigenvalues carry
+    sqrt(eps) noise, which a finite-difference Newton on the gap turns into
+    ~1e-8 errors in g.  A simple root is polished on the squared gap.  Either
+    polish moves the centroid by at most twice the cluster radius, or not at
+    all.
     """
     rho = cluster_factor * poly.radius
     g0, mult = cluster.centroid, cluster.multiplicity
@@ -379,7 +393,8 @@ def _polish_root(family, poly: DiscriminantPoly, cluster: _Cluster,
         polished, conv = _newton_polish(dk, np.array([g0]))
         if conv[0] and abs(polished[0] - g0) <= 2 * rho:
             g0 = complex(polished[0])
-    g0 = _gap_newton(family, g0, mult, step_bound=2 * rho)
+    else:
+        g0 = _gap_newton(family, g0, step_bound=2 * rho)
     spec = eigendecompose(family.matrix(g0), g=g0)
     e = spec.eigenvalues
     i, j = closest_pair(e)
@@ -395,40 +410,22 @@ def _polish_root(family, poly: DiscriminantPoly, cluster: _Cluster,
 
 def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
                       cluster_factor: float = DEFAULT_CLUSTER_FACTOR,
-                      poly: DiscriminantPoly = None,
-                      with_diagnostics: bool = False):
+                      poly: DiscriminantPoly = None) -> list:
     """All roots of D(g) with multiplicities: the complete degeneracy set.
 
     Roots come from the companion matrix of the reconstructed discriminant,
     are Newton-polished on D, and clustered with radius
     ``cluster_factor * radius`` (see ``_root_clusters``).  Each cluster is
-    then polished on the eigenvalue gap (see ``_polish_root``).
-    Multiplicities are cross-checked against the numerically estimated
-    degree of gcd(D, D').
+    then polished once, by the step its multiplicity calls for (see
+    ``_polish_root``).
     """
     family = as_family(model_or_family)
     if poly is None:
         poly = discriminant_poly(family, radius=radius)
-    coeffs = poly.coefficients
-    if poly.degree < 1:
-        return ([], {"gcd_degree": 0, "multiplicity_consistent": True}) \
-            if with_diagnostics else []
-
     roots = [_polish_root(family, poly, cluster, cluster_factor)
              for cluster in _root_clusters(poly, cluster_factor)]
     roots.sort(key=lambda r: (r.g0.imag, r.g0.real))
-    if not with_diagnostics:
-        return roots
-    gcd_deg = _gcd_degree(coeffs, poly.radius)
-    excess = sum(r.multiplicity - 1 for r in roots)
-    diagnostics = {
-        "gcd_degree": gcd_deg,
-        "multiplicity_excess": excess,
-        "multiplicity_consistent": gcd_deg == excess,
-        "degree": poly.degree,
-        "holdout_residual": poly.holdout_residual,
-    }
-    return roots, diagnostics
+    return roots
 
 
 def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
@@ -436,15 +433,16 @@ def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
 
     ``window`` is (re_min, re_max, im_min, im_max).  Returns the real and
     imaginary grid axes and an (n_im, n_re) array whose row i holds
-    |D(re + i*ims[i])| along the real axis.
+    |D(re + i*ims[i])| along the real axis.  Each row is one stacked
+    eigensolve; a stack of the whole grid would hold every matrix at once.
     """
     family = as_family(model_or_family)
     re_min, re_max, im_min, im_max = window
     res = np.linspace(re_min, re_max, n_re)
     ims = np.linspace(im_min, im_max, n_im)
     grid = [
-        [abs(discriminant_from_eigenvalues(
-            np.linalg.eigvals(family.matrix(complex(x, y))))) for x in res]
+        [abs(discriminant_from_eigenvalues(e))
+         for e in _eigvals_along(family, [complex(x, y) for x in res])]
         for y in ims
     ]
     return res, ims, np.array(grid)

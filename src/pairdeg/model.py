@@ -203,9 +203,6 @@ class MatrixFamily:
     def matrix(self, g: complex) -> np.ndarray:
         return self.base + g * self.linear
 
-    def trace_at(self, g: complex) -> complex:
-        return np.trace(self.base) + g * np.trace(self.linear)
-
     def restricted(self, columns: np.ndarray) -> "MatrixFamily":
         """Congruence-truncate to span(columns): X^T H(g) X for each part."""
         X = np.asarray(columns)

@@ -125,9 +125,6 @@ class LoopTrace:
     def dim(self) -> int:
         return self.eigenvalues.shape[1]
 
-    def permutation_after(self, k: int):
-        return self.loop_permutations[k - 1]
-
     def to_csv(self, path, meta=()):
         from ._csvio import write_csv
 

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pairdeg import (char_poly, discriminant_at, discriminant_poly,
-                     find_degeneracies, hamiltonian_at)
-from pairdeg.discriminant import poly_eval
+import pairdeg.discriminant as disc
+from pairdeg import (ModelSpec, char_poly, discriminant_at, discriminant_grid,
+                     discriminant_poly, find_degeneracies, hamiltonian_at)
+from pairdeg.discriminant import (_closest_gap_squared, _eigvals_along,
+                                  _gcd_degree, _polish_root, _root_clusters,
+                                  discriminant_from_eigenvalues, poly_eval)
+from pairdeg.model import MatrixFamily
+from pairdeg.spectra import closest_pair
 
 
 def test_char_poly_diagonal():
@@ -154,10 +161,12 @@ def test_double_root_splits_under_gamma_perturbation(model, model_049, pseudo_dp
 
 
 def test_multiplicity_gcd_cross_check(model):
-    roots, diag = find_degeneracies(model, with_diagnostics=True)
-    assert diag["multiplicity_consistent"]
-    assert diag["gcd_degree"] == sum(r.multiplicity - 1 for r in roots)
-    assert diag["degree"] == 12
+    poly = discriminant_poly(model)
+    roots = find_degeneracies(model, poly=poly)
+    gcd_degree = _gcd_degree(poly.coefficients, poly.radius)
+    assert gcd_degree == sum(r.multiplicity - 1 for r in roots)
+    assert gcd_degree == 3  # g = 0 and the two pseudo-DPs
+    assert poly.degree == 12
 
 
 def test_identically_degenerate_family():
@@ -175,3 +184,137 @@ def test_poly_eval_horner():
     coeffs = np.array([1.0, 2.0, 3.0])  # 1 + 2x + 3x^2
     assert poly_eval(coeffs, 2.0) == pytest.approx(17.0)
     assert poly_eval(coeffs, 1j) == pytest.approx(-2 + 2j)
+
+
+def _shifted_reference(c):
+    """The reference model with every level energy shifted by c.
+
+    T moves by a multiple of the identity, so every eigenvalue moves by the
+    same amount and D(g), hence every degeneracy, stays where it was.
+    """
+    return ModelSpec.from_arrays([c, 1.0 + c, 2.0 + c], [2, 6, 2], 2, -0.5)
+
+
+@pytest.mark.parametrize("c", [0.49458253244656714, 0.1406568462737463,
+                               0.36400912117595574])
+def test_shifted_reference_pseudo_dps(c, pseudo_dp):
+    # The shifts of perfbench seeds 26, 33 and 37.  A finite-difference
+    # Newton on the eigenvalue gap, run on the double roots, left the
+    # pseudo-DPs up to 6.3e-8 away there and not conjugate to each other.
+    doubles = sorted((r for r in find_degeneracies(_shifted_reference(c))
+                      if r.multiplicity == 2), key=lambda r: r.g0.imag)
+    lower, upper = doubles[0], doubles[-1]
+    assert abs(lower.g0 - pseudo_dp) <= 1e-9
+    assert abs(upper.g0 - np.conj(pseudo_dp)) <= 1e-9
+    assert abs(lower.g0 - np.conj(upper.g0)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [-0.6, -0.5, -0.49, -0.4306])
+def test_polish_moves_a_cluster_at_most_two_radii(model, gamma):
+    # atlas._probe skips every cluster farther than focus + 2 cluster radii
+    # from its centre; that is sound only while one polish is all a cluster
+    # gets.
+    family = model.with_gamma(gamma).family()
+    poly = discriminant_poly(family)
+    for cluster in _root_clusters(poly, 1e-4):
+        root = _polish_root(family, poly, cluster, 1e-4)
+        assert abs(root.g0 - cluster.centroid) <= 2e-4 * poly.radius
+
+
+oracle_settings = settings(derandomize=True, max_examples=60, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+@oracle_settings
+@given(c=st.floats(-1.0, 1.0))
+def test_level_shift_leaves_roots_in_place(model, c):
+    base = find_degeneracies(model)
+    roots = find_degeneracies(_shifted_reference(c))
+    assert (sorted(r.multiplicity for r in roots)
+            == sorted(r.multiplicity for r in base))
+    for r in roots:
+        assert min(abs(r.g0 - b.g0) for b in base
+                   if b.multiplicity == r.multiplicity) <= 1e-9
+    assert min(abs(r.g0) for r in roots) <= 1e-9
+
+
+def _pointwise_discriminant(family, g):
+    """D(g) from one eigvals call on one matrix: the stacked evaluator's oracle."""
+    return discriminant_from_eigenvalues(np.linalg.eigvals(family.matrix(g)))
+
+
+def _closest_gap_squared_oracle(family, g):
+    e = np.linalg.eigvals(family.matrix(g))
+    i, j = closest_pair(e)
+    d = e[i] - e[j]
+    return d * d
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _random_family(rng, n):
+    base = np.diag(rng.normal(size=n))
+    linear = rng.normal(size=(n, n))
+    return MatrixFamily(base, linear + linear.T)
+
+
+@oracle_settings
+@given(n=st.integers(2, 7), k=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_stacked_evaluator_oracle(n, k, seed):
+    rng = np.random.default_rng(seed)
+    family = _random_family(rng, n)
+    gs = [complex(*rng.normal(size=2)) for _ in range(k)]
+    rows = _eigvals_along(family, gs)
+    for g, e in zip(gs, rows):
+        _assert_same_bytes(e, np.linalg.eigvals(family.matrix(g)))
+        _assert_same_bytes(discriminant_at(family, g),
+                           _pointwise_discriminant(family, g))
+    h = 1e-6 * max(1.0, abs(gs[0]))
+    probes = [gs[0], gs[0] + h, gs[0] - h]
+    _assert_same_bytes(_closest_gap_squared(family, probes),
+                       [_closest_gap_squared_oracle(family, g) for g in probes])
+
+
+def test_heatmap_rows_match_pointwise_oracle(model):
+    window = (-0.3, 0.3, -0.3, 0.3)
+    res, ims, grid = discriminant_grid(model, window, 101, 3)
+    family = model.family()
+    want = [[abs(_pointwise_discriminant(family, complex(x, y))) for x in res]
+            for y in ims]
+    _assert_same_bytes(grid, np.array(want))
+
+
+@oracle_settings
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+def test_discriminant_poly_values_match_pointwise_oracle(n, seed):
+    # Every sample and hold-out value, in evaluation order, is the pointwise
+    # one at the same node; the hold-out points keep their rng draw order.
+    family = _random_family(np.random.default_rng(seed), n)
+    seen = []
+
+    def record(e):
+        seen.append(discriminant_from_eigenvalues(e))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disc, "discriminant_from_eigenvalues", record)
+        try:
+            poly = discriminant_poly(family)
+        except disc.InterpolationError:
+            poly = None
+    want = []
+    Ns = n * (n - 1) + 1
+    for r0 in (0.5, 1.0, 0.25, 2.0, 0.125):
+        want += [_pointwise_discriminant(family, g)
+                 for g in r0 * np.exp(2j * np.pi * np.arange(Ns) / Ns)]
+        rng = np.random.default_rng(20260808)
+        for _ in range(8):
+            g = r0 * (0.15 + 0.75 * rng.random()) * np.exp(2j * np.pi * rng.random())
+            want.append(_pointwise_discriminant(family, g))
+        if poly is not None and r0 == poly.radius:
+            break
+    _assert_same_bytes(seen, want)
