@@ -20,13 +20,13 @@ Kinds:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .discriminant import (DegeneracyRoot, _polish_root, _root_clusters,
-                           discriminant_poly, find_degeneracies)
+from .discriminant import DegeneracyRoot, contour_moments, find_degeneracies
 from .errors import PairdegError
 from .model import MatrixFamily, ModelSpec, as_family, build_operator_matrices
 from .monodromy import LoopSpec, trace_loop
@@ -46,6 +46,11 @@ __all__ = [
 DEFAULT_LOOP_RADIUS = 0.01
 DEFAULT_LOOP_STEPS = 64
 DEFAULT_MERGE_RADIUS = 1e-4
+# Merge refinement (see _merge_event and sweep_gamma).
+CIRCLE_FRACTION = 0.45
+S0_TOL = 1e-6
+MAX_HALVINGS = 40
+MAX_FALSI_STEPS = 100
 
 
 class Kind(str, Enum):
@@ -169,6 +174,7 @@ class MergeEvent:
     gamma: float
     g: complex
     distance: float
+    contact_order: int
 
     def as_dict(self) -> dict:
         return {
@@ -176,6 +182,7 @@ class MergeEvent:
             "g_re": self.g.real,
             "g_im": self.g.imag,
             "pair_distance": self.distance,
+            "contact_order": self.contact_order,
         }
 
 
@@ -208,77 +215,73 @@ class GammaTrajectory:
         }
 
 
-def _nearest_pair_distance(roots, center, focus):
-    """Distance between the two roots nearest ``center`` (inf if fewer than 2).
+def _illinois(f, a, b):
+    """A zero of f in [a, b], where f changes sign, by Illinois regula falsi.
 
-    A multiplicity >= 2 root inside the focus region counts as an already
-    merged pair (distance 0 at the root's location).
+    Halving the value kept at an end that survives two steps in a row keeps
+    regula falsi superlinear at a simple zero and convergent at a multiple
+    one.  Stops once the bracket is a few ulps wide.
     """
-    near = [r for r in roots if abs(r.g0 - center) <= focus]
-    if not near:
-        return np.inf, center
-    near.sort(key=lambda r: abs(r.g0 - center))
-    for r in near:
-        if r.multiplicity >= 2:
-            return 0.0, r.g0
-    if len(near) < 2:
-        return np.inf, near[0].g0
-    a, b = near[0], near[1]
-    return abs(a.g0 - b.g0), 0.5 * (a.g0 + b.g0)
+    x, fx = [a, b], [f(a), f(b)]
+    c, last = x[int(abs(fx[1]) < abs(fx[0]))], None
+    for _ in range(MAX_FALSI_STEPS):
+        t = (x[0] * fx[1] - x[1] * fx[0]) / (fx[1] - fx[0])
+        if (x[1] - x[0] <= 4 * np.finfo(float).eps * max(1.0, abs(c))
+                or not x[0] < t < x[1]):  # also when an end is a zero
+            break
+        c, fc = t, f(t)
+        j = int(np.sign(fc) == np.sign(fx[1]))  # the end that c replaces
+        if j == last:
+            fx[1 - j] /= 2
+        x[j], fx[j], last = c, fc, j
+    return c
 
 
-def _probe(family, center, focus, radius, cluster_factor):
-    """``_nearest_pair_distance`` of the family's roots, polishing only some.
+def _merge_event(family_at, g_lo, g_k, g_hi, center, radius, merge_radius):
+    """The fusion of the pair inside the circle (center, radius) near g_k.
 
-    Each cluster gets one polish, on the derivative of D or on the gap, and
-    it moves the centroid by at most two cluster radii, or not at all.  So a
-    cluster whose centroid lies farther than that outside the focus window
-    cannot end up inside it.  Only the other clusters are polished; the
-    result is the same as from the full ``find_degeneracies`` list.
+    With exactly two roots z1, z2 of D inside, sep2 = (z1 - z2)^2 =
+    2*s2 - s1^2 from the contour moments is analytic in gamma, real while
+    the pair is mirrored in the imaginary axis, and changes sign where it
+    fuses there.  Both bracket ends move halfway toward g_k until the circle
+    counts two roots (|s0 - 2| <= S0_TOL, which also vouches for the
+    quadrature); Illinois finds the zero of Re sep2 on either half.  The
+    contact order k, sep2 ~ (gamma - gamma*)^k, comes from sep2 at h and 2h
+    toward the farther end.  None if no sign change or s0 = 2 bracket is
+    found, or the pair stays more than ``merge_radius`` apart.
     """
-    poly = discriminant_poly(family, radius=radius)
-    reach = focus + 2 * cluster_factor * poly.radius
-    roots = [_polish_root(family, poly, cluster, cluster_factor)
-             for cluster in _root_clusters(poly, cluster_factor)
-             if abs(cluster.centroid - center) <= reach]
-    roots.sort(key=lambda r: (r.g0.imag, r.g0.real))
-    return _nearest_pair_distance(roots, center, focus)
+    @functools.lru_cache(maxsize=None)
+    def moments(gamma):
+        s0, s1, s2 = contour_moments(family_at(gamma), center, radius)
+        return s0, s1, 2 * s2 - s1 * s1
 
+    def sep2(gamma):
+        return moments(gamma)[2].real
 
-def _refine_merge(family_at, g_lo, g_hi, center, focus, radius,
-                  cluster_factor, merge_radius, gamma_floor=1e-9):
-    """Golden-section refinement of the pair-distance minimum over gamma.
-
-    The pair separation scales like sqrt(|gamma - gamma*|) near a merger, so
-    the bracket must collapse far below the wanted gamma resolution before
-    the distance drops below the merge radius; iteration stops as soon as it
-    does (or at the gamma floor).  ``family_at`` maps gamma to the family.
-    """
-    invphi = (np.sqrt(5.0) - 1) / 2
-
-    def f(gamma):
-        return _probe(family_at(gamma), center, focus, radius, cluster_factor)
-
-    a, b = g_lo, g_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, mc = f(c)
-    fd, md = f(d)
-    best = (fc, c, mc) if fc <= fd else (fd, d, md)
-    while b - a > gamma_floor and best[0] > merge_radius:
-        if fc <= fd:
-            b, d, fd, md = d, c, fc, mc
-            c = b - invphi * (b - a)
-            fc, mc = f(c)
-        else:
-            a, c, fc, mc = c, d, fd, md
-            d = a + invphi * (b - a)
-            fd, md = f(d)
-        cand = (fc, c, mc) if fc <= fd else (fd, d, md)
-        if cand[0] < best[0]:
-            best = cand
-    dist, gamma_star, g_star = best
-    return gamma_star, dist, g_star
+    ends = []
+    for end in (g_lo, g_hi):
+        for _ in range(MAX_HALVINGS):
+            if abs(moments(end)[0] - 2) <= S0_TOL:
+                break
+            end = 0.5 * (end + g_k)
+        ends.append(end)
+    lo, hi = ends
+    if any(abs(moments(g)[0] - 2) > S0_TOL for g in (lo, g_k, hi)):
+        return None
+    for a, b in ((lo, g_k), (g_k, hi)):
+        if a < b and np.sign(sep2(a)) != np.sign(sep2(b)):
+            gamma_star = _illinois(sep2, a, b)
+            break
+    else:
+        return None
+    s0, s1, q = moments(gamma_star)
+    distance = float(np.sqrt(abs(q)))
+    if distance > merge_radius:
+        return None
+    h = 0.25 * max(lo - gamma_star, hi - gamma_star, key=abs)
+    ratio = abs(moments(gamma_star + 2 * h)[2] / moments(gamma_star + h)[2])
+    return MergeEvent(float(gamma_star), complex(center + s1 / s0), distance,
+                      int(round(np.log2(ratio))))
 
 
 def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
@@ -293,8 +296,9 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
     (ambiguous links, two candidates within 1e-9, are recorded).  A merger is
     bracketed wherever the distance of the closest tracked pair reaches a
     local minimum (or a multiplicity-2 root appears where two simple roots
-    were) and refined by bisection of the bracket; the event is recorded if
-    the refined minimum distance is below ``merge_radius``.
+    were) and located as the zero of the pair's squared separation, taken
+    from contour moments (see ``_merge_event``); the event is recorded if the
+    pair's separation there is at most ``merge_radius``.
     """
     if steps < 2:
         raise PairdegError("gamma sweep needs at least 2 samples")
@@ -332,26 +336,22 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
                 link_ambiguities.append((float(gammas[k]), r.g0))
 
     events = []
-    if refine_events and len(gammas) >= 2:
-        # Pair-distance profile of the closest same-sample pair, watched in a
-        # moving focus window so unrelated static roots do not interfere.
+    if refine_events:
+        # Pair-distance profile of the closest same-sample pair.
         profile = []
         for roots, pts in zip(root_sets, points):
             best = (np.inf, None)
             if len(roots) >= 2:
                 a, b = (roots[k].g0 for k in closest_pair([r.g0 for r in roots]))
                 best = (abs(a - b), 0.5 * (a + b))
-            # A multiplicity-2 root that is not a plain level crossing is an
-            # already merged pair (a grid sample can land exactly on gamma*).
-            if classify_points:
-                merged = [p for p in pts
-                          if p.root.multiplicity >= 2 and p.kind != Kind.DP]
-            else:
-                merged = [DegeneracyPoint(r, Kind.UNRESOLVED, np.nan)
-                          for r in roots
-                          if r.multiplicity >= 2 and abs(r.g0) > 1e-6]
+            # A multiplicity-2 root that is not a plain level crossing (nor,
+            # unclassified, at g = 0) is an already merged pair: a grid
+            # sample can land exactly on gamma*.
+            merged = [p.g0 for p in pts if p.root.multiplicity >= 2
+                      and p.kind != Kind.DP
+                      and (classify_points or abs(p.g0) > 1e-6)]
             if merged:
-                best = (0.0, merged[0].g0)
+                best = (0.0, merged[0])
             profile.append(best)
         dists = np.array([p[0] for p in profile])
         for k in range(len(gammas)):
@@ -360,20 +360,16 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
             if not (dists[k] < lo and dists[k] <= hi):
                 continue
             center = profile[k][1]
-            if center is None:
-                continue
-            # The focus window must cover the pair separation at the bracket
-            # edges, where the merging roots are still far apart.
-            neighbours = [d for d in (lo, hi, dists[k]) if np.isfinite(d)]
-            focus = max(10 * merge_radius, 1.5 * max(neighbours, default=0.0))
-            g_lo = gammas[max(k - 1, 0)]
-            g_hi = gammas[min(k + 1, len(gammas) - 1)]
-            gamma_star, dist, g_star = _refine_merge(
-                family_at, float(g_lo), float(g_hi), center, focus, radius,
-                cluster_factor, merge_radius)
-            if dist <= merge_radius:
-                events.append(MergeEvent(float(gamma_star), complex(g_star),
-                                         float(dist)))
+            # The pair is the merged root, or the two roots nearest the centre.
+            others = sorted(abs(r.g0 - center) for r in root_sets[k])
+            others = others[1 if dists[k] == 0.0 else 2:]
+            circle = CIRCLE_FRACTION * min(others, default=radius)
+            event = _merge_event(
+                family_at, float(gammas[max(k - 1, 0)]), float(gammas[k]),
+                float(gammas[min(k + 1, len(gammas) - 1)]), center, circle,
+                merge_radius)
+            if event is not None:
+                events.append(event)
     return GammaTrajectory(gammas=gammas, points=points, events=events,
                            link_ambiguities=link_ambiguities)
 

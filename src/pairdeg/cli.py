@@ -28,7 +28,7 @@ from .errors import ConfigError, PairdegError
 from .model import ModelSpec
 from .monodromy import LoopSpec, restore_count
 from .observables import pairing_energy_cut
-from .spectra import spectrum_along
+from .spectra import CutTable, spectrum_along
 
 SCHEMA = {
     "model": {"epsilons", "omegas", "n_pairs", "gamma"},
@@ -284,20 +284,25 @@ def cut(config_path, out_dir):
         start = complex(cfg.float("cut", "start_re"), cfg.float("cut", "start_im"))
         stop = complex(cfg.float("cut", "stop_re"), cfg.float("cut", "stop_im"))
         n = cfg.int("cut", "samples")
-        table = spectrum_along(model, start, stop, n,
-                               tau_c=cfg.float("precision", "tau_c"))
-        table.to_csv(os.path.join(out_dir, "spectrum_cut.csv"),
-                     meta=cfg.meta_lines())
+        if n < 2:
+            raise ConfigError("[cut] samples must be at least 2")
         written = ["spectrum_cut.csv"]
         if cfg.bool("cut", "pairing"):
             pair = cfg.ints("cut", "pair")
             if len(pair) != 2:
                 raise ConfigError("[cut] pair needs two state labels")
+            # One continuation with vectors serves both files: its
+            # eigenvalues are those of a continuation without vectors.
             pcut = pairing_energy_cut(model, start, stop, n, pair=tuple(pair),
                                       tau_c=cfg.float("precision", "tau_c"))
             pcut.to_csv(os.path.join(out_dir, "pairing_cut.csv"),
                         meta=cfg.meta_lines())
             written.append("pairing_cut.csv")
+            table = CutTable(gs=pcut.gs, energies=pcut.energies)
+        else:
+            table = spectrum_along(model, start, stop, n)
+        table.to_csv(os.path.join(out_dir, "spectrum_cut.csv"),
+                     meta=cfg.meta_lines())
         click.echo(" , ".join(written) + " written")
 
     _run(body)

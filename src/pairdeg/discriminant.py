@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InterpolationError
+from .errors import EigensolverError, InterpolationError
 from .model import as_family
-from .spectra import closest_pair, eigendecompose
+from .spectra import _eigendecompose_stack, closest_pair, eigendecompose
 
 __all__ = [
     "char_poly",
@@ -35,11 +35,14 @@ __all__ = [
     "DegeneracyRoot",
     "find_degeneracies",
     "discriminant_grid",
+    "contour_moments",
 ]
 
 DEFAULT_RADIUS = 0.5
 DEFAULT_CLUSTER_FACTOR = 1e-4
 HOLDOUT_TOL = 1e-6
+HOLDOUT_POINTS = 8
+MOMENT_POINTS = 64
 
 
 def char_poly(H: np.ndarray) -> np.ndarray:
@@ -109,11 +112,21 @@ def _eigvals_along(family, gs) -> np.ndarray:
     """Eigenvalues of H(g) for each g of ``gs``, one row per point.
 
     One stacked ``eigvals`` call; its rows are bitwise equal to solving each
-    ``family.matrix(g)`` on its own.
+    ``family.matrix(g)`` on its own.  A non-finite matrix raises
+    EigensolverError naming the first such g; so does a solver that does not
+    converge, naming g when the stack holds one matrix.
     """
     n = family.dim
     stack = np.array([family.matrix(g) for g in gs]).reshape(-1, n, n)
-    return np.linalg.eigvals(stack)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise EigensolverError("matrix has non-finite entries",
+                               g=gs[int(np.argmin(finite))])
+    try:
+        return np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver did not converge: {exc}",
+                               g=gs[0] if len(stack) == 1 else None) from exc
 
 
 def discriminant_at(model_or_family, g: complex, method: str = "product") -> complex:
@@ -170,9 +183,8 @@ def _trim_trailing(coeffs: np.ndarray, radius: float) -> np.ndarray:
     return coeffs[: deg + 1]
 
 
-def discriminant_poly(model_or_family, radius: float = DEFAULT_RADIUS,
-                      holdout_tol: float = HOLDOUT_TOL,
-                      holdout_points: int = 8) -> DiscriminantPoly:
+def discriminant_poly(model_or_family,
+                      radius: float = DEFAULT_RADIUS) -> DiscriminantPoly:
     """Recover D(g) as an exact polynomial of degree <= n(n-1).
 
     Samples the squared-gap product at M+1 equispaced points on |g| = radius
@@ -201,7 +213,7 @@ def discriminant_poly(model_or_family, radius: float = DEFAULT_RADIUS,
 
         rng = np.random.default_rng(20260808)
         held = [r0 * (0.15 + 0.75 * rng.random()) * np.exp(2j * np.pi * rng.random())
-                for _ in range(holdout_points)]
+                for _ in range(HOLDOUT_POINTS)]
         worst = 0.0
         for g, e in zip(held, _eigvals_along(family, held)):
             direct = discriminant_from_eigenvalues(e)
@@ -210,13 +222,13 @@ def discriminant_poly(model_or_family, radius: float = DEFAULT_RADIUS,
                 continue  # covers identically vanishing discriminants too
             scale = max(abs(direct), 1e-9 * poly.scale_at(g))
             worst = max(worst, diff / scale) if scale > 0 else np.inf
-        if worst <= holdout_tol:
+        if worst <= HOLDOUT_TOL:
             poly.holdout_residual = worst
             return poly
         last_residual = min(last_residual, worst)
     raise InterpolationError(
         f"discriminant reconstruction failed hold-out validation "
-        f"(best residual {last_residual:.3e} > {holdout_tol:.0e})"
+        f"(best residual {last_residual:.3e} > {HOLDOUT_TOL:.0e})"
     )
 
 
@@ -446,3 +458,28 @@ def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
         for y in ims
     ]
     return res, ims, np.array(grid)
+
+
+def contour_moments(model_or_family, center: complex, radius: float):
+    """Moments (s0, s1, s2) of the roots of D in a circle, about its centre.
+
+    s_k = sum of (z - center)^k over the roots z inside |g - center| =
+    radius, with multiplicity: the contour integral of (g - center)^k D'/D
+    over 2 pi i, by the trapezoid rule on ``MOMENT_POINTS`` points (Delves
+    and Lyness, Math. Comp. 21, 1967).  D is never formed, so nothing
+    overflows: with Hellmann-Feynman slopes E_i' = u_i^T L u_i / u_i^T u_i
+    (H is complex symmetric), D'/D = sum_{i<j} 2 (E_i' - E_j') / (E_i - E_j).
+    """
+    family = as_family(model_or_family)
+    w = radius * np.exp(2j * np.pi * np.arange(MOMENT_POINTS) / MOMENT_POINTS)
+    gs = complex(center) + w
+    spectra = _eigendecompose_stack(np.array([family.matrix(g) for g in gs]), gs)
+    E = np.array([s.eigenvalues for s in spectra])
+    U = np.array([s.eigenvectors for s in spectra])
+    slopes = (np.einsum("kji,jl,kli->ki", U, family.linear, U)
+              / np.einsum("kji,kji->ki", U, U))
+    i, j = np.triu_indices(family.dim, 1)
+    log_derivative = 2 * ((slopes[:, i] - slopes[:, j])
+                          / (E[:, i] - E[:, j])).sum(axis=1)
+    return tuple(complex(np.mean(w ** (k + 1) * log_derivative))
+                 for k in range(3))

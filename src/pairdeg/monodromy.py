@@ -26,9 +26,8 @@ import numpy as np
 
 from .errors import LoopError
 from .model import as_family
-from .spectra import (DEFAULT_TAU_C, MAX_BISECT, AmbiguityRecord, Spectrum,
-                      _align_next, _solve_path, c_normalize, eigendecompose,
-                      match_states)
+from .spectra import (DEFAULT_TAU_C, AmbiguityRecord, Spectrum, _align_next,
+                      _solve_path, c_normalize, eigendecompose, match_states)
 
 __all__ = ["LoopSpec", "LoopTrace", "trace_loop", "restore_count", "RestoreResult"]
 
@@ -226,8 +225,7 @@ def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
     for i, nxt in enumerate(ahead, start=1):
         increments = []
         for aligned in _align_next(family, current, phis[i - 1], phis[i],
-                                   loop.point, nxt, True, tau_c, 0, records,
-                                   MAX_BISECT):
+                                   loop.point, nxt, True, tau_c, 0, records):
             increments.append(_phase_increments(current, aligned))
             current = aligned
         # Sub-step increments add left to right, in path order.

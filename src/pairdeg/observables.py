@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 RAW_NORM_GUARD = 1e-12
+LADDER_ARC_STEPS = 48
+LADDER_DESCENT_RATIO = 0.7
 
 
 def _raw_c_normalized(spectrum: Spectrum) -> np.ndarray:
@@ -98,6 +100,7 @@ class PairingCut:
 
     gs: np.ndarray
     diagonal: np.ndarray          # complex (samples, dim)
+    energies: np.ndarray          # labeled eigenvalues (samples, dim)
     pair: tuple                   # 1-based labels whose sum is tracked
     ambiguities: list = field(default_factory=list)
 
@@ -143,7 +146,8 @@ def pairing_energy_cut(model: ModelSpec, start=None, stop=None, n: int = None,
     res = continue_spectrum(model, points, want_vectors=True, tau_c=tau_c)
     P = build_operator_matrices(model).P
     diag = np.array([np.diag(_operator_matrix(P, s)) for s in res.spectra])
-    return PairingCut(gs=np.array(points), diagonal=diag, pair=tuple(pair),
+    return PairingCut(gs=np.array(points), diagonal=diag,
+                      energies=res.eigenvalues, pair=tuple(pair),
                       ambiguities=res.ambiguities)
 
 
@@ -194,14 +198,14 @@ def fit_power_law(deltas, values, max_residual: float = 0.02,
 
 
 def ladder_spectra(model_or_family, g0: complex, deltas,
-                   arc_steps: int = 48, descent_ratio: float = 0.7,
                    tau_c: float = DEFAULT_TAU_C, label_im_tol: float = 1e-3):
     """Labeled spectra at g0 + delta for a descending ladder of real deltas.
 
     Branch labels are fixed at g0 - max(delta) (canonical order with a loose
     imaginary-part tolerance, so the nearly degenerate pair is ordered by real
-    part), carried to +max(delta) over a semicircle around the degeneracy and
-    then down the real ladder with geometric intermediate steps.  Matching
+    part), carried to +max(delta) over a semicircle of ``LADDER_ARC_STEPS``
+    steps around the degeneracy and then down the real ladder with geometric
+    intermediate steps of ratio ``LADDER_DESCENT_RATIO``.  Matching
     straight across the degeneracy would be ambiguous; the arc is not.
 
     Returns a list of (delta, Spectrum) for the requested deltas, vectors
@@ -212,12 +216,12 @@ def ladder_spectra(model_or_family, g0: complex, deltas,
         raise ValueError("deltas must be positive")
     anchor = deltas[-1]
     g0 = complex(g0)
-    path = list(semicircle(g0, anchor, arc_steps))
+    path = list(semicircle(g0, anchor, LADDER_ARC_STEPS))
     targets = {len(path) - 1: anchor}
     current = anchor
     for d in reversed(deltas[:-1]):
-        while current * descent_ratio > d:
-            current *= descent_ratio
+        while current * LADDER_DESCENT_RATIO > d:
+            current *= LADDER_DESCENT_RATIO
             path.append(g0 + current)
         path.append(g0 + d)
         current = d

@@ -397,7 +397,7 @@ class ContinuationResult:
 
 
 def _align_next(family, current: Spectrum, t_from, t_to, point, nxt: Spectrum,
-                want_vectors, tau_c, depth, records, max_bisect):
+                want_vectors, tau_c, depth, records):
     """One continuation step from ``current`` at path parameter t_from to t_to.
 
     ``nxt`` is the spectrum already solved at ``point(t_to)``.  ``point``
@@ -410,9 +410,9 @@ def _align_next(family, current: Spectrum, t_from, t_to, point, nxt: Spectrum,
     """
     m = match_states(current.eigenvalues, nxt.eigenvalues)
     if m.ambiguous and not m.benign_tie:
-        if depth >= max_bisect:
+        if depth >= MAX_BISECT:
             raise MatchingAmbiguityError(
-                f"state matching still ambiguous after {max_bisect} bisections "
+                f"state matching still ambiguous after {MAX_BISECT} bisections "
                 f"between g = {current.g} and g = {point(t_to)} "
                 f"(margin {m.margin:.3e})"
             )
@@ -420,10 +420,9 @@ def _align_next(family, current: Spectrum, t_from, t_to, point, nxt: Spectrum,
         g_mid = point(t_mid)
         mid = eigendecompose(family.matrix(g_mid), g=g_mid)
         first = _align_next(family, current, t_from, t_mid, point, mid,
-                            want_vectors, tau_c, depth + 1, records, max_bisect)
+                            want_vectors, tau_c, depth + 1, records)
         return first + _align_next(family, first[-1], t_mid, t_to, point, nxt,
-                                   want_vectors, tau_c, depth + 1, records,
-                                   max_bisect)
+                                   want_vectors, tau_c, depth + 1, records)
     if m.ambiguous:
         records.append(AmbiguityRecord(current.g, nxt.g, m.margin,
                                        benign=True, refined=depth))
@@ -434,13 +433,13 @@ def _align_next(family, current: Spectrum, t_from, t_to, point, nxt: Spectrum,
 
 
 def continue_spectrum(model_or_family, points, want_vectors: bool = True,
-                      tau_c: float = DEFAULT_TAU_C, start_im_tol: float = 1e-8,
-                      max_bisect: int = MAX_BISECT) -> ContinuationResult:
+                      tau_c: float = DEFAULT_TAU_C,
+                      start_im_tol: float = 1e-8) -> ContinuationResult:
     """Continue a labeled eigensystem through a sequence of couplings.
 
     Labels are assigned at the first point by canonical ordering (ascending
     Im with ``start_im_tol`` clustering) and then propagated by eigenvalue
-    matching; flagged ambiguities trigger step bisection up to ``max_bisect``
+    matching; flagged ambiguities trigger step bisection up to ``MAX_BISECT``
     levels unless they are benign ties.  Traversing the reversed path returns
     states to their original labels.
     """
@@ -456,7 +455,7 @@ def continue_spectrum(model_or_family, points, want_vectors: bool = True,
     for g_to, nxt in zip(points[1:], _solve_path(family, points[1:])):
         current = spectra[-1]
         for aligned in _align_next(family, current, current.g, g_to, complex, nxt,
-                                   want_vectors, tau_c, 0, records, max_bisect):
+                                   want_vectors, tau_c, 0, records):
             if want_vectors:
                 # Continue the sign gauge: make the Hermitian overlap with
                 # the previous sample lie in the right half-plane.
@@ -476,7 +475,6 @@ class CutTable:
 
     gs: np.ndarray
     energies: np.ndarray          # (samples, dim), column m is state m+1
-    vectors: np.ndarray = None    # (samples, dim, dim) if requested
     ambiguities: list = field(default_factory=list)
 
     @property
@@ -502,26 +500,14 @@ class CutTable:
         write_csv(path, names, rows, meta=meta)
 
 
-def spectrum_along(model_or_family, start, stop, n: int,
-                   want_vectors: bool = False, tau_c: float = DEFAULT_TAU_C,
-                   start_im_tol: float = 1e-8,
-                   max_bisect: int = MAX_BISECT) -> CutTable:
+def spectrum_along(model_or_family, start, stop, n: int) -> CutTable:
     """Sample a straight segment in the coupling plane with stable labels."""
     if n < 2:
         raise ValueError("need at least two samples along a cut")
     points = np.linspace(complex(start), complex(stop), n)
-    res = continue_spectrum(model_or_family, points, want_vectors=want_vectors,
-                            tau_c=tau_c, start_im_tol=start_im_tol,
-                            max_bisect=max_bisect)
-    vectors = None
-    if want_vectors:
-        vectors = np.array([s.eigenvectors for s in res.spectra])
-    return CutTable(
-        gs=points,
-        energies=res.eigenvalues,
-        vectors=vectors,
-        ambiguities=res.ambiguities,
-    )
+    res = continue_spectrum(model_or_family, points, want_vectors=False)
+    return CutTable(gs=points, energies=res.eigenvalues,
+                    ambiguities=res.ambiguities)
 
 
 def semicircle(g0: complex, h: float, steps: int, upper: bool = True) -> np.ndarray:

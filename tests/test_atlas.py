@@ -6,7 +6,6 @@ import pairdeg.model
 from pairdeg import (Kind, MatrixFamily, classify, classify_all,
                      discriminant_poly, find_degeneracies,
                      pair_truncation_family, sweep_gamma)
-from pairdeg.atlas import _nearest_pair_distance, _probe
 
 
 def block_diagonal_family():
@@ -164,27 +163,40 @@ def test_sweep_gamma_builds_operators_once(model, monkeypatch):
     assert calls["build"] == 1
 
 
-# (g_lo, g_hi, pair centre) of the merge brackets refined in the reference
-# sweeps (gamma from -0.6 to -0.4 in 21 samples, and -0.52 to -0.48 in 5).
-MERGE_BRACKETS = [
-    (-0.6, -0.59, 0.0504744 + 0.1239918j),
-    (-0.51, -0.49, -0.1767767j),
-    (-0.49, -0.48, 0.1454507j),
-    (-0.44, -0.42, -0.1370902j),
-]
+@pytest.fixture(scope="module")
+def default_sweep(model):
+    """The README-default sweep: gamma from -0.6 to -0.4 in 21 samples."""
+    return sweep_gamma(model, -0.6, -0.4, steps=21, classify_points=True)
 
 
-@pytest.mark.parametrize("g_lo, g_hi, center", MERGE_BRACKETS)
-def test_probe_matches_full_root_set(model, g_lo, g_hi, center):
-    # Probing polishes only the clusters that can reach the focus window;
-    # the nearest pair it reports must be exactly the full root set's.
-    invphi = (np.sqrt(5.0) - 1) / 2
-    golden = [g_hi - invphi * (g_hi - g_lo), g_lo + invphi * (g_hi - g_lo)]
-    for gamma in [g_lo, *golden, 0.5 * (g_lo + g_hi), g_hi]:
-        family = model.with_gamma(gamma).family()
-        roots = find_degeneracies(family, radius=0.5, cluster_factor=1e-4)
-        for focus in (1e-3, 0.0431, 0.0566):
-            want = _nearest_pair_distance(roots, center, focus)
-            got = _probe(family, center, focus, 0.5, 1e-4)
-            assert got == want
-            assert type(got[0]) is type(want[0])
+@pytest.mark.parametrize("steps", [21, 5])
+def test_fusion_to_machine_precision(model, pseudo_dp, default_sweep, steps):
+    # The pseudo-DP forms at gamma* = -1/2 exactly, at g* = -i/(4 sqrt 2);
+    # the 5-sample sweep is selftest criterion 5's.
+    traj = (default_sweep if steps == 21
+            else sweep_gamma(model, -0.52, -0.48, steps=5))
+    ev = min(traj.events, key=lambda e: abs(e.gamma + 0.5))
+    assert abs(ev.gamma + 0.5) <= 1e-12
+    assert abs(ev.g - pseudo_dp) <= 1e-12
+    assert ev.contact_order == 1
+
+
+def test_order_three_contact_independent_of_sampling(model, default_sweep):
+    # Near gamma = -0.4305 two EPs touch with sep^2 ~ (gamma - gamma*)^3; the
+    # contact is noise-limited near eps^(1/3), so 6 and 21 samples agree to
+    # 1e-5 rather than to machine precision.
+    coarse = sweep_gamma(model, -0.6, -0.4, steps=6, classify_points=False)
+    [a] = [e for e in default_sweep.events if e.gamma > -0.45]
+    [b] = coarse.events
+    assert abs(a.gamma - b.gamma) <= 1e-5
+    assert abs(a.gamma + 0.4305) <= 1e-4
+    assert a.contact_order == b.contact_order == 3
+    assert a.distance <= 1e-4 and b.distance <= 1e-4
+
+
+@pytest.mark.parametrize("start, stop", [(-0.6, -0.59), (-0.49, -0.48)])
+def test_near_miss_brackets_give_no_event(model, start, stop):
+    # Edge brackets of the reference sweeps where the closest pair comes
+    # within 0.027 and 0.0089 but does not fuse: Re sep^2 keeps its sign.
+    traj = sweep_gamma(model, start, stop, steps=2, classify_points=False)
+    assert traj.events == []

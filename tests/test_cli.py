@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pairdeg.observables
+import pairdeg.spectra
 from pairdeg.cli import main
 
 BASE_CONFIG = """\
@@ -94,6 +96,71 @@ pairing = true
     assert len(spec_lines) == 3 + 20
     pair_lines = (out / "pairing_cut.csv").read_text().splitlines()
     assert pair_lines[2].split(",")[-1] == "ReO_22+ReO_33"
+
+
+def test_cut_runs_one_continuation(tmp_path, runner, monkeypatch):
+    # With pairing on, both CSVs come from one continuation with vectors;
+    # its eigenvalues are bit for bit those of a continuation without.
+    calls = []
+    continue_spectrum = pairdeg.spectra.continue_spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("want_vectors"))
+        return continue_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(pairdeg.spectra, "continue_spectrum", counting)
+    monkeypatch.setattr(pairdeg.observables, "continue_spectrum", counting)
+    y = -1 / (4 * np.sqrt(2))
+    spectra = {}
+    for pairing in ("true", "false"):
+        cfg = write_config(tmp_path, BASE_CONFIG + f"""
+[cut]
+start_re = -0.05
+start_im = {y}
+stop_re = 0.05
+stop_im = {y}
+samples = 40
+pairing = {pairing}
+""", name=f"{pairing}.ini")
+        out = tmp_path / pairing
+        calls.clear()
+        result = runner.invoke(main, ["cut", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert calls == [pairing == "true"]
+        lines = (out / "spectrum_cut.csv").read_text().splitlines()
+        spectra[pairing] = lines[1:]  # past the config hash
+    assert spectra["true"] == spectra["false"]
+
+
+def test_overflowing_window_fails_without_traceback(tmp_path, runner):
+    cfg = write_config(tmp_path, BASE_CONFIG + """
+[atlas]
+window = -1e308, 1e308, -0.3, 0.3
+heatmap_points = 5
+""")
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = runner.invoke(main, ["atlas", "--config", cfg, "--out",
+                                      str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+    assert "non-finite" in result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_cut_with_one_sample_is_a_config_error(tmp_path, runner):
+    cfg = write_config(tmp_path, BASE_CONFIG + """
+[cut]
+start_re = -0.05
+start_im = 0.1
+stop_re = 0.05
+stop_im = 0.1
+samples = 1
+""")
+    result = runner.invoke(main, ["cut", "--config", cfg, "--out",
+                                  str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "samples must be at least 2" in result.stderr
 
 
 def test_encircle_command(tmp_path, runner):

@@ -4,10 +4,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pairdeg.discriminant as disc
-from pairdeg import (ModelSpec, char_poly, discriminant_at, discriminant_grid,
-                     discriminant_poly, find_degeneracies, hamiltonian_at)
+from pairdeg import (EigensolverError, ModelSpec, char_poly, discriminant_at,
+                     discriminant_grid, discriminant_poly, find_degeneracies,
+                     hamiltonian_at)
 from pairdeg.discriminant import (_closest_gap_squared, _eigvals_along,
                                   _gcd_degree, _polish_root, _root_clusters,
+                                  contour_moments,
                                   discriminant_from_eigenvalues, poly_eval)
 from pairdeg.model import MatrixFamily
 from pairdeg.spectra import closest_pair
@@ -211,14 +213,53 @@ def test_shifted_reference_pseudo_dps(c, pseudo_dp):
 
 @pytest.mark.parametrize("gamma", [-0.6, -0.5, -0.49, -0.4306])
 def test_polish_moves_a_cluster_at_most_two_radii(model, gamma):
-    # atlas._probe skips every cluster farther than focus + 2 cluster radii
-    # from its centre; that is sound only while one polish is all a cluster
-    # gets.
+    # One polish per cluster, on D^(m-1) or on the gap, moves it at most two
+    # cluster radii, or leaves it where it was.
     family = model.with_gamma(gamma).family()
     poly = discriminant_poly(family)
     for cluster in _root_clusters(poly, 1e-4):
         root = _polish_root(family, poly, cluster, 1e-4)
         assert abs(root.g0 - cluster.centroid) <= 2e-4 * poly.radius
+
+
+@pytest.mark.parametrize("gamma", [-0.5, -0.49])
+def test_contour_moments_count_each_root(model, gamma):
+    # s0 counts the roots inside with multiplicity, s1/s0 is their centroid.
+    family = model.with_gamma(gamma).family()
+    roots = find_degeneracies(family)
+    assert sum(r.multiplicity for r in roots) == 12
+    for r in roots:
+        nearest = min(abs(o.g0 - r.g0) for o in roots if o is not r)
+        s0, s1, _ = contour_moments(family, r.g0, 0.3 * nearest)
+        assert round(s0.real) == r.multiplicity
+        assert abs(s0 - r.multiplicity) <= 1e-10
+        assert abs(s1 / s0) <= 1e-8
+
+
+def test_contour_moments_root_free_circle(model):
+    s0, s1, s2 = contour_moments(model.family(), 0.2 + 0.2j, 0.01)
+    assert abs(s0) <= 1e-12
+    assert abs(s1) <= 1e-12 and abs(s2) <= 1e-12
+
+
+def test_contour_moments_pair_separation(model, pseudo_dp):
+    # For two roots inside, 2*s2 - s1^2 is their squared separation.
+    family = model.with_gamma(-0.5005).family()
+    roots = sorted(find_degeneracies(family), key=lambda r: abs(r.g0 - pseudo_dp))
+    a, b = roots[0].g0, roots[1].g0
+    center = 0.5 * (a + b)
+    s0, s1, s2 = contour_moments(family, center,
+                                 0.45 * abs(roots[2].g0 - center))
+    assert abs(s0 - 2) <= 1e-12
+    assert abs(s1 / s0) <= 1e-12
+    assert abs(2 * s2 - s1 * s1 - (a - b) ** 2) <= 1e-9 * abs(a - b) ** 2
+
+
+def test_discriminant_at_overflow_is_an_eigensolver_error(model):
+    with np.errstate(over="ignore"), pytest.raises(
+            EigensolverError, match="non-finite") as info:
+        discriminant_at(model, 1e308)
+    assert info.value.g == 1e308
 
 
 oracle_settings = settings(derandomize=True, max_examples=60, deadline=None,
