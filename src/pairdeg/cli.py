@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -182,6 +183,10 @@ def atlas(config_path, out_dir):
         window = cfg.floats("atlas", "window")
         if len(window) != 4:
             raise ConfigError("[atlas] window needs four numbers")
+        spans = [window[1] - window[0], window[3] - window[2]]
+        if not all(math.isfinite(x) for x in window + spans):
+            raise ConfigError(f"[atlas] window {', '.join(map(str, window))} "
+                              "has a non-finite span or sample grid")
         points = classify_all(
             model,
             tau_c=cfg.float("precision", "tau_c"),

@@ -113,8 +113,9 @@ def _eigvals_along(family, gs) -> np.ndarray:
 
     One stacked ``eigvals`` call; its rows are bitwise equal to solving each
     ``family.matrix(g)`` on its own.  A non-finite matrix raises
-    EigensolverError naming the first such g; so does a solver that does not
-    converge, naming g when the stack holds one matrix.
+    EigensolverError naming the first such g, and so do non-finite
+    eigenvalues (an overflow inside the solver); a solver that does not
+    converge raises it too, naming g when the stack holds one matrix.
     """
     n = family.dim
     stack = np.array([family.matrix(g) for g in gs]).reshape(-1, n, n)
@@ -123,10 +124,15 @@ def _eigvals_along(family, gs) -> np.ndarray:
         raise EigensolverError("matrix has non-finite entries",
                                g=gs[int(np.argmin(finite))])
     try:
-        return np.linalg.eigvals(stack)
+        eigenvalues = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}",
                                g=gs[0] if len(stack) == 1 else None) from exc
+    finite = np.isfinite(eigenvalues).all(axis=1)
+    if not finite.all():
+        raise EigensolverError("eigensolver returned non-finite eigenvalues",
+                               g=gs[int(np.argmin(finite))])
+    return eigenvalues
 
 
 def discriminant_at(model_or_family, g: complex, method: str = "product") -> complex:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import LoopError
 from .model import as_family
-from .spectra import (DEFAULT_TAU_C, AmbiguityRecord, Spectrum, _align_next,
-                      _solve_path, c_normalize, eigendecompose, match_states)
+from .spectra import (DEFAULT_TAU_C, AmbiguityRecord, _transport, c_normalize,
+                      eigendecompose, match_states)
 
 __all__ = ["LoopSpec", "LoopTrace", "trace_loop", "restore_count", "RestoreResult"]
 
@@ -155,40 +155,6 @@ class LoopTrace:
         }
 
 
-def _phase_increments(current: Spectrum, aligned: Spectrum) -> np.ndarray:
-    """Phase increments of one accepted step; flips ``aligned`` into the gauge."""
-    increments = np.zeros(current.dim, dtype=complex)
-    for k in range(current.dim):
-        u_prev = current.eigenvectors[:, k]
-        u_new = aligned.eigenvectors[:, k]
-        guarded = current.self_orthogonal[k] or aligned.self_orthogonal[k]
-        if guarded:
-            # Hermitian-normalized overlap with the analytic normalization
-            # correction; it telescopes to zero over closed loops.
-            v_prev = u_prev / np.linalg.norm(u_prev)
-            v_new = u_new / np.linalg.norm(u_new)
-            ov = np.vdot(v_prev, v_new)
-            if ov.real < 0:
-                v_new, u_new, ov = -v_new, -u_new, -ov
-            b_new = aligned.self_orthogonality[k]
-            b_old = current.self_orthogonality[k]
-            corr = 0.0
-            if b_new != 0 and b_old != 0:
-                corr = -0.5j * (np.log(b_new) - np.log(b_old))
-            increments[k] = -1j * np.log(ov) + corr
-        else:
-            # Normalized Hermitian overlap: the c-normalized vectors carry
-            # large (and varying) 2-norms near a coalescence, which belong to
-            # the normalization correction, not the transported phase.
-            ov = np.vdot(u_prev, u_new) / (
-                np.linalg.norm(u_prev) * np.linalg.norm(u_new))
-            if ov.real < 0:
-                u_new, ov = -u_new, -ov
-            increments[k] = -1j * np.log(ov)
-        aligned.eigenvectors[:, k] = u_new
-    return increments
-
-
 def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
                tau_c: float = DEFAULT_TAU_C, label_im_tol: float = 1e-3) -> LoopTrace:
     """Transport all eigenpairs around the loop, accumulating phases.
@@ -213,41 +179,39 @@ def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
     dim = start.dim
 
     eigenvalues = np.empty((n_samples, dim), dtype=complex)
-    thetas = np.zeros((n_samples, dim), dtype=complex)
     eigenvalues[0] = start.eigenvalues
+    increments = np.zeros((n_samples, dim), dtype=complex)
     records: list[AmbiguityRecord] = []
+    ends = []
+    for i, (current, step) in enumerate(
+            _transport(family, start, phis, loop.point, True, tau_c, True, records),
+            start=1):
+        increments[i] = step
+        eigenvalues[i] = current.eigenvalues
+        if i % loop.steps == 0:
+            ends.append((i, current))
+    # theta_i = theta_{i-1} + increment_i, added left to right.
+    thetas = np.cumsum(increments, axis=0)
     loop_perms = []
     loop_re = []
     raw_loop = []
-
-    current = start
-    ahead = _solve_path(family, [loop.point(phi) for phi in phis[1:]])
-    for i, nxt in enumerate(ahead, start=1):
-        increments = []
-        for aligned in _align_next(family, current, phis[i - 1], phis[i],
-                                   loop.point, nxt, True, tau_c, 0, records):
-            increments.append(_phase_increments(current, aligned))
-            current = aligned
-        # Sub-step increments add left to right, in path order.
-        thetas[i] = thetas[i - 1] + sum(increments[1:], increments[0])
-        eigenvalues[i] = current.eigenvalues
-        if i % loop.steps == 0:
-            m = match_states(current.eigenvalues, start.eigenvalues)
-            perm = m.perm
-            loop_perms.append(perm)
-            raw_loop.append(thetas[i].copy())
-            snapped = thetas[i].real.copy()
-            if all(perm[j] == j for j in range(dim)):
-                for k in range(dim):
-                    ov = np.vdot(start.eigenvectors[:, k], current.eigenvectors[:, k])
-                    norm = (np.linalg.norm(start.eigenvectors[:, k])
-                            * np.linalg.norm(current.eigenvectors[:, k]))
-                    if norm > 0 and abs(ov) > 0.2 * norm:
-                        target = float(np.angle(ov))
-                        snapped[k] = target + 2 * np.pi * np.round(
-                            (thetas[i, k].real - target) / (2 * np.pi)
-                        )
-            loop_re.append(snapped)
+    for i, current in ends:
+        m = match_states(current.eigenvalues, start.eigenvalues)
+        perm = m.perm
+        loop_perms.append(perm)
+        raw_loop.append(thetas[i].copy())
+        snapped = thetas[i].real.copy()
+        if all(perm[j] == j for j in range(dim)):
+            for k in range(dim):
+                ov = np.vdot(start.eigenvectors[:, k], current.eigenvectors[:, k])
+                norm = (np.linalg.norm(start.eigenvectors[:, k])
+                        * np.linalg.norm(current.eigenvectors[:, k]))
+                if norm > 0 and abs(ov) > 0.2 * norm:
+                    target = float(np.angle(ov))
+                    snapped[k] = target + 2 * np.pi * np.round(
+                        (thetas[i, k].real - target) / (2 * np.pi)
+                    )
+        loop_re.append(snapped)
 
     return LoopTrace(
         spec=loop,

@@ -48,6 +48,8 @@ EXHAUSTIVE_MATCH_LIMIT = 7
 MAX_BISECT = 12
 # Path points solved per stacked eigensolve; 256 was no faster at dim 4.
 SOLVE_BLOCK = 64
+# Permutation totals the block matcher holds at once (128 KB of floats).
+MATCH_CHUNK = 1 << 14
 
 
 def bilinear(u: np.ndarray, v: np.ndarray) -> complex:
@@ -163,7 +165,8 @@ def _eigendecompose_stack(H: np.ndarray, gs, im_tol: float = 1e-8) -> list:
     LAPACK solves the matrices of a stack one by one, so every spectrum is
     bit for bit the one its matrix gives alone.  A failed check raises
     EigensolverError for the whole stack, naming the first coupling found
-    with non-finite entries or out-of-tolerance residuals.
+    with non-finite entries, non-finite eigenpairs (an overflow inside the
+    solver) or residuals not within tolerance.
     """
     H = np.ascontiguousarray(H, dtype=complex)
     k, n = H.shape[:2]
@@ -175,13 +178,18 @@ def _eigendecompose_stack(H: np.ndarray, gs, im_tol: float = 1e-8) -> list:
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}",
                                g=gs[0] if k == 1 else None) from exc
+    finite = np.isfinite(eigenvalues).all(axis=1) & np.isfinite(vectors).all(axis=(1, 2))
+    if not finite.all():
+        raise EigensolverError("eigensolver returned non-finite eigenpairs",
+                               g=gs[int(np.argmin(finite))])
     # Frobenius and column 2-norms, summed over the float views.
     flat = H.view(float).reshape(k, -1)
     scale = np.sqrt(np.einsum("kx,kx->k", flat, flat))
     R = (H @ vectors - vectors * eigenvalues[:, None, :]).view(float)
     R = R.reshape(k, n, n, 2)
     residual = np.sqrt(np.einsum("kijc,kijc->kj", R, R))
-    bad = (scale > 0) & (residual > RESIDUAL_BOUND * scale[:, None]).any(axis=1)
+    # Written so that a NaN residual fails.
+    bad = (scale > 0) & ~(residual <= RESIDUAL_BOUND * scale[:, None]).all(axis=1)
     if bad.any():
         first = int(np.argmax(bad))
         raise EigensolverError(
@@ -208,9 +216,10 @@ def _eigendecompose_stack(H: np.ndarray, gs, im_tol: float = 1e-8) -> list:
 def _solve_path(family, gs):
     """Spectra at the couplings ``gs``, in order, solved ``SOLVE_BLOCK`` at a time.
 
-    A block that fails a check is solved again point by point, so the first
-    failing coupling raises its own EigensolverError only once the consumer
-    has taken every spectrum before it.
+    Yields ``(spectra, stacked)`` pairs: a block solved as one stack, or,
+    for a block that fails a check, one point at a time solved again on its
+    own, so the first failing coupling raises its own EigensolverError only
+    once the consumer has taken every spectrum before it.
     """
     for lo in range(0, len(gs), SOLVE_BLOCK):
         block = gs[lo:lo + SOLVE_BLOCK]
@@ -218,36 +227,20 @@ def _solve_path(family, gs):
         try:
             spectra = _eigendecompose_stack(np.array(matrices), block)
         except EigensolverError:
-            spectra = (eigendecompose(H, g=g) for H, g in zip(matrices, block))
-        yield from spectra
+            for H, g in zip(matrices, block):
+                yield [eigendecompose(H, g=g)], False
+            continue
+        yield spectra, True
 
 
-def _fix_gauge(v: np.ndarray) -> np.ndarray:
-    """Flip the residual +-1 so the largest component's arg lies in (-pi/2, pi/2]."""
-    a = v[int(np.argmax(np.abs(v)))]
-    if a.real < 0 or (a.real == 0 and a.imag < 0):
-        return -v
-    return v
+def _orthogonalize_clusters(e: np.ndarray, V: np.ndarray, tau_c: float) -> None:
+    """c-orthogonalize, in place, the columns of V inside eigenvalue clusters.
 
-
-def c_normalize(spectrum: Spectrum, tau_c: float = DEFAULT_TAU_C) -> Spectrum:
-    """Scale eigenvectors to b(u, u) = 1, guarding against self-orthogonality.
-
-    Within numerically degenerate eigenvalue clusters the vectors are first
-    c-orthogonalized (Gram-Schmidt under the bilinear form) so that a diabolic
-    pair is represented by a c-orthonormal basis rather than an arbitrary
-    LAPACK mixture; the orthogonalization is skipped for vectors already
-    inside the self-orthogonality guard, which is the defective (EP-like)
-    situation.  Vectors with |b| <= tau_c keep unit 2-norm and are flagged.
-    The remaining sign freedom is fixed by pushing the largest-magnitude
-    component's argument into (-pi/2, pi/2].
+    A cluster is a run of eigenvalues within ``1e-9 * max(1, max|e|)`` of its
+    first member.  Columns already inside the self-orthogonality guard are
+    not projected out, which is the defective (EP-like) situation.
     """
-    V = spectrum.eigenvectors.astype(complex).copy()
-    e = spectrum.eigenvalues
-    n = spectrum.dim
-    # Hermitian-normalize first (LAPACK already does, but keep it exact).
-    V /= np.linalg.norm(V, axis=0)[None, :]
-
+    n = len(e)
     scale = max(1.0, float(np.max(np.abs(e))))
     cluster_tol = 1e-9 * scale
     k = 0
@@ -267,18 +260,57 @@ def c_normalize(spectrum: Spectrum, tau_c: float = DEFAULT_TAU_C) -> Spectrum:
                     V[:, a] /= norm
         k = j
 
-    b_values = np.einsum("ij,ij->j", V, V)
-    flagged = np.abs(b_values) <= tau_c
-    for m in range(n):
-        if not flagged[m]:
-            V[:, m] = V[:, m] / np.sqrt(b_values[m])
-        V[:, m] = _fix_gauge(V[:, m])
+
+def _c_normalize_stack(E: np.ndarray, V: np.ndarray, tau_c: float):
+    """``c_normalize`` of every row of (k, n) eigenvalues and (k, n, n) vectors.
+
+    Returns the normalized vectors, their c-norms b and the self-orthogonal
+    flags, each row bit for bit what the row gives alone.  Only rows with two
+    adjacent eigenvalues near the cluster tolerance (twice it, so that the
+    vectorised test cannot miss one) run the Gram-Schmidt loop, which then
+    decides the clusters exactly.
+    """
+    # C order, as the rows alone had: the norms and c-norms below then add
+    # each column in row order, never pairwise.
+    V = np.array(V, dtype=complex, order="C")
+    # Hermitian-normalize first (LAPACK already does, but keep it exact).
+    V /= np.linalg.norm(V, axis=1)[:, None, :]
+    scale = np.maximum(1.0, np.abs(E).max(axis=1, initial=0.0))
+    near = (np.abs(np.diff(E, axis=1)) <= 2e-9 * scale[:, None]).any(axis=1)
+    for r in np.flatnonzero(near):
+        _orthogonalize_clusters(E[r], V[r], tau_c)
+
+    b = np.einsum("kij,kij->kj", V, V)
+    flagged = np.abs(b) <= tau_c
+    root = np.sqrt(np.where(flagged, 1.0, b))[:, None, :]
+    V = np.where(flagged[:, None, :], V, V / root)
+    # The remaining sign: the largest component's arg into (-pi/2, pi/2].
+    a = np.take_along_axis(V, np.abs(V).argmax(axis=1)[:, None, :], axis=1)[:, 0]
+    flip = (a.real < 0) | ((a.real == 0) & (a.imag < 0))
+    return np.where(flip[:, None, :], -V, V), b, flagged
+
+
+def c_normalize(spectrum: Spectrum, tau_c: float = DEFAULT_TAU_C) -> Spectrum:
+    """Scale eigenvectors to b(u, u) = 1, guarding against self-orthogonality.
+
+    Within numerically degenerate eigenvalue clusters the vectors are first
+    c-orthogonalized (Gram-Schmidt under the bilinear form) so that a diabolic
+    pair is represented by a c-orthonormal basis rather than an arbitrary
+    LAPACK mixture; the orthogonalization is skipped for vectors already
+    inside the self-orthogonality guard, which is the defective (EP-like)
+    situation.  Vectors with |b| <= tau_c keep unit 2-norm and are flagged.
+    The remaining sign freedom is fixed by pushing the largest-magnitude
+    component's argument into (-pi/2, pi/2].
+    """
+    e = spectrum.eigenvalues
+    V, b, flagged = _c_normalize_stack(np.asarray(e)[None], spectrum.eigenvectors[None],
+                                       tau_c)
     return Spectrum(
         g=spectrum.g,
         eigenvalues=e.copy(),
-        eigenvectors=V,
-        self_orthogonality=b_values,
-        self_orthogonal=flagged,
+        eigenvectors=V[0],
+        self_orthogonality=b[0],
+        self_orthogonal=flagged[0],
         c_normalized=True,
     )
 
@@ -375,6 +407,46 @@ def match_states(prev, next, ambiguity_tol: float = MATCH_AMBIGUITY_TOL) -> Matc
     return Matching(best_perm, best_cost, margin, ambiguous, benign)
 
 
+def _match_block(first: np.ndarray, E: np.ndarray):
+    """Assignments of the k steps of a block, and which of them are clear.
+
+    Step j pairs the eigenvalues E[j - 1] (``first`` for j = 0) with E[j];
+    row j of the returned (k, n) array sends each of its sources to its
+    target.  The totals are those of ``match_states``, summed over the same
+    permutation table, but in the sources' canonical order rather than in
+    label order, so each may differ from the label-order total by rounding:
+    at most n ulps of either total, so 4 n eps of the runner-up for the
+    margin.  A step is clear when its margin beats twice
+    ``MATCH_AMBIGUITY_TOL`` plus that bound; ``match_states`` then picks the
+    same assignment and finds it unambiguous.  At most ``MATCH_CHUNK``
+    totals are held at once.
+    """
+    k, n = E.shape
+    table = _permutation_table(n)
+    count = table.shape[1]
+    if count == 1:
+        return np.zeros((k, 1), dtype=int), np.ones(k, dtype=bool)
+    sources = np.concatenate([first[None], E[:-1]])
+    assign = np.empty((k, n), dtype=int)
+    clear = np.empty(k, dtype=bool)
+    chunk = max(1, MATCH_CHUNK // count)
+    for lo in range(0, k, chunk):
+        hi = min(lo + chunk, k)
+        cost = np.abs(sources[lo:hi, :, None] - E[lo:hi, None, :])
+        totals = cost[:, 0].take(table[0], axis=1)
+        for i in range(1, n):
+            totals += cost[:, i].take(table[i], axis=1)
+        rows = np.arange(hi - lo)
+        best = totals.argmin(axis=1)
+        best_cost = totals[rows, best]
+        totals[rows, best] = np.inf
+        second = totals.min(axis=1)
+        guard = 2 * MATCH_AMBIGUITY_TOL + 4 * n * np.finfo(float).eps * second
+        clear[lo:hi] = second - best_cost > guard
+        assign[lo:hi] = table[:, best].T
+    return assign, clear
+
+
 @dataclass
 class AmbiguityRecord:
     """One flagged matching ambiguity along a continuation."""
@@ -404,9 +476,9 @@ def _align_next(family, current: Spectrum, t_from, t_to, point, nxt: Spectrum,
     maps the path parameter to the coupling: ``complex`` for cuts, whose
     parameter is g itself, or ``LoopSpec.point`` for loops, which bisect in
     phi.  Only bisection midpoints are solved here.  Returns the accepted
-    sub-steps in path order, bisection midpoints first, the last one at t_to.
-    Vectors are c-normalized when wanted; the sign gauge is left to the
-    caller.
+    sub-steps in path order, bisection midpoints first, the last one at t_to,
+    and the permutation of ``nxt`` that the last one is.  Vectors are
+    c-normalized when wanted; the sign gauge is left to the caller.
     """
     m = match_states(current.eigenvalues, nxt.eigenvalues)
     if m.ambiguous and not m.benign_tie:
@@ -419,17 +491,177 @@ def _align_next(family, current: Spectrum, t_from, t_to, point, nxt: Spectrum,
         t_mid = 0.5 * (t_from + t_to)
         g_mid = point(t_mid)
         mid = eigendecompose(family.matrix(g_mid), g=g_mid)
-        first = _align_next(family, current, t_from, t_mid, point, mid,
-                            want_vectors, tau_c, depth + 1, records)
-        return first + _align_next(family, first[-1], t_mid, t_to, point, nxt,
+        first, _ = _align_next(family, current, t_from, t_mid, point, mid,
+                               want_vectors, tau_c, depth + 1, records)
+        second, perm = _align_next(family, first[-1], t_mid, t_to, point, nxt,
                                    want_vectors, tau_c, depth + 1, records)
+        return first + second, perm
     if m.ambiguous:
         records.append(AmbiguityRecord(current.g, nxt.g, m.margin,
                                        benign=True, refined=depth))
     aligned = nxt.permuted(m.perm)
     if want_vectors:
         aligned = c_normalize(aligned, tau_c=tau_c)
-    return [aligned]
+    return [aligned], m.perm
+
+
+def _column_dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of each column of P with the same column of Q, bit for bit.
+
+    P and Q are (k, n, n) stacks with one vector per column.  Up to 7
+    components a stacked ``matmul`` adds in ``np.vdot``'s order; ``einsum``
+    and ``sum`` do not.  For longer columns OpenBLAS's sum depends on their
+    stride, so they go through ``np.vdot`` one by one, laid out as given.
+    """
+    n = P.shape[-1]
+    if n <= EXHAUSTIVE_MATCH_LIMIT:
+        A, B = P.transpose(0, 2, 1), Q.transpose(0, 2, 1)
+        return (np.conj(A)[..., None, :] @ B[..., :, None])[..., 0, 0]
+    return np.array([[np.vdot(p[:, m], q[:, m]) for m in range(n)]
+                     for p, q in zip(P, Q)], dtype=complex).reshape(P.shape[:2])
+
+
+def _column_norms(X: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of the rows of the last axis of X, bit for bit."""
+    re, im = X.real, X.imag
+    return np.sqrt((re[..., None, :] @ re[..., :, None]
+                    + im[..., None, :] @ im[..., :, None])[..., 0, 0])
+
+
+def _gauge(prev: Spectrum, W: np.ndarray, flagged: np.ndarray, b: np.ndarray,
+           phases: bool):
+    """Sign gauge, and with ``phases`` the phase increments, of k accepted steps.
+
+    ``prev`` is the accepted spectrum before the first step; W (k, n, n) holds
+    the steps' c-normalized vectors, ``flagged`` and ``b`` (k, n) their
+    self-orthogonality flags and c-norms.  A column is negated when its
+    Hermitian overlap with the previous step's column, as signed, has a
+    negative real part.  Negation is exact, so with the overlaps ``raw`` of
+    the unsigned columns the sign of step j is -1 exactly when
+    s_{j-1} * Re(raw_j) < 0.  For phases the overlap is normalized by the
+    2-norms: near a coalescence the c-normalized vectors carry large, varying
+    2-norms, which belong to the normalization correction, not the
+    transported phase.  A column self-orthogonal at either end takes the
+    overlap of the unit vectors instead, and its increment -i Log(ov) gets
+    the analytic normalization correction, which telescopes to zero over
+    closed loops.
+
+    Returns the signed vectors and the (k, n) increments, None without
+    ``phases``.
+    """
+    # C order, as each step had alone: np.vdot sees the same column strides.
+    mats = np.concatenate([prev.eigenvectors[None], W])
+    raw = _column_dots(mats[:-1], mats[1:])
+    if phases:
+        cols = np.ascontiguousarray(mats.transpose(0, 2, 1))
+        norms = _column_norms(cols)
+        raw = raw / (norms[:-1] * norms[1:])
+        guarded = flagged | np.concatenate([prev.self_orthogonal[None], flagged[:-1]])
+        if guarded.any():
+            # Unit vectors in contiguous columns, as divided out one by one.
+            unit = (cols / norms[..., None]).transpose(0, 2, 1)
+            raw = np.where(guarded, _column_dots(unit[:-1], unit[1:]), raw)
+    signs = np.empty(raw.shape)
+    s = np.ones(raw.shape[1])
+    for j, re in enumerate(raw.real):
+        s = signs[j] = np.where(s * re < 0, -1.0, 1.0)
+    W = np.where(signs[:, None, :] < 0, -W, W)
+    if not phases:
+        return W, None
+    before = np.concatenate([np.ones((1, len(s))), signs[:-1]])
+    increments = -1j * np.log(np.where(signs * before < 0, -raw, raw))
+    if guarded.any():
+        b_all = np.concatenate([prev.self_orthogonality[None], b])
+        b_new, b_old = b_all[1:][guarded], b_all[:-1][guarded]
+        ok = (b_new != 0) & (b_old != 0)
+        corr = np.zeros(len(b_new), dtype=complex)
+        corr[ok] = -0.5j * (np.log(b_new[ok]) - np.log(b_old[ok]))
+        increments[guarded] = increments[guarded] + corr
+    return W, increments
+
+
+def _exact_step(family, current: Spectrum, t_from, t_to, point, nxt: Spectrum,
+                want_vectors, tau_c, phases, records):
+    """One step by ``_align_next``, each sub-step gauged after the one before.
+
+    Returns the accepted spectrum at t_to, the step's phase increments (the
+    sub-steps' added in path order; None without ``phases``) and the
+    permutation of ``nxt`` it is.
+    """
+    steps, perm = _align_next(family, current, t_from, t_to, point, nxt,
+                              want_vectors, tau_c, 0, records)
+    increments = None
+    for aligned in steps:
+        if want_vectors:
+            W, d = _gauge(current, aligned.eigenvectors[None],
+                          aligned.self_orthogonal[None],
+                          aligned.self_orthogonality[None], phases)
+            aligned.eigenvectors = W[0]
+            if phases:
+                increments = d[0] if increments is None else increments + d[0]
+        current = aligned
+    return current, increments, np.asarray(perm)
+
+
+def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
+               records):
+    """Continue ``start`` (at path parameter ts[0]) through ``point(ts[1:])``.
+
+    Yields ``(spectrum, increments)`` for every path point after the start:
+    the accepted spectrum there, its vectors c-normalized and in the sign
+    gauge when ``want_vectors``, and with ``phases`` the step's phase
+    increments (bisection sub-steps added in path order), else None.
+
+    The path is solved in stacked blocks (``_solve_path``).  Within a block
+    the steps that ``_match_block`` finds clear are matched, c-normalized and
+    gauged together, each a stacked kernel whose rows are bit for bit the
+    step taken alone.  Near-ties, steps of blocks solved point by point and
+    every step above ``EXHAUSTIVE_MATCH_LIMIT`` states take ``_exact_step``,
+    which bisects.
+    """
+    current = start
+    n = start.dim
+    i = 1
+    for spectra, stacked in _solve_path(family, [point(t) for t in ts[1:]]):
+        k = len(spectra)
+        clear = np.zeros(k, dtype=bool)
+        if stacked and n <= EXHAUSTIVE_MATCH_LIMIT:
+            E = np.array([s.eigenvalues for s in spectra])
+            V = np.array([s.eigenvectors for s in spectra])
+            B = np.array([s.self_orthogonality for s in spectra])
+            q, clear = _match_block(current.eigenvalues, E)
+        perm = np.arange(n)  # current, in label order, as a permutation of itself
+        j = 0
+        while j < k:
+            if not clear[j]:
+                current, increments, perm = _exact_step(
+                    family, current, ts[i + j - 1], ts[i + j], point, spectra[j],
+                    want_vectors, tau_c, phases, records)
+                yield current, increments
+                j += 1
+                continue
+            end = j + 1
+            while end < k and clear[end]:
+                end += 1
+            perms = np.empty((end - j, n), dtype=int)
+            for t in range(j, end):
+                perm = perms[t - j] = q[t][perm]
+            rows = np.arange(end - j)[:, None]
+            Ea = E[j:end][rows, perms]
+            Va = np.take_along_axis(V[j:end], perms[:, None, :], axis=2)
+            if want_vectors:
+                Va, Ba, Fa = _c_normalize_stack(Ea, Va, tau_c)
+                Va, increments = _gauge(current, Va, Fa, Ba, phases)
+            else:
+                Ba = B[j:end][rows, perms]
+                Fa = np.zeros(Ea.shape, dtype=bool)
+                increments = None
+            for t in range(end - j):
+                current = Spectrum(spectra[j + t].g, Ea[t], Va[t], Ba[t], Fa[t],
+                                   c_normalized=want_vectors)
+                yield current, None if increments is None else increments[t]
+            j = end
+        i += k
 
 
 def continue_spectrum(model_or_family, points, want_vectors: bool = True,
@@ -440,8 +672,10 @@ def continue_spectrum(model_or_family, points, want_vectors: bool = True,
     Labels are assigned at the first point by canonical ordering (ascending
     Im with ``start_im_tol`` clustering) and then propagated by eigenvalue
     matching; flagged ambiguities trigger step bisection up to ``MAX_BISECT``
-    levels unless they are benign ties.  Traversing the reversed path returns
-    states to their original labels.
+    levels unless they are benign ties.  With vectors the sign gauge is
+    continued: each vector's Hermitian overlap with the previous sample lies
+    in the right half-plane.  Traversing the reversed path returns states to
+    their original labels.
     """
     family = as_family(model_or_family)
     points = [complex(p) for p in points]
@@ -452,20 +686,8 @@ def continue_spectrum(model_or_family, points, want_vectors: bool = True,
     if want_vectors:
         start = c_normalize(start, tau_c=tau_c)
     spectra = [start]
-    for g_to, nxt in zip(points[1:], _solve_path(family, points[1:])):
-        current = spectra[-1]
-        for aligned in _align_next(family, current, current.g, g_to, complex, nxt,
-                                   want_vectors, tau_c, 0, records):
-            if want_vectors:
-                # Continue the sign gauge: make the Hermitian overlap with
-                # the previous sample lie in the right half-plane.
-                for k in range(aligned.dim):
-                    ov = np.vdot(current.eigenvectors[:, k],
-                                 aligned.eigenvectors[:, k])
-                    if ov.real < 0:
-                        aligned.eigenvectors[:, k] = -aligned.eigenvectors[:, k]
-            current = aligned
-        spectra.append(current)
+    spectra += [s for s, _ in _transport(family, start, points, complex, want_vectors,
+                                         tau_c, False, records)]
     return ContinuationResult(spectra=spectra, ambiguities=records)
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -133,19 +134,37 @@ pairing = {pairing}
 
 
 def test_overflowing_window_fails_without_traceback(tmp_path, runner):
+    # The span 2e308 overflows: a config error, raised before any sampling,
+    # so no numpy warning comes ahead of it.
     cfg = write_config(tmp_path, BASE_CONFIG + """
 [atlas]
 window = -1e308, 1e308, -0.3, 0.3
 heatmap_points = 5
 """)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = runner.invoke(main, ["atlas", "--config", cfg, "--out",
                                       str(tmp_path / "o")])
-    assert result.exit_code == 1
+    assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert result.stderr.startswith("error:")
+    assert result.stderr.startswith(
+        "config error: [atlas] window -1e+308, 1e+308, -0.3, 0.3 ")
     assert "non-finite" in result.stderr
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("window", ["-0.3, 0.3, nan, 0.3", "-inf, 0.3, -0.3, 0.3"])
+def test_non_finite_window_is_a_config_error(tmp_path, runner, window):
+    cfg = write_config(tmp_path, BASE_CONFIG + f"""
+[atlas]
+window = {window}
+heatmap_points = 5
+""")
+    result = runner.invoke(main, ["atlas", "--config", cfg, "--out",
+                                  str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("config error: [atlas] window ")
+    assert "non-finite span or sample grid" in result.stderr
 
 
 def test_cut_with_one_sample_is_a_config_error(tmp_path, runner):

@@ -262,6 +262,18 @@ def test_discriminant_at_overflow_is_an_eigensolver_error(model):
     assert info.value.g == 1e308
 
 
+@pytest.mark.parametrize("g", [7e306, 1e307])
+def test_overflowed_eigenvalues_are_an_eigensolver_error(model, g):
+    # H(g) is finite, but eigvals overflows inside LAPACK.
+    assert np.isfinite(model.family().matrix(g)).all()
+    with pytest.raises(EigensolverError, match="non-finite eigenvalues") as info:
+        _eigvals_along(model.family(), [0.1, g])
+    assert info.value.g == g
+    with pytest.raises(EigensolverError, match="non-finite") as info:
+        discriminant_at(model, g)
+    assert info.value.g == g
+
+
 oracle_settings = settings(derandomize=True, max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
 

@@ -170,37 +170,47 @@ def test_loop_over_doubled_blocks_records_benign_ties():
 def test_forced_loop_bisection(model, roots, pdp_root, monkeypatch):
     loop = LoopSpec(pdp_root.g0, 0.01, steps=64)
     stack = pairdeg.spectra._eigendecompose_stack
-    calls = {"match": 0, "eig": 0}
+    match_block = pairdeg.spectra._match_block
+    match_states = pairdeg.spectra.match_states
+    calls = {"match": 0, "eig": 0, "blocks": 0}
 
     def counted(H, gs, *args, **kwargs):
         # Every solve, single or stacked, runs here once per matrix.
         calls["eig"] += len(gs)
         return stack(H, gs, *args, **kwargs)
 
-    monkeypatch.setattr(pairdeg.spectra, "_eigendecompose_stack", counted)
-    plain = trace_loop(model, loop, degeneracies=roots)
-    assert calls["eig"] == 1 + 64  # the start point and the 64 steps
+    def unclear_step_20(first, E):
+        assign, clear = match_block(first, E)
+        calls["blocks"] += 1
+        if calls["blocks"] == 1:
+            clear[19] = False  # step 20 takes the exact path
+        return assign, clear
 
-    match_states = pairdeg.spectra.match_states
-
-    def tie_once(prev, nxt):
+    def tie_first(prev, nxt):
+        # The exact path's first match is step 20's: report a genuine tie.
         calls["match"] += 1
         m = match_states(prev, nxt)
-        if calls["match"] == 20:
-            return m._replace(ambiguous=True, benign_tie=False)
-        return m
+        return m._replace(ambiguous=True, benign_tie=False) if calls["match"] == 1 else m
 
-    monkeypatch.setattr(pairdeg.spectra, "match_states", tie_once)
+    monkeypatch.setattr(pairdeg.spectra, "_eigendecompose_stack", counted)
+    monkeypatch.setattr(pairdeg.spectra, "match_states", tie_first)
+    plain = trace_loop(model, loop, degeneracies=roots)
+    assert calls["eig"] == 1 + 64  # the start point and the 64 steps
+    assert calls["match"] == 0  # every step of the block is clear
+
+    monkeypatch.setattr(pairdeg.spectra, "_match_block", unclear_step_20)
     calls["eig"] = 0
     forced = trace_loop(model, loop, degeneracies=roots)
 
     # The tied step is split at its phi midpoint: one more sample solved, and
-    # the second half reuses the step's end point.
+    # the second half reuses the step's end point.  Only step 20 and its two
+    # halves are matched one at a time.
     assert calls["eig"] == 1 + 64 + 1
-    assert calls["match"] == 64 + 2
+    assert calls["match"] == 1 + 2
     assert forced.ambiguities == plain.ambiguities == []
     assert forced.loop_permutations == plain.loop_permutations
     np.testing.assert_array_equal(forced.loop_re_theta, plain.loop_re_theta)
     np.testing.assert_array_equal(forced.eigenvalues, plain.eigenvalues)
     assert np.max(np.abs(forced.thetas - plain.thetas)) <= 1e-4
     assert np.max(np.abs(forced.thetas - plain.thetas)) > 0
+    assert np.array_equal(forced.thetas[:20], plain.thetas[:20])

@@ -498,18 +498,40 @@ def test_canonical_order_gap_equal_to_tolerance():
     np.testing.assert_array_equal(canonical_order(e, im_tol=0.4), [0, 1])
 
 
-@pytest.mark.parametrize("stop, n", [(1e308, 5), (2.2e307, 100)])
+def _overflows(H):
+    """H(g) is non-finite, or its eigenpairs overflow inside the solver."""
+    if not np.isfinite(H).all():
+        return True
+    w, v = np.linalg.eig(H)
+    return not (np.isfinite(w).all() and np.isfinite(v).all())
+
+
+@pytest.mark.parametrize("stop, n", [(1e308, 5), (2.2e307, 100), (1e307, 100)])
 def test_spectrum_along_overflow_names_first_bad_point(model, stop, n):
-    # H(g) overflows from the first g with 12 g > max float on; with 100
-    # points that g lies in the second solve block.
+    # H(g) overflows from the first g with 12 g > max float on, and its
+    # eigenvalues from about g = 6.7e306 on; with stop 1e307 and 100 points
+    # that g lies in the second solve block.
     family = model.family()
-    points = np.linspace(0, stop, n)
+    points = np.linspace(0j, complex(stop), n)  # as spectrum_along samples
     with np.errstate(over="ignore", invalid="ignore"):
-        first = next(complex(g) for g in points
-                     if not np.isfinite(family.matrix(complex(g))).all())
+        first = next(g for g in points if _overflows(family.matrix(g)))
         with pytest.raises(EigensolverError, match="non-finite") as info:
             spectrum_along(model, 0, stop, n)
     assert info.value.g == first
+
+
+def test_overflowed_eigenpairs_are_rejected(model):
+    # H(1e307) is finite, but the largest eigenvalue, about 2.7e308, is not;
+    # the Frobenius scale is inf too, so only the finite check catches it.
+    H = model.family().matrix(1e307)
+    assert np.isfinite(H).all()
+    with pytest.raises(EigensolverError, match="non-finite eigenpairs") as info:
+        eigendecompose(H, g=1e307)
+    assert info.value.g == 1e307
+    stack = np.array([model.family().matrix(g) for g in (0.1, 1e307)])
+    with pytest.raises(EigensolverError, match="non-finite") as info:
+        _eigendecompose_stack(stack, [0.1, 1e307])
+    assert info.value.g == 1e307
 
 
 def test_residual_failure_raises_at_its_own_step(model, monkeypatch):

@@ -1,0 +1,396 @@
+"""Block-stepped continuation against the per-step code it replaced.
+
+The oracles below are the step-at-a-time ``c_normalize``, ``_align_next``,
+``continue_spectrum``, ``_phase_increments`` and ``trace_loop`` that the
+stacked kernels of ``spectra._transport`` replaced, solving every path point
+on its own.  Every array must match byte for byte.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pairdeg import (LoopSpec, MatrixFamily, c_normalize, continue_spectrum,
+                     eigendecompose, find_degeneracies, match_states, spectrum_along,
+                     trace_loop)
+from pairdeg.errors import MatchingAmbiguityError
+from pairdeg.spectra import (MATCH_CHUNK, MAX_BISECT, SOLVE_BLOCK, AmbiguityRecord,
+                             Spectrum, _c_normalize_stack, _gauge, bilinear)
+
+
+def _fix_gauge_oracle(v):
+    a = v[int(np.argmax(np.abs(v)))]
+    if a.real < 0 or (a.real == 0 and a.imag < 0):
+        return -v
+    return v
+
+
+def _c_normalize_oracle(spectrum, tau_c=1e-6):
+    V = spectrum.eigenvectors.astype(complex).copy()
+    e = spectrum.eigenvalues
+    n = spectrum.dim
+    V /= np.linalg.norm(V, axis=0)[None, :]
+    scale = max(1.0, float(np.max(np.abs(e))))
+    cluster_tol = 1e-9 * scale
+    k = 0
+    while k < n:
+        j = k + 1
+        while j < n and abs(e[j] - e[k]) <= cluster_tol:
+            j += 1
+        if j - k > 1:
+            for a in range(k, j):
+                for b_ in range(k, a):
+                    nb = bilinear(V[:, b_], V[:, b_])
+                    if abs(nb) <= tau_c:
+                        continue
+                    V[:, a] = V[:, a] - V[:, b_] * (bilinear(V[:, b_], V[:, a]) / nb)
+                norm = np.linalg.norm(V[:, a])
+                if norm > 0:
+                    V[:, a] /= norm
+        k = j
+    b_values = np.einsum("ij,ij->j", V, V)
+    flagged = np.abs(b_values) <= tau_c
+    for m in range(n):
+        if not flagged[m]:
+            V[:, m] = V[:, m] / np.sqrt(b_values[m])
+        V[:, m] = _fix_gauge_oracle(V[:, m])
+    return Spectrum(g=spectrum.g, eigenvalues=e.copy(), eigenvectors=V,
+                    self_orthogonality=b_values, self_orthogonal=flagged,
+                    c_normalized=True)
+
+
+def _align_next_oracle(family, current, t_from, t_to, point, nxt, want_vectors,
+                       tau_c, depth, records):
+    m = match_states(current.eigenvalues, nxt.eigenvalues)
+    if m.ambiguous and not m.benign_tie:
+        if depth >= MAX_BISECT:
+            raise MatchingAmbiguityError("still ambiguous")
+        t_mid = 0.5 * (t_from + t_to)
+        g_mid = point(t_mid)
+        mid = eigendecompose(family.matrix(g_mid), g=g_mid)
+        first = _align_next_oracle(family, current, t_from, t_mid, point, mid,
+                                   want_vectors, tau_c, depth + 1, records)
+        return first + _align_next_oracle(family, first[-1], t_mid, t_to, point, nxt,
+                                          want_vectors, tau_c, depth + 1, records)
+    if m.ambiguous:
+        records.append(AmbiguityRecord(current.g, nxt.g, m.margin,
+                                       benign=True, refined=depth))
+    aligned = nxt.permuted(m.perm)
+    if want_vectors:
+        aligned = _c_normalize_oracle(aligned, tau_c=tau_c)
+    return [aligned]
+
+
+def _continue_spectrum_oracle(family, points, want_vectors=True, tau_c=1e-6,
+                              start_im_tol=1e-8):
+    points = [complex(p) for p in points]
+    records = []
+    start = eigendecompose(family.matrix(points[0]), g=points[0], im_tol=start_im_tol)
+    if want_vectors:
+        start = _c_normalize_oracle(start, tau_c=tau_c)
+    spectra = [start]
+    for g_to in points[1:]:
+        nxt = eigendecompose(family.matrix(g_to), g=g_to)
+        current = spectra[-1]
+        for aligned in _align_next_oracle(family, current, current.g, g_to, complex,
+                                          nxt, want_vectors, tau_c, 0, records):
+            if want_vectors:
+                for k in range(aligned.dim):
+                    ov = np.vdot(current.eigenvectors[:, k],
+                                 aligned.eigenvectors[:, k])
+                    if ov.real < 0:
+                        aligned.eigenvectors[:, k] = -aligned.eigenvectors[:, k]
+            current = aligned
+        spectra.append(current)
+    return spectra, records
+
+
+def _phase_increments_oracle(current, aligned):
+    increments = np.zeros(current.dim, dtype=complex)
+    for k in range(current.dim):
+        u_prev = current.eigenvectors[:, k]
+        u_new = aligned.eigenvectors[:, k]
+        guarded = current.self_orthogonal[k] or aligned.self_orthogonal[k]
+        if guarded:
+            v_prev = u_prev / np.linalg.norm(u_prev)
+            v_new = u_new / np.linalg.norm(u_new)
+            ov = np.vdot(v_prev, v_new)
+            if ov.real < 0:
+                v_new, u_new, ov = -v_new, -u_new, -ov
+            b_new = aligned.self_orthogonality[k]
+            b_old = current.self_orthogonality[k]
+            corr = 0.0
+            if b_new != 0 and b_old != 0:
+                corr = -0.5j * (np.log(b_new) - np.log(b_old))
+            increments[k] = -1j * np.log(ov) + corr
+        else:
+            ov = np.vdot(u_prev, u_new) / (
+                np.linalg.norm(u_prev) * np.linalg.norm(u_new))
+            if ov.real < 0:
+                u_new, ov = -u_new, -ov
+            increments[k] = -1j * np.log(ov)
+        aligned.eigenvectors[:, k] = u_new
+    return increments
+
+
+def _trace_loop_oracle(family, loop, tau_c=1e-6, label_im_tol=1e-3):
+    """Returns (eigenvalues, thetas, permutations, loop_re, raw_loop, records)."""
+    n_samples = loop.steps * loop.loops + 1
+    phis = loop.orientation * np.linspace(0.0, 2 * np.pi * loop.loops, n_samples)
+    g0 = loop.point(phis[0])
+    start = _c_normalize_oracle(
+        eigendecompose(family.matrix(g0), g=g0, im_tol=label_im_tol), tau_c=tau_c)
+    dim = start.dim
+    eigenvalues = np.empty((n_samples, dim), dtype=complex)
+    thetas = np.zeros((n_samples, dim), dtype=complex)
+    eigenvalues[0] = start.eigenvalues
+    records, loop_perms, loop_re, raw_loop = [], [], [], []
+    current = start
+    for i in range(1, n_samples):
+        g = loop.point(phis[i])
+        nxt = eigendecompose(family.matrix(g), g=g)
+        increments = []
+        for aligned in _align_next_oracle(family, current, phis[i - 1], phis[i],
+                                          loop.point, nxt, True, tau_c, 0, records):
+            increments.append(_phase_increments_oracle(current, aligned))
+            current = aligned
+        thetas[i] = thetas[i - 1] + sum(increments[1:], increments[0])
+        eigenvalues[i] = current.eigenvalues
+        if i % loop.steps == 0:
+            perm = match_states(current.eigenvalues, start.eigenvalues).perm
+            loop_perms.append(perm)
+            raw_loop.append(thetas[i].copy())
+            snapped = thetas[i].real.copy()
+            if all(perm[j] == j for j in range(dim)):
+                for k in range(dim):
+                    ov = np.vdot(start.eigenvectors[:, k], current.eigenvectors[:, k])
+                    norm = (np.linalg.norm(start.eigenvectors[:, k])
+                            * np.linalg.norm(current.eigenvectors[:, k]))
+                    if norm > 0 and abs(ov) > 0.2 * norm:
+                        target = float(np.angle(ov))
+                        snapped[k] = target + 2 * np.pi * np.round(
+                            (thetas[i, k].real - target) / (2 * np.pi))
+            loop_re.append(snapped)
+    return (eigenvalues, thetas, loop_perms, np.array(loop_re), np.array(raw_loop),
+            records)
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _assert_same_spectrum(got, want):
+    assert got.g == want.g and got.c_normalized == want.c_normalized
+    for name in ("eigenvalues", "eigenvectors", "self_orthogonality",
+                 "self_orthogonal"):
+        _assert_same_bytes(getattr(got, name), getattr(want, name))
+
+
+def _assert_loop_matches_oracle(family, loop, roots, tau_c=1e-6):
+    try:
+        want = _trace_loop_oracle(family, loop, tau_c=tau_c)
+    except MatchingAmbiguityError:
+        with pytest.raises(MatchingAmbiguityError):
+            trace_loop(family, loop, degeneracies=roots, tau_c=tau_c)
+        return
+    got = trace_loop(family, loop, degeneracies=roots, tau_c=tau_c)
+    eigenvalues, thetas, perms, loop_re, raw_loop, records = want
+    _assert_same_bytes(got.eigenvalues, eigenvalues)
+    _assert_same_bytes(got.thetas, thetas)
+    _assert_same_bytes(got.loop_re_theta, loop_re)
+    _assert_same_bytes(got.raw_loop_theta, raw_loop)
+    assert got.loop_permutations == perms
+    assert got.ambiguities == records
+
+
+def _assert_cut_matches_oracle(family, points, want_vectors=True, tau_c=1e-6):
+    try:
+        want, records = _continue_spectrum_oracle(family, points, want_vectors, tau_c)
+    except MatchingAmbiguityError:
+        with pytest.raises(MatchingAmbiguityError):
+            continue_spectrum(family, points, want_vectors=want_vectors, tau_c=tau_c)
+        return
+    got = continue_spectrum(family, points, want_vectors=want_vectors, tau_c=tau_c)
+    assert len(got.spectra) == len(want)
+    for a, b in zip(got.spectra, want):
+        _assert_same_spectrum(a, b)
+    assert got.ambiguities == records
+
+
+def _random_family(rng, n):
+    base = np.diag(rng.normal(size=n))
+    linear = rng.normal(size=(n, n))
+    return MatrixFamily(base, linear + linear.T)
+
+
+def _doubled_family(offset=0.0):
+    """Two 2x2 blocks, the second shifted by ``offset``: every eigenvalue is
+    doubled (offset 0) or has a partner ``offset`` away."""
+    block = np.diag([0.0, 1.0, offset, 1.0 + offset])
+    hop = np.zeros((4, 4))
+    hop[[0, 1, 2, 3], [1, 0, 3, 2]] = 1.0
+    return MatrixFamily(block, hop)
+
+
+oracle_settings = settings(derandomize=True, max_examples=25, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+steps = st.sampled_from([64, 65, 100, 127, 130])
+tau_cs = st.sampled_from([1e-6, 0.3, 0.9])
+
+
+@oracle_settings
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 99),
+       steps=steps, loops=st.integers(1, 2), orientation=st.sampled_from([1, -1]),
+       tau_c=tau_cs)
+def test_loop_around_random_ep_matches_oracle(n, seed, pick, steps, loops,
+                                              orientation, tau_c):
+    family = _random_family(np.random.default_rng(seed), n)
+    roots = find_degeneracies(family)
+    root = roots[pick % len(roots)]
+    others = [abs(r.g0 - root.g0) for r in roots if r is not root]
+    radius = 0.3 * min(others, default=1.0)
+    loop = LoopSpec(root.g0, radius, steps=steps, loops=loops, orientation=orientation)
+    _assert_loop_matches_oracle(family, loop, roots, tau_c)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(8, 11), seed=st.integers(0, 2**32 - 1), steps=steps,
+       tau_c=tau_cs)
+def test_large_dimension_loops_match_oracle(n, seed, steps, tau_c):
+    # Above 7 states every step takes the exact path, and its overlaps use
+    # np.vdot column by column.  No roots are needed to transport.
+    rng = np.random.default_rng(seed)
+    family = _random_family(rng, n)
+    loop = LoopSpec(complex(*rng.normal(size=2)), 0.05, steps=steps)
+    _assert_loop_matches_oracle(family, loop, [], tau_c)
+
+
+@oracle_settings
+@given(which=st.sampled_from(["pseudo-DP", "EP"]), radius=st.sampled_from([1e-3, 0.01]),
+       steps=steps, loops=st.integers(1, 2), orientation=st.sampled_from([1, -1]),
+       tau_c=tau_cs)
+def test_reference_loops_match_oracle(model, model_049, pseudo_dp, which, radius, steps,
+                                      loops, orientation, tau_c):
+    m = model if which == "pseudo-DP" else model_049
+    roots = find_degeneracies(m)
+    root = min(roots, key=lambda r: abs(r.g0 - pseudo_dp))
+    loop = LoopSpec(root.g0, radius, steps=steps, loops=loops, orientation=orientation)
+    _assert_loop_matches_oracle(m.family(), loop, roots, tau_c)
+
+
+@pytest.mark.parametrize("offset", [0.0, 3e-10])
+def test_doubled_and_cluster_loops_match_oracle(offset):
+    # offset 0: every step a benign tie, each through the exact path.  3e-10:
+    # every spectrum a cluster row (pairs within 1e-9), matched clear.
+    # The cluster's Gram-Schmidt mixes each pair anew at every step, so some
+    # overlaps vanish and their increments are not finite, on both sides.
+    loop = LoopSpec(0.2 + 0j, 0.1, steps=100, loops=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _assert_loop_matches_oracle(_doubled_family(offset), loop, [])
+
+
+@oracle_settings
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       samples=st.sampled_from([2, 40, 64, 65, 129, 200]),
+       want_vectors=st.booleans(), tau_c=tau_cs)
+def test_random_cuts_match_oracle(n, seed, samples, want_vectors, tau_c):
+    rng = np.random.default_rng(seed)
+    family = _random_family(rng, n)
+    a, b = (complex(*rng.normal(size=2)) for _ in range(2))
+    _assert_cut_matches_oracle(family, np.linspace(a, b, samples), want_vectors, tau_c)
+
+
+@pytest.mark.parametrize("samples", [40, 101, 200])
+@pytest.mark.parametrize("tau_c", [1e-6, 0.3])
+def test_pairing_cut_through_pseudo_dp_matches_oracle(model, pseudo_dp, samples, tau_c):
+    # The cut that ``pairing_energy_cut`` runs across the pseudo-DP, and the
+    # real axis through g = 0, where the reference model has a doubled level.
+    family = model.family()
+    cut = np.linspace(pseudo_dp - 0.05, pseudo_dp + 0.05, samples)
+    _assert_cut_matches_oracle(family, cut, True, tau_c)
+    _assert_cut_matches_oracle(family, np.linspace(-0.2, 0.2, samples), True, tau_c)
+
+
+@pytest.mark.parametrize("offset", [0.0, 3e-10])
+def test_doubled_and_cluster_cuts_match_oracle(offset):
+    points = np.linspace(0.1 + 0.05j, 0.3 - 0.1j, 150)
+    for want_vectors in (True, False):
+        _assert_cut_matches_oracle(_doubled_family(offset), points, want_vectors)
+
+
+@oracle_settings
+@given(n=st.integers(1, 11), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 70),
+       spread=st.sampled_from([1e-12, 1e-3, 0.3]), tau_c=tau_cs)
+def test_c_normalize_matches_oracle(n, seed, k, spread, tau_c):
+    rng = np.random.default_rng(seed)
+    family = _random_family(rng, n)
+    g0 = complex(*rng.normal(size=2))
+    spectra = [eigendecompose(family.matrix(g), g=g).permuted(rng.permutation(n))
+               for g in g0 + spread * (rng.normal(size=k) + 1j * rng.normal(size=k))]
+    E = np.array([s.eigenvalues for s in spectra])
+    V, b, flagged = _c_normalize_stack(E, np.array([s.eigenvectors for s in spectra]),
+                                       tau_c)
+    for r, s in enumerate(spectra):
+        want = _c_normalize_oracle(s, tau_c)
+        _assert_same_bytes(V[r], want.eigenvectors)
+        _assert_same_bytes(b[r], want.self_orthogonality)
+        _assert_same_bytes(flagged[r], want.self_orthogonal)
+        _assert_same_spectrum(c_normalize(s, tau_c), want)
+
+
+@oracle_settings
+@given(n=st.integers(1, 11), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 70),
+       step=st.sampled_from([1e-4, 1e-2, 0.3]), tau_c=tau_cs)
+def test_gauge_matches_phase_increments_oracle(n, seed, k, step, tau_c):
+    # Steps along a random walk, so some overlaps have a negative real part
+    # and some columns are self-orthogonal at one end only.
+    rng = np.random.default_rng(seed)
+    family = _random_family(rng, n)
+    gs = complex(*rng.normal(size=2)) + np.cumsum(
+        step * (rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1)))
+    spectra = [c_normalize(eigendecompose(family.matrix(g), g=g), tau_c) for g in gs]
+    W = np.array([s.eigenvectors for s in spectra[1:]])
+    flags = np.array([s.self_orthogonal for s in spectra[1:]])
+    b = np.array([s.self_orthogonality for s in spectra[1:]])
+    signed, increments = _gauge(spectra[0], W, flags, b, True)
+    cuts, _ = _gauge(spectra[0], W, flags, b, False)
+    current = cut = spectra[0]
+    for j, s in enumerate(spectra[1:]):
+        aligned = dataclasses.replace(s, eigenvectors=s.eigenvectors.copy())
+        want = _phase_increments_oracle(current, aligned)
+        _assert_same_bytes(increments[j], want)
+        _assert_same_bytes(signed[j], aligned.eigenvectors)
+        current = aligned
+        aligned = dataclasses.replace(s, eigenvectors=s.eigenvectors.copy())
+        for m in range(n):
+            if np.vdot(cut.eigenvectors[:, m], aligned.eigenvectors[:, m]).real < 0:
+                aligned.eigenvectors[:, m] = -aligned.eigenvectors[:, m]
+        _assert_same_bytes(cuts[j], aligned.eigenvectors)
+        cut = aligned
+
+
+def test_block_matcher_memory_is_capped():
+    # At dim 7 a 64-step block has 64 x 5040 permutation totals, 2.6 MB and
+    # a temporary as large.  The matcher holds at most MATCH_CHUNK of them,
+    # and a temporary, at a time; 1 MiB more covers the 200 spectra and a
+    # solved block, but not the totals of a whole block.
+    rng = np.random.default_rng(3)
+    family = _random_family(rng, 7)
+    bound = 2 * MATCH_CHUNK * 8 + 2**20
+    assert bound < 2 * SOLVE_BLOCK * 5040 * 8
+    spectrum_along(family, 0.1 + 0.2j, 0.4 - 0.1j, 200)  # warm caches
+    tracemalloc.start()
+    try:
+        table = spectrum_along(family, 0.1 + 0.2j, 0.4 - 0.1j, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.energies.shape == (200, 7)
+    assert peak < bound
