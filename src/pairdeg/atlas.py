@@ -86,9 +86,15 @@ class DegeneracyPoint:
 
 
 def _pair_coalescence(family, root, tau_c):
-    spec = c_normalize(
-        eigendecompose(family.matrix(root.g0), g=root.g0), tau_c=tau_c
-    )
+    """min |b| of the involved pair at g0, and whether each is self-orthogonal.
+
+    Reads the spectrum ``find_degeneracies`` kept on the root; only a root
+    built without one is solved here.
+    """
+    spec = root.spectrum
+    if spec is None:
+        spec = eigendecompose(family.matrix(root.g0), g=root.g0)
+    spec = c_normalize(spec, tau_c=tau_c)
     i, j = (k - 1 for k in root.involved_pair)
     b = np.abs(spec.self_orthogonality)
     return float(min(b[i], b[j])), (bool(b[i] <= tau_c), bool(b[j] <= tau_c))
@@ -113,7 +119,8 @@ def classify(model_or_family, root: DegeneracyRoot, degeneracies=None,
     For multiplicity-2 roots a small encircling loop verifies that the
     eigenvalues do not permute; an exchange there means the root is really a
     pair of unresolved exceptional points and is reported UNRESOLVED with a
-    cluster note.
+    cluster note.  The coalescence is read from the spectrum the root keeps,
+    so ``root`` must come from ``find_degeneracies`` on this same family.
     """
     family = as_family(model_or_family)
     if degeneracies is None:
@@ -327,6 +334,8 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
                 DegeneracyPoint(r, Kind.UNRESOLVED, np.nan, note="not classified")
                 for r in roots
             ])
+        for r in roots:
+            r.spectrum = None  # classified; the sweep keeps every root set
 
     # Record ambiguous nearest-root links between adjacent samples.
     for k in range(len(gammas) - 1):

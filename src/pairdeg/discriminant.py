@@ -17,14 +17,14 @@ polynomial with its derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EigensolverError, InterpolationError
 from .model import as_family
-from .spectra import _eigendecompose_stack, closest_pair, eigendecompose
+from .spectra import Spectrum, _eig_stack, _eigendecompose_stack, closest_pair
 
 __all__ = [
     "char_poly",
@@ -99,13 +99,36 @@ def discriminant_from_charpoly(coeffs: np.ndarray) -> complex:
     return (-1) ** (d * (d - 1) // 2) * res
 
 
-def discriminant_from_eigenvalues(eigenvalues: np.ndarray) -> complex:
-    e = np.asarray(eigenvalues)
-    d = 1.0 + 0.0j
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            d *= (e[i] - e[j]) ** 2
-    return complex(d)
+def _discriminant_rows(E: np.ndarray) -> np.ndarray:
+    """prod_{i<j} (E_i - E_j)^2 of each row of a (k, n) eigenvalue array.
+
+    Bit for bit the scalar loop ``d = 1; d *= (e[i] - e[j])**2`` over the
+    pairs in (i, j) order, overflow to inf or NaN included.  That loop
+    squares and multiplies complex scalars as (a.re b.re - a.im b.im,
+    a.re b.im + a.im b.re); numpy's complex array multiply is fused and
+    rounds differently, so the rows work on real and imaginary parts, in
+    the same order.  Overflow is left to the callers, without warnings.
+    """
+    E = np.asarray(E)
+    re, im = E.real.T, E.imag.T
+    d_re, d_im = np.ones(len(E)), np.zeros(len(E))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(re)):
+            for j in range(i + 1, len(re)):
+                a, b = re[i] - re[j], im[i] - im[j]
+                cross = a * b
+                a, b = a * a - b * b, cross + cross
+                d_re, d_im = d_re * a - d_im * b, d_re * b + d_im * a
+    d = np.empty(len(E), dtype=complex)
+    d.real, d.imag = d_re, d_im
+    return d
+
+
+def _require_finite(values: np.ndarray, gs) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise EigensolverError("non-finite discriminant",
+                               g=gs[int(np.argmin(finite))])
 
 
 def _eigvals_along(family, gs) -> np.ndarray:
@@ -117,8 +140,7 @@ def _eigvals_along(family, gs) -> np.ndarray:
     eigenvalues (an overflow inside the solver); a solver that does not
     converge raises it too, naming g when the stack holds one matrix.
     """
-    n = family.dim
-    stack = np.array([family.matrix(g) for g in gs]).reshape(-1, n, n)
+    stack = family.matrices(gs)
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise EigensolverError("matrix has non-finite entries",
@@ -139,11 +161,15 @@ def discriminant_at(model_or_family, g: complex, method: str = "product") -> com
     """D(g) by the squared-gap product or by the resultant route.
 
     Both routes agree to rounding; the resultant never touches eigenvalues,
-    which makes it the independent oracle for the product path.
+    which makes it the independent oracle for the product path.  A product
+    that overflows raises EigensolverError.
     """
     family = as_family(model_or_family)
     if method == "product":
-        return discriminant_from_eigenvalues(_eigvals_along(family, [complex(g)])[0])
+        gs = [complex(g)]
+        d = _discriminant_rows(_eigvals_along(family, gs))
+        _require_finite(d, gs)
+        return complex(d[0])
     if method == "resultant":
         return discriminant_from_charpoly(char_poly(family.matrix(complex(g))))
     raise ValueError(f"unknown method {method!r}")
@@ -208,8 +234,7 @@ def discriminant_poly(model_or_family,
     for r0 in (radius, 2 * radius, 0.5 * radius, 4 * radius, 0.25 * radius):
         Ns = M + 1
         nodes = r0 * np.exp(2j * np.pi * np.arange(Ns) / Ns)
-        samples = np.array([discriminant_from_eigenvalues(e)
-                            for e in _eigvals_along(family, nodes)])
+        samples = _discriminant_rows(_eigvals_along(family, nodes))
         coeffs = np.fft.fft(samples) / Ns / r0 ** np.arange(Ns)
         if family.is_real:
             # D(g*) = D(g)* forces real coefficients; rounding leaves dust.
@@ -221,8 +246,8 @@ def discriminant_poly(model_or_family,
         held = [r0 * (0.15 + 0.75 * rng.random()) * np.exp(2j * np.pi * rng.random())
                 for _ in range(HOLDOUT_POINTS)]
         worst = 0.0
-        for g, e in zip(held, _eigvals_along(family, held)):
-            direct = discriminant_from_eigenvalues(e)
+        directs = _discriminant_rows(_eigvals_along(family, held)).tolist()
+        for g, direct in zip(held, directs):
             diff = abs(poly(g) - direct)
             if diff == 0.0:
                 continue  # covers identically vanishing discriminants too
@@ -245,6 +270,9 @@ class DegeneracyRoot:
     ``involved_pair`` holds the 1-based labels (canonical order at g0) of the
     two closest eigenvalues; ``residual`` is |D(g0)| under the reconstructed
     polynomial and ``min_gap`` the closest eigenvalue distance found at g0.
+    ``spectrum`` is the eigendecomposition of H(g0) of the family the root
+    was found on, kept so that classification need not solve it again; it
+    is not part of the root's value (``as_dict``, ``repr``, ``==``).
     """
 
     g0: complex
@@ -253,6 +281,7 @@ class DegeneracyRoot:
     involved_pair: tuple
     min_gap: float
     converged: bool = True
+    spectrum: Spectrum = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -311,9 +340,8 @@ def _closest_gap_squared(family, gs) -> list:
     return gaps
 
 
-def _gap_newton(family, g0: complex, step_bound: float,
-                max_iter: int = 12) -> complex:
-    """Polish a simple root directly on the squared gap of the closest pair.
+def _gap_newton(family, starts, step_bound: float, max_iter: int = 12) -> list:
+    """Polish simple roots directly on the squared gap of the closest pair.
 
     d(g) = (E_a - E_b)^2 is analytic through a simple degeneracy with a
     simple zero, so Newton converges quadratically and needs no branch
@@ -321,23 +349,37 @@ def _gap_newton(family, g0: complex, step_bound: float,
     roots carry its coefficient-rounding noise (~1e-8 here); the gap is
     evaluated from fresh eigenvalues and reaches machine accuracy, which the
     eigenvector coalescence measure used by classification requires.
+
+    The roots of ``starts`` iterate in lockstep: each iteration solves the
+    (g, g + h, g - h) triple of every root still iterating in one stack.
+    Each root keeps its own h and stop rule, and falls back to its start if
+    a step, or its total move, exceeds ``step_bound``.  Returns the polished
+    roots in the order of ``starts``.
     """
-    g = complex(g0)
-    h = 1e-6 * max(1.0, abs(g))
+    g = [complex(g0) for g0 in starts]
+    h = [1e-6 * max(1.0, abs(x)) for x in g]
+    active = list(range(len(g)))
     for _ in range(max_iter):
-        d0, d_plus, d_minus = _closest_gap_squared(family, [g, g + h, g - h])
-        der = (d_plus - d_minus) / (2 * h)
-        if der == 0:
+        if not active:
             break
-        step = d0 / der
-        if abs(step) > step_bound:
-            return complex(g0)
-        g = g - step
-        if abs(step) <= 1e-15 * max(1.0, abs(g)):
-            break
-    if abs(g - g0) > step_bound:
-        return complex(g0)
-    return g
+        probes = [p for k in active for p in (g[k], g[k] + h[k], g[k] - h[k])]
+        gaps = _closest_gap_squared(family, probes)
+        iterating = []
+        for m, k in enumerate(active):
+            d0, d_plus, d_minus = gaps[3 * m:3 * m + 3]
+            der = (d_plus - d_minus) / (2 * h[k])
+            if der == 0:
+                continue
+            step = d0 / der
+            if abs(step) > step_bound:
+                g[k] = None
+                continue
+            g[k] = g[k] - step
+            if abs(step) > 1e-15 * max(1.0, abs(g[k])):
+                iterating.append(k)
+        active = iterating
+    return [complex(g0) if x is None or abs(x - g0) > step_bound else x
+            for x, g0 in zip(g, starts)]
 
 
 def _gcd_degree(coeffs, radius: float) -> int:
@@ -389,41 +431,34 @@ def _root_clusters(poly: DiscriminantPoly, cluster_factor: float) -> list:
     ]
 
 
-def _polish_root(family, poly: DiscriminantPoly, cluster: _Cluster,
-                 cluster_factor: float) -> DegeneracyRoot:
-    """Sharpen a cluster centroid into a root with one polish step.
+def _polish_clusters(family, poly: DiscriminantPoly, clusters: list,
+                     cluster_factor: float) -> list:
+    """Sharpen each cluster centroid into a root with one polish step.
 
     A centroid of multiplicity m >= 2 is polished on the (m-1)-th derivative
     of D, where the root is simple again; D's coefficients are real for a
     real family, so conjugate clusters stay exact conjugates.  The eigenvalue
     gap is no use there: at a defective multiple root the eigenvalues carry
     sqrt(eps) noise, which a finite-difference Newton on the gap turns into
-    ~1e-8 errors in g.  A simple root is polished on the squared gap.  Either
-    polish moves the centroid by at most twice the cluster radius, or not at
-    all.
+    ~1e-8 errors in g.  Simple roots are polished on the squared gap, all in
+    lockstep (``_gap_newton``).  Either polish moves the centroid by at most
+    twice the cluster radius, or not at all.  Returns the roots in cluster
+    order.
     """
     rho = cluster_factor * poly.radius
-    g0, mult = cluster.centroid, cluster.multiplicity
-    if mult >= 2:
-        dk = poly.coefficients
-        for _ in range(mult - 1):
-            dk = poly_derivative(dk)
-        polished, conv = _newton_polish(dk, np.array([g0]))
-        if conv[0] and abs(polished[0] - g0) <= 2 * rho:
-            g0 = complex(polished[0])
-    else:
-        g0 = _gap_newton(family, g0, step_bound=2 * rho)
-    spec = eigendecompose(family.matrix(g0), g=g0)
-    e = spec.eigenvalues
-    i, j = closest_pair(e)
-    return DegeneracyRoot(
-        g0=g0,
-        multiplicity=mult,
-        residual=abs(poly(g0)),
-        involved_pair=(i + 1, j + 1),
-        min_gap=float(abs(e[i] - e[j])),
-        converged=cluster.converged,
-    )
+    gs = [cluster.centroid for cluster in clusters]
+    simple = [k for k, cluster in enumerate(clusters) if cluster.multiplicity == 1]
+    for k, g0 in zip(simple, _gap_newton(family, [gs[k] for k in simple], 2 * rho)):
+        gs[k] = g0
+    for k, (g0, mult, _) in enumerate(clusters):
+        if mult >= 2:
+            dk = poly.coefficients
+            for _ in range(mult - 1):
+                dk = poly_derivative(dk)
+            polished, conv = _newton_polish(dk, np.array([g0]))
+            if conv[0] and abs(polished[0] - g0) <= 2 * rho:
+                gs[k] = complex(polished[0])
+    return gs
 
 
 def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
@@ -435,13 +470,30 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
     are Newton-polished on D, and clustered with radius
     ``cluster_factor * radius`` (see ``_root_clusters``).  Each cluster is
     then polished once, by the step its multiplicity calls for (see
-    ``_polish_root``).
+    ``_polish_clusters``), and the polished roots are solved in one stacked
+    eigendecomposition, whose spectra the roots keep.
     """
     family = as_family(model_or_family)
     if poly is None:
         poly = discriminant_poly(family, radius=radius)
-    roots = [_polish_root(family, poly, cluster, cluster_factor)
-             for cluster in _root_clusters(poly, cluster_factor)]
+    clusters = _root_clusters(poly, cluster_factor)
+    if not clusters:
+        return []
+    gs = _polish_clusters(family, poly, clusters, cluster_factor)
+    roots = []
+    for g0, cluster, spec in zip(gs, clusters,
+                                 _eigendecompose_stack(family.matrices(gs), gs)):
+        e = spec.eigenvalues
+        i, j = closest_pair(e)
+        roots.append(DegeneracyRoot(
+            g0=g0,
+            multiplicity=cluster.multiplicity,
+            residual=abs(poly(g0)),
+            involved_pair=(i + 1, j + 1),
+            min_gap=float(abs(e[i] - e[j])),
+            converged=cluster.converged,
+            spectrum=spec,
+        ))
     roots.sort(key=lambda r: (r.g0.imag, r.g0.real))
     return roots
 
@@ -452,18 +504,23 @@ def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
     ``window`` is (re_min, re_max, im_min, im_max).  Returns the real and
     imaginary grid axes and an (n_im, n_re) array whose row i holds
     |D(re + i*ims[i])| along the real axis.  Each row is one stacked
-    eigensolve; a stack of the whole grid would hold every matrix at once.
+    eigensolve and one ``_discriminant_rows`` call; a whole-grid stack would
+    hold every matrix at once.  A non-finite |D| raises EigensolverError
+    naming the first such g in row-major order.
     """
     family = as_family(model_or_family)
     re_min, re_max, im_min, im_max = window
     res = np.linspace(re_min, re_max, n_re)
     ims = np.linspace(im_min, im_max, n_im)
-    grid = [
-        [abs(discriminant_from_eigenvalues(e))
-         for e in _eigvals_along(family, [complex(x, y) for x in res])]
-        for y in ims
-    ]
-    return res, ims, np.array(grid)
+    grid = np.empty((n_im, n_re))
+    for row, y in zip(grid, ims):
+        gs = np.empty(n_re, dtype=complex)
+        gs.real, gs.imag = res, y
+        D = _discriminant_rows(_eigvals_along(family, gs))
+        with np.errstate(over="ignore"):
+            row[:] = np.hypot(D.real, D.imag)
+        _require_finite(row, gs)
+    return res, ims, grid
 
 
 def contour_moments(model_or_family, center: complex, radius: float):
@@ -479,9 +536,7 @@ def contour_moments(model_or_family, center: complex, radius: float):
     family = as_family(model_or_family)
     w = radius * np.exp(2j * np.pi * np.arange(MOMENT_POINTS) / MOMENT_POINTS)
     gs = complex(center) + w
-    spectra = _eigendecompose_stack(np.array([family.matrix(g) for g in gs]), gs)
-    E = np.array([s.eigenvalues for s in spectra])
-    U = np.array([s.eigenvectors for s in spectra])
+    E, U, _ = _eig_stack(family.matrices(gs), gs)
     slopes = (np.einsum("kji,jl,kli->ki", U, family.linear, U)
               / np.einsum("kji,kji->ki", U, U))
     i, j = np.triu_indices(family.dim, 1)

@@ -203,6 +203,15 @@ class MatrixFamily:
     def matrix(self, g: complex) -> np.ndarray:
         return self.base + g * self.linear
 
+    def matrices(self, gs) -> np.ndarray:
+        """H(g) for each g of ``gs`` as one (k, n, n) stack.
+
+        Broadcasting runs the same elementwise multiply and add as ``matrix``,
+        so every slice is bit for bit ``matrix(g)``.
+        """
+        gs = np.asarray(gs)
+        return self.base + gs[:, None, None] * self.linear
+
     def restricted(self, columns: np.ndarray) -> "MatrixFamily":
         """Congruence-truncate to span(columns): X^T H(g) X for each part."""
         X = np.asarray(columns)

@@ -159,14 +159,16 @@ def eigendecompose(H: np.ndarray, g: complex = None, im_tol: float = 1e-8) -> Sp
     return _eigendecompose_stack(np.asarray(H, dtype=complex)[None], [g], im_tol)[0]
 
 
-def _eigendecompose_stack(H: np.ndarray, gs, im_tol: float = 1e-8) -> list:
-    """``eigendecompose`` of each matrix of a (k, n, n) stack, one LAPACK call.
+def _eig_stack(H: np.ndarray, gs, im_tol: float = 1e-8):
+    """Checked, canonically ordered eigensystems of a (k, n, n) stack, as arrays.
 
-    LAPACK solves the matrices of a stack one by one, so every spectrum is
-    bit for bit the one its matrix gives alone.  A failed check raises
-    EigensolverError for the whole stack, naming the first coupling found
-    with non-finite entries, non-finite eigenpairs (an overflow inside the
-    solver) or residuals not within tolerance.
+    Returns the (k, n) eigenvalues, the (k, n, n) eigenvectors, one state per
+    column, and the (k, n) c-norms b(v, v) of the vectors.  LAPACK solves the
+    matrices of a stack one by one, so every row is bit for bit the one its
+    matrix gives alone.  A failed check raises EigensolverError for the whole
+    stack, naming the first coupling found with non-finite entries,
+    non-finite eigenpairs (an overflow inside the solver) or residuals not
+    within tolerance.
     """
     H = np.ascontiguousarray(H, dtype=complex)
     k, n = H.shape[:2]
@@ -182,18 +184,23 @@ def _eigendecompose_stack(H: np.ndarray, gs, im_tol: float = 1e-8) -> list:
     if not finite.all():
         raise EigensolverError("eigensolver returned non-finite eigenpairs",
                                g=gs[int(np.argmin(finite))])
-    # Frobenius and column 2-norms, summed over the float views.
+    # Frobenius and column 2-norms, summed over the float views of each
+    # matrix and its residuals divided by the matrix's largest component, so
+    # that no square overflows (an entry above ~1.3e154 would).
     flat = H.view(float).reshape(k, -1)
+    top = np.abs(flat).max(axis=1, initial=0.0)
+    unit = np.where(top > 0, top, 1.0)[:, None]
+    flat = flat / unit
     scale = np.sqrt(np.einsum("kx,kx->k", flat, flat))
     R = (H @ vectors - vectors * eigenvalues[:, None, :]).view(float)
-    R = R.reshape(k, n, n, 2)
+    R = R.reshape(k, n, n, 2) / unit[:, :, None, None]
     residual = np.sqrt(np.einsum("kijc,kijc->kj", R, R))
     # Written so that a NaN residual fails.
-    bad = (scale > 0) & ~(residual <= RESIDUAL_BOUND * scale[:, None]).all(axis=1)
+    bad = (top > 0) & ~(residual <= RESIDUAL_BOUND * scale[:, None]).all(axis=1)
     if bad.any():
         first = int(np.argmax(bad))
         raise EigensolverError(
-            f"eigenpair residual {residual[first].max():.3e} exceeds "
+            f"eigenpair residual {residual[first].max() * top[first]:.3e} exceeds "
             f"{RESIDUAL_BOUND:.0e} * ||H||",
             g=gs[first],
         )
@@ -201,7 +208,15 @@ def _eigendecompose_stack(H: np.ndarray, gs, im_tol: float = 1e-8) -> list:
     rows = np.arange(k)[:, None]
     eigenvalues = eigenvalues[rows, order]
     vectors = vectors[rows[:, :, None], np.arange(n)[:, None], order[:, None, :]]
-    b = np.einsum("kij,kij->kj", vectors, vectors)
+    return eigenvalues, vectors, np.einsum("kij,kij->kj", vectors, vectors)
+
+
+def _eigendecompose_stack(H: np.ndarray, gs, im_tol: float = 1e-8) -> list:
+    """``eigendecompose`` of each matrix of a (k, n, n) stack, one LAPACK call.
+
+    The rows of ``_eig_stack``, one Spectrum per coupling of ``gs``.
+    """
+    eigenvalues, vectors, b = _eig_stack(H, gs, im_tol)
     return [
         Spectrum(
             g=complex(g) if g is not None else 0j,
@@ -223,9 +238,9 @@ def _solve_path(family, gs):
     """
     for lo in range(0, len(gs), SOLVE_BLOCK):
         block = gs[lo:lo + SOLVE_BLOCK]
-        matrices = [family.matrix(g) for g in block]
+        matrices = family.matrices(block)
         try:
-            spectra = _eigendecompose_stack(np.array(matrices), block)
+            spectra = _eigendecompose_stack(matrices, block)
         except EigensolverError:
             for H, g in zip(matrices, block):
                 yield [eigendecompose(H, g=g)], False

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,9 +10,8 @@ from pairdeg import (EigensolverError, ModelSpec, char_poly, discriminant_at,
                      discriminant_grid, discriminant_poly, find_degeneracies,
                      hamiltonian_at)
 from pairdeg.discriminant import (_closest_gap_squared, _eigvals_along,
-                                  _gcd_degree, _polish_root, _root_clusters,
-                                  contour_moments,
-                                  discriminant_from_eigenvalues, poly_eval)
+                                  _gcd_degree, _polish_clusters, _root_clusters,
+                                  contour_moments, poly_eval)
 from pairdeg.model import MatrixFamily
 from pairdeg.spectra import closest_pair
 
@@ -217,9 +218,11 @@ def test_polish_moves_a_cluster_at_most_two_radii(model, gamma):
     # cluster radii, or leaves it where it was.
     family = model.with_gamma(gamma).family()
     poly = discriminant_poly(family)
-    for cluster in _root_clusters(poly, 1e-4):
-        root = _polish_root(family, poly, cluster, 1e-4)
-        assert abs(root.g0 - cluster.centroid) <= 2e-4 * poly.radius
+    clusters = _root_clusters(poly, 1e-4)
+    polished = _polish_clusters(family, poly, clusters, 1e-4)
+    assert len(polished) == len(clusters)
+    for g0, cluster in zip(polished, clusters):
+        assert abs(g0 - cluster.centroid) <= 2e-4 * poly.radius
 
 
 @pytest.mark.parametrize("gamma", [-0.5, -0.49])
@@ -274,6 +277,21 @@ def test_overflowed_eigenvalues_are_an_eigensolver_error(model, g):
     assert info.value.g == g
 
 
+def test_discriminant_overflow_is_an_eigensolver_error(model, capfd):
+    # H(1e300) and its eigenvalues are finite, but the squared gaps overflow
+    # and their product is NaN.  That raises, naming g, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigensolverError, match="non-finite discriminant") as info:
+            discriminant_at(model, 1e300)
+        assert info.value.g == 1e300
+        # The heatmap names the first such g in row-major order.
+        with pytest.raises(EigensolverError, match="non-finite discriminant") as info:
+            discriminant_grid(model, (0.1, 1e300, -0.2, 0.1), 3, 2)
+        assert info.value.g == complex(5e299, -0.2)
+    assert capfd.readouterr().err == ""
+
+
 oracle_settings = settings(derandomize=True, max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
 
@@ -291,9 +309,18 @@ def test_level_shift_leaves_roots_in_place(model, c):
     assert min(abs(r.g0) for r in roots) <= 1e-9
 
 
+def _discriminant_oracle(e):
+    """The scalar squared-gap product that ``_discriminant_rows`` replaced."""
+    d = 1.0 + 0.0j
+    for i in range(len(e)):
+        for j in range(i + 1, len(e)):
+            d *= (e[i] - e[j]) ** 2
+    return complex(d)
+
+
 def _pointwise_discriminant(family, g):
     """D(g) from one eigvals call on one matrix: the stacked evaluator's oracle."""
-    return discriminant_from_eigenvalues(np.linalg.eigvals(family.matrix(g)))
+    return _discriminant_oracle(np.linalg.eigvals(family.matrix(g)))
 
 
 def _closest_gap_squared_oracle(family, g):
@@ -348,13 +375,15 @@ def test_discriminant_poly_values_match_pointwise_oracle(n, seed):
     # one at the same node; the hold-out points keep their rng draw order.
     family = _random_family(np.random.default_rng(seed), n)
     seen = []
+    rows = disc._discriminant_rows
 
-    def record(e):
-        seen.append(discriminant_from_eigenvalues(e))
-        return seen[-1]
+    def record(E):
+        d = rows(E)
+        seen.extend(d)
+        return d
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(disc, "discriminant_from_eigenvalues", record)
+        mp.setattr(disc, "_discriminant_rows", record)
         try:
             poly = discriminant_poly(family)
         except disc.InterpolationError:

@@ -534,6 +534,27 @@ def test_overflowed_eigenpairs_are_rejected(model):
     assert info.value.g == 1e307
 
 
+@pytest.mark.parametrize("g, with_base", [(1e160, True), (1e-170, False)])
+def test_residual_gate_holds_at_extreme_scales(model, g, with_base, monkeypatch):
+    # The entries of H(1e160) square to inf, and those of 1e-170 * (P + gamma
+    # Q) to (nearly) zero.  The gate divides each matrix by its largest entry
+    # first, so a corrupted eigenpair still fails it, and a sound one passes.
+    family = model.family()
+    H = family.base * with_base + g * family.linear
+    assert np.isfinite(H).all()
+    assert np.all(np.isfinite(eigendecompose(H, g=g).eigenvalues))
+    eig = np.linalg.eig
+
+    def corrupt(A):
+        w, v = eig(A)
+        return w, v + 0.1
+
+    monkeypatch.setattr(np.linalg, "eig", corrupt)
+    with pytest.raises(EigensolverError, match="residual") as info:
+        eigendecompose(H, g=g)
+    assert info.value.g == g
+
+
 def test_residual_failure_raises_at_its_own_step(model, monkeypatch):
     # Corrupt the solve of one path point: the steps before it run, then it
     # raises, as when every point was solved on its own.
