@@ -29,7 +29,7 @@ import numpy as np
 from .discriminant import DegeneracyRoot, contour_moments, find_degeneracies
 from .errors import PairdegError
 from .model import MatrixFamily, ModelSpec, as_family, build_operator_matrices
-from .monodromy import LoopSpec, trace_loop
+from .monodromy import LoopSpec, _turn_permutation
 from .spectra import DEFAULT_TAU_C, c_normalize, closest_pair, eigendecompose
 
 __all__ = [
@@ -100,15 +100,15 @@ def _pair_coalescence(family, root, tau_c):
     return float(min(b[i], b[j])), (bool(b[i] <= tau_c), bool(b[j] <= tau_c))
 
 
-def _verification_loop(family, root, degeneracies, loop_radius, loop_steps, tau_c):
+def _verification_loop(family, root, degeneracies, loop_radius, loop_steps):
+    """The eigenvalue permutation of one small loop around ``root``."""
     radius = loop_radius
     for other in degeneracies:
         if other is root or abs(other.g0 - root.g0) < 1e-12:
             continue
         radius = min(radius, 0.45 * abs(other.g0 - root.g0))
     loop = LoopSpec(root.g0, radius, steps=max(loop_steps, 64), loops=1)
-    trace = trace_loop(family, loop, degeneracies=degeneracies, tau_c=tau_c)
-    return trace.loop_permutations[0]
+    return _turn_permutation(family, loop, degeneracies=degeneracies)
 
 
 def classify(model_or_family, root: DegeneracyRoot, degeneracies=None,
@@ -136,8 +136,7 @@ def classify(model_or_family, root: DegeneracyRoot, degeneracies=None,
         )
 
     if root.multiplicity == 2:
-        perm = _verification_loop(family, root, degeneracies, loop_radius,
-                                  loop_steps, tau_c)
+        perm = _verification_loop(family, root, degeneracies, loop_radius, loop_steps)
         identity = all(p == k for k, p in enumerate(perm))
         if not identity:
             return DegeneracyPoint(

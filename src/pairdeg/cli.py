@@ -27,7 +27,7 @@ from .atlas import classify_all, sweep_gamma
 from .discriminant import discriminant_grid
 from .errors import ConfigError, PairdegError
 from .model import ModelSpec
-from .monodromy import LoopSpec, restore_count
+from .monodromy import LoopSpec, _restore_periods, trace_loop
 from .observables import pairing_energy_cut
 from .spectra import CutTable, spectrum_along
 
@@ -258,19 +258,19 @@ def encircle(config_path, out_dir):
         loops = cfg.int("encircle", "loops")
         loop = LoopSpec(center, cfg.float("encircle", "radius"),
                         steps=cfg.int("encircle", "steps"), loops=loops)
-        result = restore_count(model, loop, max_loops=loops,
-                               tau_c=cfg.float("precision", "tau_c"))
-        result.trace.to_csv(os.path.join(out_dir, "phases.csv"),
-                            meta=cfg.meta_lines())
-        summary = result.trace.summary()
-        summary["eigenvalue_period"] = result.eigenvalue_period
-        summary["phase_period"] = result.phase_period
-        summary["restored"] = result.restored
+        # Every requested turn is written, not only those up to the periods.
+        trace = trace_loop(model, loop, tau_c=cfg.float("precision", "tau_c"))
+        trace.to_csv(os.path.join(out_dir, "phases.csv"), meta=cfg.meta_lines())
+        eigenvalue_period, phase_period = _restore_periods(trace.loop_permutations,
+                                                           trace.loop_re_theta)
+        summary = trace.summary()
+        summary["eigenvalue_period"] = eigenvalue_period
+        summary["phase_period"] = phase_period
+        summary["restored"] = eigenvalue_period is not None and phase_period is not None
         _write_json(os.path.join(out_dir, "encircle_summary.json"),
                     cfg.meta_dict(), summary)
         click.echo(
-            f"periods (eigenvalue, phase) = "
-            f"({result.eigenvalue_period}, {result.phase_period}) "
+            f"periods (eigenvalue, phase) = ({eigenvalue_period}, {phase_period}) "
             f"-> phases.csv, encircle_summary.json"
         )
 

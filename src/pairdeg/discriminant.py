@@ -206,8 +206,9 @@ class DiscriminantPoly:
         return self.scale_at(self.radius)
 
 
-def _trim_trailing(coeffs: np.ndarray, radius: float) -> np.ndarray:
-    weights = np.abs(coeffs) * radius ** np.arange(len(coeffs))
+def _trim_trailing(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Drop trailing coefficients negligible on the circle; ``powers`` = radius**k."""
+    weights = np.abs(coeffs) * powers
     top = weights.max()
     deg = len(coeffs) - 1
     while deg > 0 and weights[deg] <= 1e-10 * top:
@@ -231,15 +232,24 @@ def discriminant_poly(model_or_family,
         return DiscriminantPoly(np.array([1.0 + 0j]), radius, 0.0, family.is_real)
 
     last_residual = np.inf
+    overflowed = 0
     for r0 in (radius, 2 * radius, 0.5 * radius, 4 * radius, 0.25 * radius):
         Ns = M + 1
         nodes = r0 * np.exp(2j * np.pi * np.arange(Ns) / Ns)
         samples = _discriminant_rows(_eigvals_along(family, nodes))
-        coeffs = np.fft.fft(samples) / Ns / r0 ** np.arange(Ns)
-        if family.is_real:
-            # D(g*) = D(g)* forces real coefficients; rounding leaves dust.
-            coeffs = coeffs.real.astype(complex)
-        coeffs = _trim_trailing(coeffs, r0)
+        # Past the float range r0**k is inf or 0, and coefficient k comes out
+        # 0 (the hold-out decides whether that is right) or non-finite.
+        with np.errstate(over="ignore", under="ignore", divide="ignore",
+                         invalid="ignore"):
+            powers = r0 ** np.arange(Ns)
+            coeffs = np.fft.fft(samples) / Ns / powers
+            if family.is_real:
+                # D(g*) = D(g)* forces real coefficients; rounding leaves dust.
+                coeffs = coeffs.real.astype(complex)
+            coeffs = _trim_trailing(coeffs, powers)
+        if not (np.isfinite(samples).all() and np.isfinite(coeffs).all()):
+            overflowed += 1
+            continue
         poly = DiscriminantPoly(coeffs, r0, np.nan, family.is_real)
 
         rng = np.random.default_rng(20260808)
@@ -252,14 +262,20 @@ def discriminant_poly(model_or_family,
             if diff == 0.0:
                 continue  # covers identically vanishing discriminants too
             scale = max(abs(direct), 1e-9 * poly.scale_at(g))
-            worst = max(worst, diff / scale) if scale > 0 else np.inf
+            ratio = diff / scale if scale > 0 else np.inf
+            worst = max(worst, ratio) if ratio <= np.inf else np.inf  # NaN fails
         if worst <= HOLDOUT_TOL:
             poly.holdout_residual = worst
             return poly
         last_residual = min(last_residual, worst)
+    if overflowed == 5:
+        raise InterpolationError(
+            f"discriminant reconstruction at radius {radius!r}: D(g) or its "
+            f"coefficients overflow at every retry radius"
+        )
     raise InterpolationError(
-        f"discriminant reconstruction failed hold-out validation "
-        f"(best residual {last_residual:.3e} > {HOLDOUT_TOL:.0e})"
+        f"discriminant reconstruction at radius {radius!r} failed hold-out "
+        f"validation (best residual {last_residual:.3e} > {HOLDOUT_TOL:.0e})"
     )
 
 

@@ -19,7 +19,7 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -108,7 +108,9 @@ class LoopTrace:
     eigenvalue it now occupies.  ``loop_re_theta`` holds the holonomy-snapped
     real phases at loop boundaries (raw incremental values where the
     permutation is not the identity); ``raw_loop_theta`` keeps the unsnapped
-    complex sums.
+    complex sums.  ``spec.loops`` is the number of loops traced; for the
+    trace of ``restore_count`` that can be fewer than its ``max_loops``,
+    whose sample angles ``phis`` it keeps.
     """
 
     spec: LoopSpec
@@ -155,6 +157,110 @@ class LoopTrace:
         }
 
 
+class _Turns:
+    """Eigenpairs transported around ``loop``, one turn at a time.
+
+    Iterating solves and transports the path up to the end of the next turn
+    and yields the number of turns completed; ``perms[k - 1]`` is then turn
+    k's permutation.  With ``vectors`` the start and every accepted state
+    are c-normalized and sign-gauged, the phase increments are summed into
+    ``thetas``, and each turn's raw and holonomy-snapped phases go to
+    ``raw_loop`` and ``loop_re``.  Without, only eigenvalues are matched and
+    the rest is never computed.  ``eigenvalues`` and ``thetas`` have rows
+    for every turn of ``loop``; only those up to the end of the last turn
+    yielded are final.  One transported block is held at a time.
+    """
+
+    def __init__(self, family, loop: LoopSpec, tau_c, label_im_tol, vectors):
+        self.family, self.loop, self.tau_c, self.vectors = family, loop, tau_c, vectors
+        n_samples = loop.steps * loop.loops + 1
+        self.phis = loop.orientation * np.linspace(0.0, 2 * np.pi * loop.loops,
+                                                   n_samples)
+        g0 = loop.point(self.phis[0])
+        start = eigendecompose(family.matrix(g0), g=g0, im_tol=label_im_tol)
+        if vectors:
+            start = c_normalize(start, tau_c=tau_c)
+        self.start = start
+        self.eigenvalues = np.empty((n_samples, start.dim), dtype=complex)
+        self.eigenvalues[0] = start.eigenvalues
+        # Increments until a turn ends, then theta_i = theta_{i-1} +
+        # increment_i, added left to right.
+        self.thetas = None
+        if vectors:
+            self.thetas = np.zeros((n_samples, start.dim), dtype=complex)
+        self.records: list[AmbiguityRecord] = []
+        self.perms, self.loop_re, self.raw_loop = [], [], []
+
+    def __iter__(self):
+        steps, thetas = self.loop.steps, self.thetas
+        summed = 0  # thetas[:summed + 1] are final
+        i = 1  # path point of the block's first row
+        for E, V, _, _, increments in _transport(
+                self.family, self.start, self.phis, self.loop.point, self.vectors,
+                self.tau_c, self.vectors, self.records):
+            k = len(E)
+            self.eigenvalues[i:i + k] = E
+            if increments is not None:
+                thetas[i:i + k] = increments
+            for end in range(-(-i // steps) * steps, i + k, steps):
+                row = end - i
+                perm = match_states(E[row], self.start.eigenvalues).perm
+                self.perms.append(perm)
+                if self.vectors:
+                    thetas[summed:end + 1] = np.cumsum(thetas[summed:end + 1], axis=0)
+                    summed = end
+                    self._end_phases(perm, thetas[end], V[row])
+                yield len(self.perms)
+            i += k
+
+    def _end_phases(self, perm, theta, vectors):
+        """Record a turn's raw phases and its holonomy-snapped real phases."""
+        self.raw_loop.append(theta.copy())
+        snapped = theta.real.copy()
+        start = self.start.eigenvectors
+        if all(perm[j] == j for j in range(len(perm))):
+            for k in range(len(perm)):
+                ov = np.vdot(start[:, k], vectors[:, k])
+                norm = np.linalg.norm(start[:, k]) * np.linalg.norm(vectors[:, k])
+                if norm > 0 and abs(ov) > 0.2 * norm:
+                    target = float(np.angle(ov))
+                    snapped[k] = target + 2 * np.pi * np.round(
+                        (theta[k].real - target) / (2 * np.pi)
+                    )
+        self.loop_re.append(snapped)
+
+    def trace(self) -> LoopTrace:
+        """The turns completed so far, as a trace of that many turns."""
+        turns = len(self.perms)
+        rows = turns * self.loop.steps + 1
+        return LoopTrace(
+            spec=replace(self.loop, loops=turns),
+            phis=self.phis[:rows],
+            eigenvalues=self.eigenvalues[:rows],
+            thetas=self.thetas[:rows],
+            loop_permutations=self.perms,
+            loop_re_theta=np.array(self.loop_re),
+            raw_loop_theta=np.array(self.raw_loop),
+            ambiguities=self.records,
+        )
+
+
+def _checked_family(model_or_family, loop, degeneracies):
+    """The family, once ``loop`` is checked against its degeneracies.
+
+    ``degeneracies`` (the model's full root list) validates that the contour
+    encloses at most one degeneracy and stays clear of all of them; None
+    computes it here.
+    """
+    family = as_family(model_or_family)
+    if degeneracies is None:
+        from .discriminant import find_degeneracies
+
+        degeneracies = find_degeneracies(family)
+    check_enclosure(loop, degeneracies)
+    return family
+
+
 def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
                tau_c: float = DEFAULT_TAU_C, label_im_tol: float = 1e-3) -> LoopTrace:
     """Transport all eigenpairs around the loop, accumulating phases.
@@ -163,66 +269,25 @@ def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
     encloses at most one degeneracy and stays clear of all of them; pass it
     explicitly to avoid recomputation, or None to compute it here.
     """
-    family = as_family(model_or_family)
-    if degeneracies is None:
-        from .discriminant import find_degeneracies
+    family = _checked_family(model_or_family, loop, degeneracies)
+    turns = _Turns(family, loop, tau_c, label_im_tol, vectors=True)
+    for _ in turns:
+        pass
+    return turns.trace()
 
-        degeneracies = find_degeneracies(family)
-    check_enclosure(loop, degeneracies)
 
-    n_samples = loop.steps * loop.loops + 1
-    phis = loop.orientation * np.linspace(0.0, 2 * np.pi * loop.loops, n_samples)
-    g0 = loop.point(phis[0])
-    start = c_normalize(
-        eigendecompose(family.matrix(g0), g=g0, im_tol=label_im_tol), tau_c=tau_c
-    )
-    dim = start.dim
+def _turn_permutation(model_or_family, loop: LoopSpec, degeneracies=None,
+                     label_im_tol: float = 1e-3) -> tuple:
+    """``trace_loop(...).loop_permutations[0]`` from eigenvalues alone.
 
-    eigenvalues = np.empty((n_samples, dim), dtype=complex)
-    eigenvalues[0] = start.eigenvalues
-    increments = np.zeros((n_samples, dim), dtype=complex)
-    records: list[AmbiguityRecord] = []
-    ends = []
-    for i, (current, step) in enumerate(
-            _transport(family, start, phis, loop.point, True, tau_c, True, records),
-            start=1):
-        increments[i] = step
-        eigenvalues[i] = current.eigenvalues
-        if i % loop.steps == 0:
-            ends.append((i, current))
-    # theta_i = theta_{i-1} + increment_i, added left to right.
-    thetas = np.cumsum(increments, axis=0)
-    loop_perms = []
-    loop_re = []
-    raw_loop = []
-    for i, current in ends:
-        m = match_states(current.eigenvalues, start.eigenvalues)
-        perm = m.perm
-        loop_perms.append(perm)
-        raw_loop.append(thetas[i].copy())
-        snapped = thetas[i].real.copy()
-        if all(perm[j] == j for j in range(dim)):
-            for k in range(dim):
-                ov = np.vdot(start.eigenvectors[:, k], current.eigenvectors[:, k])
-                norm = (np.linalg.norm(start.eigenvectors[:, k])
-                        * np.linalg.norm(current.eigenvectors[:, k]))
-                if norm > 0 and abs(ov) > 0.2 * norm:
-                    target = float(np.angle(ov))
-                    snapped[k] = target + 2 * np.pi * np.round(
-                        (thetas[i, k].real - target) / (2 * np.pi)
-                    )
-        loop_re.append(snapped)
-
-    return LoopTrace(
-        spec=loop,
-        phis=phis,
-        eigenvalues=eigenvalues,
-        thetas=thetas,
-        loop_permutations=loop_perms,
-        loop_re_theta=np.array(loop_re),
-        raw_loop_theta=np.array(raw_loop),
-        ambiguities=records,
-    )
+    Matching reads only eigenvalues, so the vectors are neither
+    c-normalized nor gauged and no phase is formed; the eigensolves are
+    those of ``trace_loop``, so the permutation is too.
+    """
+    family = _checked_family(model_or_family, loop, degeneracies)
+    turns = _Turns(family, loop, DEFAULT_TAU_C, label_im_tol, vectors=False)
+    next(iter(turns))
+    return turns.perms[0]
 
 
 class RestoreResult(NamedTuple):
@@ -235,23 +300,37 @@ class RestoreResult(NamedTuple):
         return self.eigenvalue_period is not None and self.phase_period is not None
 
 
-def restore_count(model_or_family, loop: LoopSpec, max_loops: int,
-                  degeneracies=None, tau_c: float = DEFAULT_TAU_C) -> RestoreResult:
-    """Smallest loop counts restoring (a) the eigenvalue assignment and
-    (b) additionally all real phases to 0 mod 2*pi (within 0.05)."""
-    spec = LoopSpec(loop.center, loop.radius, loop.steps, max_loops, loop.orientation)
-    trace = trace_loop(model_or_family, spec, degeneracies=degeneracies, tau_c=tau_c)
+def _restore_periods(permutations, loop_re_theta) -> tuple:
+    """Smallest turn counts restoring (a) the eigenvalue assignment and (b)
+    additionally all real phases to 0 mod 2*pi (within 0.05), among the
+    turns given; None where none does."""
     eigenvalue_period = None
-    phase_period = None
-    for k in range(1, max_loops + 1):
-        perm = trace.loop_permutations[k - 1]
-        if any(perm[j] != j for j in range(trace.dim)):
+    for k, (perm, re) in enumerate(zip(permutations, loop_re_theta), start=1):
+        if any(perm[j] != j for j in range(len(perm))):
             continue
         if eigenvalue_period is None:
             eigenvalue_period = k
-        re = trace.loop_re_theta[k - 1]
         wrapped = re - 2 * np.pi * np.round(re / (2 * np.pi))
-        if phase_period is None and np.all(np.abs(wrapped) <= PHASE_RETURN_TOL):
-            phase_period = k
+        if np.all(np.abs(wrapped) <= PHASE_RETURN_TOL):
+            return eigenvalue_period, k
+    return eigenvalue_period, None
+
+
+def restore_count(model_or_family, loop: LoopSpec, max_loops: int,
+                  degeneracies=None, tau_c: float = DEFAULT_TAU_C) -> RestoreResult:
+    """Smallest loop counts restoring (a) the eigenvalue assignment and
+    (b) additionally all real phases to 0 mod 2*pi (within 0.05).
+
+    Turns are traced one at a time, up to ``max_loops``, and no further once
+    the phase period is found: the returned trace ends there.  It is then
+    the first turns of ``trace_loop`` on ``max_loops`` turns, bit for bit.
+    """
+    spec = LoopSpec(loop.center, loop.radius, loop.steps, max_loops, loop.orientation)
+    family = _checked_family(model_or_family, spec, degeneracies)
+    turns = _Turns(family, spec, tau_c, 1e-3, vectors=True)
+    periods = (None, None)
+    for _ in turns:
+        periods = _restore_periods(turns.perms, turns.loop_re)
+        if periods[1] is not None:
             break
-    return RestoreResult(eigenvalue_period, phase_period, trace)
+    return RestoreResult(*periods, turns.trace())

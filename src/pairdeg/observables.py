@@ -282,10 +282,15 @@ class CoefficientTable:
         return out
 
 
-def _locate_pseudo_dp(model: ModelSpec) -> complex:
-    from .discriminant import find_degeneracies
+def _locate_pseudo_dp(model: ModelSpec, roots=None) -> complex:
+    """The lowest multiplicity-2 root below the real axis, away from g = 0.
 
-    roots = find_degeneracies(model)
+    ``roots`` is the model's root set, solved here when None.
+    """
+    if roots is None:
+        from .discriminant import find_degeneracies
+
+        roots = find_degeneracies(model)
     candidates = [r for r in roots
                   if r.multiplicity == 2 and r.g0.imag < 0 and abs(r.g0) > 1e-8]
     if not candidates:

@@ -7,7 +7,9 @@ axis at gamma = -1/2, the exceptional point at gamma = -49/100, eigenvalue
 slopes, monodromy periods and phases, pairing-operator divergence
 coefficients, and a battery of model-independent identities.  Each criterion
 reports one pass/fail line; ``run_all`` is what the CLI ``selftest``
-subcommand executes.
+subcommand executes.  Every criterion takes ``roots_of``, the solver it reads
+root sets from (``find_degeneracies`` by default; ``run_all`` passes one that
+solves each model once per run); criteria 2, 3, 8 and 9 read none.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .atlas import Kind, classify, sweep_gamma
 from .discriminant import (discriminant_at, discriminant_poly, find_degeneracies)
 from .model import ModelSpec, hamiltonian_at
 from .monodromy import LoopSpec, restore_count, trace_loop
-from .observables import (coefficient_extract, fit_power_law, ladder_spectra,
-                          pairing_energy_cut)
+from .observables import (_locate_pseudo_dp, coefficient_extract, fit_power_law,
+                          ladder_spectra, pairing_energy_cut)
 from .spectra import (branch_slopes, c_normalize, continue_spectrum,
                       eigendecompose)
 
@@ -70,10 +72,10 @@ def _checks_result(number, name, checks) -> CriterionResult:
                            "; ".join(f"{label}: {detail}" for label, ok, detail in checks))
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1(roots_of=find_degeneracies) -> CriterionResult:
     """Double-root location and classification at gamma = -1/2."""
     model = reference_model()
-    roots = find_degeneracies(model)
+    roots = roots_of(model)
     doubles = [r for r in roots if r.multiplicity == 2
                and abs(r.g0 - PSEUDO_DP_G) < 1e-3]
     if not doubles:
@@ -90,7 +92,7 @@ def criterion_1() -> CriterionResult:
     return _checks_result(1, "pseudo-DP location", checks)
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2(roots_of=find_degeneracies) -> CriterionResult:
     """Eigenvalues at the double root and the imaginary-part pairing."""
     model = reference_model()
     spec = eigendecompose(hamiltonian_at(model, PSEUDO_DP_G), g=PSEUDO_DP_G)
@@ -106,7 +108,7 @@ def criterion_2() -> CriterionResult:
     return _checks_result(2, "spectrum at the pseudo-DP", checks)
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3(roots_of=find_degeneracies) -> CriterionResult:
     """Central-difference eigenvalue slopes at the double root."""
     model = reference_model()
     slopes = branch_slopes(model, PSEUDO_DP_G, h=1e-4)
@@ -126,10 +128,10 @@ def criterion_3() -> CriterionResult:
     return _checks_result(3, "delta-slopes", checks)
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4(roots_of=find_degeneracies) -> CriterionResult:
     """Exceptional point on the axis at gamma = -49/100."""
     model = reference_model(gamma=-0.49)
-    roots = find_degeneracies(model)
+    roots = roots_of(model)
     near = [r for r in roots if abs(r.g0 - EP_G_049) < 1e-3]
     if not near:
         return CriterionResult(4, "EP location", False,
@@ -145,7 +147,7 @@ def criterion_4() -> CriterionResult:
     return _checks_result(4, "EP location", checks)
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5(roots_of=find_degeneracies) -> CriterionResult:
     """EP coalescence event located by the gamma sweep."""
     model = reference_model()
     traj = sweep_gamma(model, -0.52, -0.48, steps=5, classify_points=True)
@@ -159,7 +161,7 @@ def criterion_5() -> CriterionResult:
         ("g*", g_err <= 1e-4, f"|g* - target| = {g_err:.2e} (<= 1e-4)"),
     ]
     for gamma in (-0.49, -0.48):
-        roots = find_degeneracies(model.with_gamma(gamma))
+        roots = roots_of(model.with_gamma(gamma))
         lower = sorted(
             (r for r in roots if r.g0.imag < -1e-3 and r.multiplicity == 1
              and abs(r.g0 - ev.g) < 0.08),
@@ -172,16 +174,16 @@ def criterion_5() -> CriterionResult:
     return _checks_result(5, "coalescence sweep", checks)
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6(roots_of=find_degeneracies) -> CriterionResult:
     """Monodromy periods and per-loop phases."""
     model = reference_model()
-    roots = find_degeneracies(model)
+    roots = roots_of(model)
     pdp = min((r for r in roots if r.multiplicity == 2 and r.g0.imag < -1e-3),
               key=lambda r: abs(r.g0 - PSEUDO_DP_G))
     res_pdp = restore_count(model, LoopSpec(pdp.g0, 0.01, steps=256), max_loops=4,
                             degeneracies=roots)
     model_ep = reference_model(gamma=-0.49)
-    roots_ep = find_degeneracies(model_ep)
+    roots_ep = roots_of(model_ep)
     ep = min((r for r in roots_ep if r.multiplicity == 1),
              key=lambda r: abs(r.g0 - EP_G_049))
     res_ep = restore_count(model_ep, LoopSpec(ep.g0, 0.01, steps=256), max_loops=6,
@@ -203,10 +205,10 @@ def criterion_6() -> CriterionResult:
     return _checks_result(6, "monodromy periods", checks)
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7(roots_of=find_degeneracies) -> CriterionResult:
     """Pairing-operator divergence coefficients."""
     model = reference_model()
-    table = coefficient_extract(model)
+    table = coefficient_extract(model, g0=_locate_pseudo_dp(model, roots_of(model)))
     a = table.coefficients
     checks = [("a1", abs(a["a1"].real - REF_COEFFS["a1"]) <= 1e-4
                and abs(a["a1"].imag) <= 1e-4,
@@ -222,7 +224,7 @@ def criterion_7() -> CriterionResult:
     return _checks_result(7, "operator coefficients", checks)
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8(roots_of=find_degeneracies) -> CriterionResult:
     """Square-root and inverse-delta divergence exponents."""
     model = reference_model()
     deltas = np.logspace(-4, -2, 9)
@@ -249,7 +251,7 @@ def criterion_8() -> CriterionResult:
     return _checks_result(8, "divergence exponents", checks)
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9(roots_of=find_degeneracies) -> CriterionResult:
     """Finite, positive merging-pair sum while individual entries diverge.
 
     Every diagonal pairing energy of this model is exactly odd across the
@@ -290,7 +292,7 @@ def criterion_9() -> CriterionResult:
     return _checks_result(9, "pair-sum cancellation", checks)
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10(roots_of=find_degeneracies) -> CriterionResult:
     """Model-independent identity battery (no reference numbers)."""
     model = reference_model()
     family = model.family()
@@ -357,7 +359,7 @@ def criterion_10() -> CriterionResult:
     checks.append(("forward-backward continuation", fb_ok,
                    "round trips return the identity labeling"))
 
-    roots = find_degeneracies(model)
+    roots = roots_of(model)
     pdp = min((r for r in roots if r.multiplicity == 2 and r.g0.imag < -1e-3),
               key=lambda r: r.g0.imag)
     fwd_loop = trace_loop(model, LoopSpec(pdp.g0, 0.01, 128), degeneracies=roots)
@@ -383,11 +385,32 @@ CRITERIA = [
 ]
 
 
+def _roots_once():
+    """``find_degeneracies`` that solves each model once, for one suite run.
+
+    Criteria that share a model share its root set.  The memo lives only as
+    long as the run that made it.
+    """
+    solved = {}
+
+    def roots_of(model):
+        if model not in solved:
+            solved[model] = find_degeneracies(model)
+        return solved[model]
+
+    return roots_of
+
+
 def run_all(echo=print) -> list:
-    """Run every criterion, printing one pass/fail line per criterion."""
+    """Run every criterion, printing one pass/fail line per criterion.
+
+    Each model's root set is solved once for the whole run and handed to
+    every criterion that reads it.
+    """
+    roots_of = _roots_once()
     results = []
     for crit in CRITERIA:
-        result = crit()
+        result = crit(roots_of)
         results.append(result)
         if echo is not None:
             echo(result.line())

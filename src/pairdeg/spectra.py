@@ -229,23 +229,24 @@ def _eigendecompose_stack(H: np.ndarray, gs, im_tol: float = 1e-8) -> list:
 
 
 def _solve_path(family, gs):
-    """Spectra at the couplings ``gs``, in order, solved ``SOLVE_BLOCK`` at a time.
+    """Eigensystems at the couplings ``gs``, in order, solved ``SOLVE_BLOCK`` at a time.
 
-    Yields ``(spectra, stacked)`` pairs: a block solved as one stack, or,
-    for a block that fails a check, one point at a time solved again on its
-    own, so the first failing coupling raises its own EigensolverError only
-    once the consumer has taken every spectrum before it.
+    Yields ``(E, V, b, stacked)``: the arrays of ``_eig_stack`` for a block
+    solved as one stack, or, for a block that fails a check, for one point
+    at a time solved again on its own, so the first failing coupling raises
+    its own EigensolverError only once the consumer has taken every row
+    before it.
     """
     for lo in range(0, len(gs), SOLVE_BLOCK):
         block = gs[lo:lo + SOLVE_BLOCK]
         matrices = family.matrices(block)
         try:
-            spectra = _eigendecompose_stack(matrices, block)
+            E, V, b = _eig_stack(matrices, block)
         except EigensolverError:
             for H, g in zip(matrices, block):
-                yield [eigendecompose(H, g=g)], False
+                yield (*_eig_stack(H[None], [g]), False)
             continue
-        yield spectra, True
+        yield E, V, b, True
 
 
 def _orthogonalize_clusters(e: np.ndarray, V: np.ndarray, tau_c: float) -> None:
@@ -543,6 +544,25 @@ def _column_norms(X: np.ndarray) -> np.ndarray:
                     + im[..., None, :] @ im[..., :, None])[..., 0, 0])
 
 
+def _gauge_signs(re: np.ndarray) -> np.ndarray:
+    """Signs s_j of the recurrence s_j = -1 iff s_{j-1} * re_j < 0, s_{-1} = 1.
+
+    For each column of the (k, n) array ``re``.  An exact +-0 or a NaN makes
+    the product non-negative, so the sign there is +1; elsewhere s_j is
+    s_{j-1} times the sign of re_j.  So s_j = -1 exactly when the number of
+    negative re since the last such reset (or since the start) is odd.
+    """
+    negative = re < 0
+    count = np.cumsum(negative, axis=0)
+    reset = ~((re > 0) | negative)
+    if reset.any():
+        rows = np.arange(len(re))[:, None]
+        last = np.maximum.accumulate(np.where(reset, rows, -1), axis=0)
+        at_reset = np.take_along_axis(count, np.maximum(last, 0), axis=0)
+        count = count - np.where(last >= 0, at_reset, 0)
+    return np.where(count % 2 == 1, -1.0, 1.0)
+
+
 def _gauge(prev: Spectrum, W: np.ndarray, flagged: np.ndarray, b: np.ndarray,
            phases: bool):
     """Sign gauge, and with ``phases`` the phase increments, of k accepted steps.
@@ -576,14 +596,11 @@ def _gauge(prev: Spectrum, W: np.ndarray, flagged: np.ndarray, b: np.ndarray,
             # Unit vectors in contiguous columns, as divided out one by one.
             unit = (cols / norms[..., None]).transpose(0, 2, 1)
             raw = np.where(guarded, _column_dots(unit[:-1], unit[1:]), raw)
-    signs = np.empty(raw.shape)
-    s = np.ones(raw.shape[1])
-    for j, re in enumerate(raw.real):
-        s = signs[j] = np.where(s * re < 0, -1.0, 1.0)
+    signs = _gauge_signs(raw.real)
     W = np.where(signs[:, None, :] < 0, -W, W)
     if not phases:
         return W, None
-    before = np.concatenate([np.ones((1, len(s))), signs[:-1]])
+    before = np.concatenate([np.ones((1, raw.shape[1])), signs[:-1]])
     increments = -1j * np.log(np.where(signs * before < 0, -raw, raw))
     if guarded.any():
         b_all = np.concatenate([prev.self_orthogonality[None], b])
@@ -622,37 +639,43 @@ def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
                records):
     """Continue ``start`` (at path parameter ts[0]) through ``point(ts[1:])``.
 
-    Yields ``(spectrum, increments)`` for every path point after the start:
-    the accepted spectrum there, its vectors c-normalized and in the sign
-    gauge when ``want_vectors``, and with ``phases`` the step's phase
-    increments (bisection sub-steps added in path order), else None.
+    Yields, in path order, blocks ``(E, V, b, flagged, increments)`` of the
+    accepted states at consecutive path points after the start: (k, n)
+    eigenvalues, (k, n, n) vectors, c-norms and self-orthogonality flags,
+    and with ``phases`` the (k, n) phase increments of the steps (bisection
+    sub-steps added in path order), else None.  The vectors are
+    c-normalized and in the sign gauge when ``want_vectors``.  Consumers
+    must not write to the blocks.
 
     The path is solved in stacked blocks (``_solve_path``).  Within a block
     the steps that ``_match_block`` finds clear are matched, c-normalized and
     gauged together, each a stacked kernel whose rows are bit for bit the
-    step taken alone.  Near-ties, steps of blocks solved point by point and
-    every step above ``EXHAUSTIVE_MATCH_LIMIT`` states take ``_exact_step``,
-    which bisects.
+    step taken alone, and handed on as one block.  Near-ties, steps of
+    blocks solved point by point and every step above
+    ``EXHAUSTIVE_MATCH_LIMIT`` states take ``_exact_step``, which bisects,
+    and are handed on one row at a time.  Only the state that the next
+    matching starts from is kept as a Spectrum.
     """
     current = start
     n = start.dim
-    i = 1
-    for spectra, stacked in _solve_path(family, [point(t) for t in ts[1:]]):
-        k = len(spectra)
+    gs = [point(t) for t in ts[1:]]
+    i = 0  # path point of the block's first row, as an index into gs
+    for E, V, B, stacked in _solve_path(family, gs):
+        k = len(E)
         clear = np.zeros(k, dtype=bool)
         if stacked and n <= EXHAUSTIVE_MATCH_LIMIT:
-            E = np.array([s.eigenvalues for s in spectra])
-            V = np.array([s.eigenvectors for s in spectra])
-            B = np.array([s.self_orthogonality for s in spectra])
             q, clear = _match_block(current.eigenvalues, E)
         perm = np.arange(n)  # current, in label order, as a permutation of itself
         j = 0
         while j < k:
             if not clear[j]:
+                nxt = Spectrum(complex(gs[i + j]), E[j], V[j], B[j])
                 current, increments, perm = _exact_step(
-                    family, current, ts[i + j - 1], ts[i + j], point, spectra[j],
+                    family, current, ts[i + j], ts[i + j + 1], point, nxt,
                     want_vectors, tau_c, phases, records)
-                yield current, increments
+                yield (current.eigenvalues[None], current.eigenvectors[None],
+                       current.self_orthogonality[None], current.self_orthogonal[None],
+                       None if increments is None else increments[None])
                 j += 1
                 continue
             end = j + 1
@@ -671,10 +694,9 @@ def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
                 Ba = B[j:end][rows, perms]
                 Fa = np.zeros(Ea.shape, dtype=bool)
                 increments = None
-            for t in range(end - j):
-                current = Spectrum(spectra[j + t].g, Ea[t], Va[t], Ba[t], Fa[t],
-                                   c_normalized=want_vectors)
-                yield current, None if increments is None else increments[t]
+            yield Ea, Va, Ba, Fa, increments
+            current = Spectrum(complex(gs[i + end - 1]), Ea[-1], Va[-1], Ba[-1], Fa[-1],
+                               c_normalized=want_vectors)
             j = end
         i += k
 
@@ -701,8 +723,11 @@ def continue_spectrum(model_or_family, points, want_vectors: bool = True,
     if want_vectors:
         start = c_normalize(start, tau_c=tau_c)
     spectra = [start]
-    spectra += [s for s, _ in _transport(family, start, points, complex, want_vectors,
-                                         tau_c, False, records)]
+    for E, V, b, flagged, _ in _transport(family, start, points, complex, want_vectors,
+                                          tau_c, False, records):
+        for t in range(len(E)):
+            spectra.append(Spectrum(points[len(spectra)], E[t], V[t], b[t], flagged[t],
+                                    c_normalized=want_vectors))
     return ContinuationResult(spectra=spectra, ambiguities=records)
 
 

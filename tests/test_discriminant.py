@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -400,3 +401,16 @@ def test_discriminant_poly_values_match_pointwise_oracle(n, seed):
         if poly is not None and r0 == poly.radius:
             break
     _assert_same_bytes(seen, want)
+
+
+@pytest.mark.parametrize("radius", [1e200, 1e30, 1e-200])
+def test_unrepresentable_radius_raises_quietly(model, radius):
+    # At 1e200 and 1e-200, radius**12 leaves the float range; at 1e30 D(g)
+    # itself overflows to NaN on every retry circle, which once passed the
+    # hold-out as an all-NaN polynomial.  Each raises, naming the radius,
+    # and warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        match = re.escape(f"radius {radius!r}")
+        with pytest.raises(disc.InterpolationError, match=match):
+            discriminant_poly(model, radius=radius)

@@ -169,7 +169,7 @@ def test_loop_over_doubled_blocks_records_benign_ties():
 
 def test_forced_loop_bisection(model, roots, pdp_root, monkeypatch):
     loop = LoopSpec(pdp_root.g0, 0.01, steps=64)
-    stack = pairdeg.spectra._eigendecompose_stack
+    stack = pairdeg.spectra._eig_stack
     match_block = pairdeg.spectra._match_block
     match_states = pairdeg.spectra.match_states
     calls = {"match": 0, "eig": 0, "blocks": 0}
@@ -192,7 +192,7 @@ def test_forced_loop_bisection(model, roots, pdp_root, monkeypatch):
         m = match_states(prev, nxt)
         return m._replace(ambiguous=True, benign_tie=False) if calls["match"] == 1 else m
 
-    monkeypatch.setattr(pairdeg.spectra, "_eigendecompose_stack", counted)
+    monkeypatch.setattr(pairdeg.spectra, "_eig_stack", counted)
     monkeypatch.setattr(pairdeg.spectra, "match_states", tie_first)
     plain = trace_loop(model, loop, degeneracies=roots)
     assert calls["eig"] == 1 + 64  # the start point and the 64 steps

@@ -3,7 +3,11 @@
 The oracles below are the step-at-a-time ``c_normalize``, ``_align_next``,
 ``continue_spectrum``, ``_phase_increments`` and ``trace_loop`` that the
 stacked kernels of ``spectra._transport`` replaced, solving every path point
-on its own.  Every array must match byte for byte.
+on its own, and the per-step sign loop that ``_gauge_signs`` replaced.
+Every array must match byte for byte.  The loops that compute less than
+``trace_loop`` -- the eigenvalue-only verification loop and
+``restore_count``, which stops at the phase period -- are held to the full
+trace.
 """
 
 import dataclasses
@@ -14,12 +18,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pairdeg.spectra
 from pairdeg import (LoopSpec, MatrixFamily, c_normalize, continue_spectrum,
-                     eigendecompose, find_degeneracies, match_states, spectrum_along,
-                     trace_loop)
+                     eigendecompose, find_degeneracies, match_states, restore_count,
+                     spectrum_along, trace_loop)
 from pairdeg.errors import MatchingAmbiguityError
+from pairdeg.monodromy import _restore_periods, _turn_permutation
 from pairdeg.spectra import (MATCH_CHUNK, MAX_BISECT, SOLVE_BLOCK, AmbiguityRecord,
-                             Spectrum, _c_normalize_stack, _gauge, bilinear)
+                             Spectrum, _c_normalize_stack, _gauge, _gauge_signs,
+                             bilinear)
 
 
 def _fix_gauge_oracle(v):
@@ -394,3 +401,153 @@ def test_block_matcher_memory_is_capped():
         tracemalloc.stop()
     assert table.energies.shape == (200, 7)
     assert peak < bound
+
+
+def _gauge_signs_oracle(re):
+    signs = np.empty(re.shape)
+    s = np.ones(re.shape[1])
+    for j, r in enumerate(re):
+        s = signs[j] = np.where(s * r < 0, -1.0, 1.0)
+    return signs
+
+
+@oracle_settings
+@given(k=st.integers(1, 70), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       specials=st.sampled_from([0.0, 0.05, 0.3]))
+def test_gauge_signs_match_per_step_loop(k, n, seed, specials):
+    # Real parts of both signs, with exact +0.0, -0.0 and NaN (each resets
+    # the sign to +1) and infinities mixed in at the given rate.
+    rng = np.random.default_rng(seed)
+    re = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-300, 300, size=(k, n))
+    special = rng.random((k, n)) < specials
+    re[special] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf], size=special.sum())
+    _assert_same_bytes(_gauge_signs(re), _gauge_signs_oracle(re))
+
+
+def _loop_cases(roots, rng, steps, orientation):
+    """An EP-like loop around a random root and a trivial loop away from all."""
+    root = roots[rng.integers(len(roots))]
+    others = [abs(r.g0 - root.g0) for r in roots if r is not root]
+    yield LoopSpec(root.g0, 0.3 * min(others, default=1.0), steps=steps,
+                   orientation=orientation)
+    center = root.g0 + complex(*rng.normal(size=2))
+    clear = min(abs(r.g0 - center) for r in roots)
+    yield LoopSpec(center, 0.3 * clear, steps=steps, orientation=orientation)
+
+
+def _assert_eigenvalue_permutation_matches(family, loop, roots):
+    try:
+        want = trace_loop(family, loop, degeneracies=roots).loop_permutations[0]
+    except MatchingAmbiguityError:
+        with pytest.raises(MatchingAmbiguityError):
+            _turn_permutation(family, loop, degeneracies=roots)
+        return
+    assert _turn_permutation(family, loop, degeneracies=roots) == want
+
+
+def _assert_restore_is_prefix(family, loop, max_loops, roots, tau_c=1e-6):
+    full_spec = LoopSpec(loop.center, loop.radius, loop.steps, max_loops,
+                         loop.orientation)
+    try:
+        full = trace_loop(family, full_spec, degeneracies=roots, tau_c=tau_c)
+    except MatchingAmbiguityError:
+        with pytest.raises(MatchingAmbiguityError):
+            restore_count(family, loop, max_loops, degeneracies=roots, tau_c=tau_c)
+        return
+    res = restore_count(family, loop, max_loops, degeneracies=roots, tau_c=tau_c)
+    periods = _restore_periods(full.loop_permutations, full.loop_re_theta)
+    assert (res.eigenvalue_period, res.phase_period) == periods
+    trace = res.trace
+    turns = len(trace.loop_permutations)
+    # The trace ends at the phase period, or runs the whole budget.
+    assert turns == (periods[1] if periods[1] is not None else max_loops)
+    assert trace.spec == dataclasses.replace(full_spec, loops=turns)
+    rows = turns * loop.steps + 1
+    for name in ("phis", "eigenvalues", "thetas"):
+        _assert_same_bytes(getattr(trace, name), getattr(full, name)[:rows])
+    _assert_same_bytes(trace.loop_re_theta, full.loop_re_theta[:turns])
+    _assert_same_bytes(trace.raw_loop_theta, full.raw_loop_theta[:turns])
+    assert trace.loop_permutations == full.loop_permutations[:turns]
+    assert trace.ambiguities == full.ambiguities[:len(trace.ambiguities)]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), steps=steps,
+       orientation=st.sampled_from([1, -1]), max_loops=st.integers(1, 4))
+def test_short_loops_match_full_trace_on_random_models(n, seed, steps, orientation,
+                                                       max_loops):
+    # Steps of 65, 100, 127 and 130 end turns inside a solved block.
+    rng = np.random.default_rng(seed)
+    family = _random_family(rng, n)
+    roots = find_degeneracies(family)
+    for loop in _loop_cases(roots, rng, steps, orientation):
+        _assert_eigenvalue_permutation_matches(family, loop, roots)
+        _assert_restore_is_prefix(family, loop, max_loops, roots)
+
+
+@pytest.mark.parametrize("steps", [64, 100])
+@pytest.mark.parametrize("which, max_loops, periods", [
+    ("pseudo-DP", 4, (1, 2)),   # stops after 2 of 4 turns
+    ("EP", 6, (2, 4)),          # stops after 4 of 6 turns
+    ("EP", 3, (2, None)),       # never phase-restored: all 3 turns
+    ("EP", 1, (None, None)),    # never restored at all
+])
+def test_short_reference_loops_match_full_trace(model, model_049, pseudo_dp, steps,
+                                                which, max_loops, periods):
+    m = model if which == "pseudo-DP" else model_049
+    roots = find_degeneracies(m)
+    root = min(roots, key=lambda r: abs(r.g0 - pseudo_dp))
+    loop = LoopSpec(root.g0, 0.01, steps=steps)
+    family = m.family()
+    _assert_eigenvalue_permutation_matches(family, loop, roots)
+    _assert_restore_is_prefix(family, loop, max_loops, roots)
+    res = restore_count(family, loop, max_loops, degeneracies=roots)
+    assert (res.eigenvalue_period, res.phase_period) == periods
+
+
+def test_short_loops_match_full_trace_through_forced_bisection(model, pseudo_dp,
+                                                               monkeypatch):
+    # Steps 20 and 90 of every loop take the exact path, and the first step
+    # matched there reports a genuine tie, so it is bisected.  Each loop
+    # below starts with fresh counters.
+    roots = find_degeneracies(model)
+    root = min(roots, key=lambda r: abs(r.g0 - pseudo_dp))
+    loop = LoopSpec(root.g0, 0.01, steps=100)
+    match_block = pairdeg.spectra._match_block
+    match_states_ = pairdeg.spectra.match_states
+    calls = {"match": 0, "blocks": 0}
+
+    def unclear(first, E):
+        assign, clear = match_block(first, E)
+        calls["blocks"] += 1
+        if calls["blocks"] in (1, 2):
+            clear[19 if calls["blocks"] == 1 else 25] = False
+        return assign, clear
+
+    def tie_first(prev, nxt):
+        calls["match"] += 1
+        m = match_states_(prev, nxt)
+        return m._replace(ambiguous=True, benign_tie=False) if calls["match"] == 1 else m
+
+    def fresh(fn, *args, **kwargs):
+        calls["match"] = calls["blocks"] = 0
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(pairdeg.spectra, "_match_block", unclear)
+    monkeypatch.setattr(pairdeg.spectra, "match_states", tie_first)
+    family = model.family()
+    full_spec = dataclasses.replace(loop, loops=4)
+    full = fresh(trace_loop, family, full_spec, degeneracies=roots)
+    assert fresh(_turn_permutation, family, loop, degeneracies=roots) == \
+        full.loop_permutations[0]
+    res = fresh(restore_count, family, loop, 4, degeneracies=roots)
+    assert (res.eigenvalue_period, res.phase_period) == (1, 2)
+    rows = 2 * loop.steps + 1
+    _assert_same_bytes(res.trace.eigenvalues, full.eigenvalues[:rows])
+    _assert_same_bytes(res.trace.thetas, full.thetas[:rows])
+    _assert_same_bytes(res.trace.loop_re_theta, full.loop_re_theta[:2])
+    # The bisection moved the phases: the forced path was taken.
+    monkeypatch.undo()
+    plain = trace_loop(family, full_spec, degeneracies=roots)
+    assert not np.array_equal(plain.thetas, full.thetas)
