@@ -204,13 +204,10 @@ class GammaTrajectory:
     def to_csv(self, path, meta=()):
         from ._csvio import write_csv
 
-        rows = []
-        for gamma, pts in zip(self.gammas, self.points):
-            for p in pts:
-                rows.append([float(gamma), p.g0.real, p.g0.imag, p.kind.value,
-                             p.root.multiplicity])
+        rows = [[float(gamma), p.g0.real, p.g0.imag, p.kind.value, p.root.multiplicity]
+                for gamma, pts in zip(self.gammas, self.points) for p in pts]
         write_csv(path, ["gamma", "g_re", "g_im", "kind", "multiplicity"],
-                  rows, meta=meta)
+                  list(zip(*rows)), meta=meta)
 
     def as_dict(self) -> dict:
         return {

@@ -22,7 +22,7 @@ import sys
 import click
 
 from . import __version__
-from ._csvio import write_csv
+from ._csvio import format_value, write_csv
 from .atlas import classify_all, sweep_gamma
 from .discriminant import discriminant_grid
 from .errors import ConfigError, PairdegError
@@ -204,12 +204,12 @@ def atlas(config_path, out_dir):
         )
         n = cfg.int("atlas", "heatmap_points")
         res, ims, grid = discriminant_grid(model, window, n, n)
-        rows = []
-        for i, y in enumerate(ims):
-            for x, v in zip(res, grid[i]):
-                rows.append([float(x), float(y), float(v)])
-        write_csv(os.path.join(out_dir, "heatmap.csv"),
-                  ["g_re", "g_im", "abs_D"], rows, meta=cfg.meta_lines())
+        # Each coordinate repeats along the grid: format it once.
+        re_tokens = [format_value(x) for x in res.tolist()]
+        im_tokens = [format_value(y) for y in ims.tolist()]
+        write_csv(os.path.join(out_dir, "heatmap.csv"), ["g_re", "g_im", "abs_D"],
+                  [re_tokens * len(ims), [t for t in im_tokens for _ in re_tokens],
+                   grid.ravel().tolist()], meta=cfg.meta_lines())
         click.echo(f"{len(points)} degeneracies -> degeneracies.json, heatmap.csv")
 
     _run(body)

@@ -133,15 +133,11 @@ class LoopTrace:
         for m in range(self.dim):
             names += [f"theta{m + 1}_re", f"theta{m + 1}_im",
                       f"E{m + 1}_re", f"E{m + 1}_im"]
-        rows = []
-        for i, phi in enumerate(self.phis):
-            row = [float(phi)]
-            for m in range(self.dim):
-                th = self.thetas[i, m]
-                E = self.eigenvalues[i, m]
-                row += [th.real, th.imag, E.real, E.imag]
-            rows.append(row)
-        write_csv(path, names, rows, meta=meta)
+        columns = [self.phis.tolist()]
+        for m in range(self.dim):
+            th, E = self.thetas[:, m], self.eigenvalues[:, m]
+            columns += [th.real, th.imag, E.real, E.imag]
+        write_csv(path, names, columns, meta=meta)
 
     def summary(self) -> dict:
         return {

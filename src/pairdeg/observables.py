@@ -120,13 +120,10 @@ class PairingCut:
         names = ["g_re", "g_im"]
         names += [f"ReO_{m + 1}{m + 1}" for m in range(self.dim)]
         names.append(f"ReO_{i}{i}+ReO_{j}{j}")
-        rows = []
-        for k, g in enumerate(self.gs):
-            row = [g.real, g.imag]
-            row += [float(x) for x in self.diagonal[k].real]
-            row.append(float(self.pair_sum[k].real))
-            rows.append(row)
-        write_csv(path, names, rows, meta=meta)
+        columns = [self.gs.real, self.gs.imag]
+        columns += [self.diagonal[:, m].real.tolist() for m in range(self.dim)]
+        columns.append(self.pair_sum.real.tolist())
+        write_csv(path, names, columns, meta=meta)
 
 
 def pairing_energy_cut(model: ModelSpec, start=None, stop=None, n: int = None,

@@ -48,8 +48,6 @@ EXHAUSTIVE_MATCH_LIMIT = 7
 MAX_BISECT = 12
 # Path points solved per stacked eigensolve; 256 was no faster at dim 4.
 SOLVE_BLOCK = 64
-# Permutation totals the block matcher holds at once (128 KB of floats).
-MATCH_CHUNK = 1 << 14
 
 
 def bilinear(u: np.ndarray, v: np.ndarray) -> complex:
@@ -427,40 +425,39 @@ def _match_block(first: np.ndarray, E: np.ndarray):
     """Assignments of the k steps of a block, and which of them are clear.
 
     Step j pairs the eigenvalues E[j - 1] (``first`` for j = 0) with E[j];
-    row j of the returned (k, n) array sends each of its sources to its
-    target.  The totals are those of ``match_states``, summed over the same
-    permutation table, but in the sources' canonical order rather than in
-    label order, so each may differ from the label-order total by rounding:
-    at most n ulps of either total, so 4 n eps of the runner-up for the
-    margin.  A step is clear when its margin beats twice
-    ``MATCH_AMBIGUITY_TOL`` plus that bound; ``match_states`` then picks the
-    same assignment and finds it unambiguous.  At most ``MATCH_CHUNK``
-    totals are held at once.
+    row j of the returned (k, n) array sends each source to the target of
+    least cost |E_prev,a - E_next,b|.  When those targets form a permutation
+    pi, any other assignment moves at least two sources off their best
+    targets, so its total exceeds pi's by at least the sum of the two
+    smallest row gaps, a source's second-best cost minus its best.  The
+    totals of ``match_states`` sum the same costs in label order, each
+    within n eps / 2 of the exact sum relatively, so their margin is at
+    least that bound less n eps (T + bound), T the row minima's total.  A
+    step is clear when the bound beats twice ``MATCH_AMBIGUITY_TOL`` plus
+    6 n eps (T + bound), which also covers the rounding of the bound and T
+    themselves: ``match_states`` then picks pi and finds it unambiguous.
+    Every array is (k, n) or (k, n, n), at any dimension.
     """
     k, n = E.shape
-    table = _permutation_table(n)
-    count = table.shape[1]
-    if count == 1:
+    if n == 1:
         return np.zeros((k, 1), dtype=int), np.ones(k, dtype=bool)
     sources = np.concatenate([first[None], E[:-1]])
-    assign = np.empty((k, n), dtype=int)
-    clear = np.empty(k, dtype=bool)
-    chunk = max(1, MATCH_CHUNK // count)
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        cost = np.abs(sources[lo:hi, :, None] - E[lo:hi, None, :])
-        totals = cost[:, 0].take(table[0], axis=1)
-        for i in range(1, n):
-            totals += cost[:, i].take(table[i], axis=1)
-        rows = np.arange(hi - lo)
-        best = totals.argmin(axis=1)
-        best_cost = totals[rows, best]
-        totals[rows, best] = np.inf
-        second = totals.min(axis=1)
-        guard = 2 * MATCH_AMBIGUITY_TOL + 4 * n * np.finfo(float).eps * second
-        clear[lo:hi] = second - best_cost > guard
-        assign[lo:hi] = table[:, best].T
-    return assign, clear
+    cost = np.abs(sources[:, :, None] - E[:, None, :])
+    assign = cost.argmin(axis=2)
+    # Minima rather than np.sort or np.partition, whose first calls map in
+    # about 0.4 MB of code and so raise a process's peak resident size.
+    steps, states = np.arange(k)[:, None], np.arange(n)
+    best = cost[steps, states, assign]
+    cost[steps, states, assign] = np.inf
+    gaps = cost.min(axis=2) - best
+    smallest = gaps.min(axis=1)
+    gaps[steps[:, 0], gaps.argmin(axis=1)] = np.inf
+    bound = smallest + gaps.min(axis=1)
+    guard = 2 * MATCH_AMBIGUITY_TOL + 6 * n * np.finfo(float).eps * (
+        best.sum(axis=1) + bound)
+    hit = np.zeros((k, n), dtype=bool)
+    hit[steps, assign] = True  # every target hit: a permutation
+    return assign, hit.all(axis=1) & (bound > guard)
 
 
 @dataclass
@@ -650,11 +647,11 @@ def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
     The path is solved in stacked blocks (``_solve_path``).  Within a block
     the steps that ``_match_block`` finds clear are matched, c-normalized and
     gauged together, each a stacked kernel whose rows are bit for bit the
-    step taken alone, and handed on as one block.  Near-ties, steps of
-    blocks solved point by point and every step above
-    ``EXHAUSTIVE_MATCH_LIMIT`` states take ``_exact_step``, which bisects,
-    and are handed on one row at a time.  Only the state that the next
-    matching starts from is kept as a Spectrum.
+    step taken alone, and handed on as one block, at every dimension.  Steps
+    that the certificate does not clear (near-ties among them) and steps of
+    blocks solved point by point take ``_exact_step``, which bisects, and
+    are handed on one row at a time.  Only the state that the next matching
+    starts from is kept as a Spectrum.
     """
     current = start
     n = start.dim
@@ -663,7 +660,7 @@ def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
     for E, V, B, stacked in _solve_path(family, gs):
         k = len(E)
         clear = np.zeros(k, dtype=bool)
-        if stacked and n <= EXHAUSTIVE_MATCH_LIMIT:
+        if stacked:
             q, clear = _match_block(current.eigenvalues, E)
         perm = np.arange(n)  # current, in label order, as a permutation of itself
         j = 0
@@ -747,19 +744,16 @@ class CutTable:
         names = ["g_re", "g_im"]
         for m in range(self.dim):
             names += [f"E{m + 1}_re", f"E{m + 1}_im"]
-        rows = []
-        for g, row in zip(self.gs, self.energies):
-            out = [g.real, g.imag]
-            for E in row:
-                out += [E.real, E.imag]
-            rows.append(out)
-        return names, rows
+        columns = [self.gs.real, self.gs.imag]
+        for m in range(self.dim):
+            columns += [self.energies[:, m].real, self.energies[:, m].imag]
+        return names, columns
 
     def to_csv(self, path, meta=()):
         from ._csvio import write_csv
 
-        names, rows = self.csv_rows()
-        write_csv(path, names, rows, meta=meta)
+        names, columns = self.csv_rows()
+        write_csv(path, names, columns, meta=meta)
 
 
 def spectrum_along(model_or_family, start, stop, n: int) -> CutTable:

@@ -3,7 +3,8 @@
 The oracles below are the step-at-a-time ``c_normalize``, ``_align_next``,
 ``continue_spectrum``, ``_phase_increments`` and ``trace_loop`` that the
 stacked kernels of ``spectra._transport`` replaced, solving every path point
-on its own, and the per-step sign loop that ``_gauge_signs`` replaced.
+on its own, the per-step sign loop that ``_gauge_signs`` replaced, and the
+permutation-table block matcher that the row-gap certificate replaced.
 Every array must match byte for byte.  The loops that compute less than
 ``trace_loop`` -- the eigenvalue-only verification loop and
 ``restore_count``, which stops at the phase period -- are held to the full
@@ -11,6 +12,7 @@ trace.
 """
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,9 +26,9 @@ from pairdeg import (LoopSpec, MatrixFamily, c_normalize, continue_spectrum,
                      spectrum_along, trace_loop)
 from pairdeg.errors import MatchingAmbiguityError
 from pairdeg.monodromy import _restore_periods, _turn_permutation
-from pairdeg.spectra import (MATCH_CHUNK, MAX_BISECT, SOLVE_BLOCK, AmbiguityRecord,
-                             Spectrum, _c_normalize_stack, _gauge, _gauge_signs,
-                             bilinear)
+from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, MAX_BISECT, SOLVE_BLOCK,
+                             AmbiguityRecord, Spectrum, _c_normalize_stack, _gauge,
+                             _gauge_signs, _match_block, _permutation_table, bilinear)
 
 
 def _fix_gauge_oracle(v):
@@ -271,8 +273,9 @@ def test_loop_around_random_ep_matches_oracle(n, seed, pick, steps, loops,
 @given(n=st.integers(8, 11), seed=st.integers(0, 2**32 - 1), steps=steps,
        tau_c=tau_cs)
 def test_large_dimension_loops_match_oracle(n, seed, steps, tau_c):
-    # Above 7 states every step takes the exact path, and its overlaps use
-    # np.vdot column by column.  No roots are needed to transport.
+    # Above 7 states the certified steps take the block path and the others
+    # the exact path; both take overlaps by np.vdot column by column.  No
+    # roots are needed to transport.
     rng = np.random.default_rng(seed)
     family = _random_family(rng, n)
     loop = LoopSpec(complex(*rng.normal(size=2)), 0.05, steps=steps)
@@ -384,14 +387,13 @@ def test_gauge_matches_phase_increments_oracle(n, seed, k, step, tau_c):
 
 
 def test_block_matcher_memory_is_capped():
-    # At dim 7 a 64-step block has 64 x 5040 permutation totals, 2.6 MB and
-    # a temporary as large.  The matcher holds at most MATCH_CHUNK of them,
-    # and a temporary, at a time; 1 MiB more covers the 200 spectra and a
-    # solved block, but not the totals of a whole block.
+    # At dim 7 a 64-step block has 64 x 5040 permutation totals, 2.6 MB.
+    # The row-gap matcher holds a few (64, 7, 7) cost arrays instead; 1 MiB
+    # covers them, the 200 spectra and a solved block, but not those totals.
     rng = np.random.default_rng(3)
     family = _random_family(rng, 7)
-    bound = 2 * MATCH_CHUNK * 8 + 2**20
-    assert bound < 2 * SOLVE_BLOCK * 5040 * 8
+    bound = 2**20
+    assert bound < SOLVE_BLOCK * math.factorial(7) * 8
     spectrum_along(family, 0.1 + 0.2j, 0.4 - 0.1j, 200)  # warm caches
     tracemalloc.start()
     try:
@@ -401,6 +403,90 @@ def test_block_matcher_memory_is_capped():
         tracemalloc.stop()
     assert table.energies.shape == (200, 7)
     assert peak < bound
+
+
+def _match_block_totals_oracle(first, E):
+    """The block matcher before the row-gap certificate: every permutation's
+    total, summed over the permutation table in the sources' order (n <= 7)."""
+    k, n = E.shape
+    table = _permutation_table(n)
+    sources = np.concatenate([first[None], E[:-1]])
+    cost = np.abs(sources[:, :, None] - E[:, None, :])
+    totals = cost[:, 0].take(table[0], axis=1)
+    for i in range(1, n):
+        totals += cost[:, i].take(table[i], axis=1)
+    rows = np.arange(k)
+    best = totals.argmin(axis=1)
+    best_cost = totals[rows, best]
+    totals[rows, best] = np.inf
+    second = totals.min(axis=1)
+    guard = 2 * MATCH_AMBIGUITY_TOL + 4 * n * np.finfo(float).eps * second
+    return table[:, best].T, second - best_cost > guard
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(2, 11), k=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+       step=st.sampled_from([1e-3, 0.05, 0.5]),
+       ties=st.lists(st.tuples(st.integers(0, 69),
+                               st.sampled_from(["target", "midpoint", "bisector"]),
+                               st.sampled_from([0.0, 1e-13, 5e-13, 1e-12, 1.5e-12, 3e-12,
+                                                1e-11, 1e-9])),
+                     max_size=10))
+def test_row_gap_certificate_agrees_with_match_states(n, k, seed, step, ties):
+    rng = np.random.default_rng(seed)
+    first = rng.normal(size=n) + 1j * rng.normal(size=n)
+    walk = first + np.cumsum(step * (rng.normal(size=(k, n))
+                                     + 1j * rng.normal(size=(k, n))), axis=0)
+    E = np.array([row[rng.permutation(n)] for row in walk])  # in any solved order
+    for j, kind, eps in ties:
+        # Near-ties: two targets nearly coincide, a target sits nearly halfway
+        # between two sources, or two sources sit nearly on the bisector of two
+        # targets z -+ 1, one 1e-14 and one eps nearer its own target: row gaps
+        # of about 1e-14 and eps, and a swap that costs their sum.
+        j %= k
+        src = first if j == 0 else E[j - 1]
+        a, b = rng.choice(n, 2, replace=False)
+        if kind == "bisector":
+            z = src[a]
+            E[j, a], E[j, b] = z - 1, z + 1
+            src[a], src[b] = z + 1j - 1e-14 / np.sqrt(2), z - 1j + eps / np.sqrt(2)
+        else:
+            E[j, b] = (E[j, a] if kind == "target" else 0.5 * (src[a] + src[b])) + eps
+    assign, clear = _match_block(first, E)
+    sources = np.concatenate([first[None], E[:-1]])
+    for j in range(k):
+        # Swapping the sources of two targets d apart moves a total by <= 2 d.
+        d = np.abs(E[j][:, None] - E[j][None, :])[np.triu_indices(n, 1)].min()
+        if d <= MATCH_AMBIGUITY_TOL:
+            assert not clear[j]
+        if not clear[j]:
+            continue
+        labels = rng.permutation(n)  # match_states sees the sources in label order
+        m = match_states(sources[j][labels], E[j])
+        assert m.perm == tuple(assign[j][labels].tolist())
+        if n <= 7:
+            assert m.margin > MATCH_AMBIGUITY_TOL and not m.ambiguous
+    if n <= 7:
+        old_assign, old_clear = _match_block_totals_oracle(first, E)
+        assert not (clear & ~old_clear).any()
+        np.testing.assert_array_equal(assign[clear], old_assign[clear])
+
+
+def test_dim_11_loop_takes_only_the_block_path(monkeypatch):
+    rng = np.random.default_rng(11)
+    family = _random_family(rng, 11)
+    loop = LoopSpec(complex(*rng.normal(size=2)), 0.05, steps=256)
+    exact_step = pairdeg.spectra._exact_step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return exact_step(*args, **kwargs)
+
+    monkeypatch.setattr(pairdeg.spectra, "_exact_step", counted)
+    _assert_loop_matches_oracle(family, loop, [])
+    assert calls == []
 
 
 def _gauge_signs_oracle(re):
