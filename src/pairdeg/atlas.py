@@ -28,7 +28,7 @@ import numpy as np
 
 from .discriminant import DegeneracyRoot, contour_moments, find_degeneracies
 from .errors import PairdegError
-from .model import MatrixFamily, ModelSpec, as_family, build_operator_matrices
+from .model import ModelSpec, as_family, build_operator_matrices
 from .monodromy import LoopSpec, _turn_permutation
 from .spectra import DEFAULT_TAU_C, c_normalize, closest_pair, eigendecompose
 
@@ -307,16 +307,11 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
         raise PairdegError("gamma sweep needs at least 2 samples")
     gammas = np.linspace(gamma_start, gamma_stop, steps)
     ops = build_operator_matrices(model)
-
-    def family_at(gamma):
-        # The expression of ModelSpec.family(), so the bits are the same.
-        return MatrixFamily(ops.T, ops.P + float(gamma) * ops.Q)
-
     root_sets = []
     points = []
     link_ambiguities = []
     for gamma in gammas:
-        family = family_at(gamma)
+        family = ops.family(gamma)
         roots = find_degeneracies(family, radius=radius,
                                   cluster_factor=cluster_factor)
         root_sets.append(roots)
@@ -370,7 +365,7 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
             others = others[1 if dists[k] == 0.0 else 2:]
             circle = CIRCLE_FRACTION * min(others, default=radius)
             event = _merge_event(
-                family_at, float(gammas[max(k - 1, 0)]), float(gammas[k]),
+                ops.family, float(gammas[max(k - 1, 0)]), float(gammas[k]),
                 float(gammas[min(k + 1, len(gammas) - 1)]), center, circle,
                 merge_radius)
             if event is not None:

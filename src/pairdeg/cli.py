@@ -89,9 +89,13 @@ class RunConfig:
 
     def floats(self, section, key):
         try:
-            return [float(x) for x in self._get(section, key).split(",")]
+            vals = [float(x) for x in self._get(section, key).split(",")]
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: expected numbers") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"[{section}] {key} {', '.join(map(str, vals))}: "
+                              "expected finite numbers")
+        return vals
 
     def float(self, section, key):
         vals = self.floats(section, key)
@@ -184,7 +188,7 @@ def atlas(config_path, out_dir):
         if len(window) != 4:
             raise ConfigError("[atlas] window needs four numbers")
         spans = [window[1] - window[0], window[3] - window[2]]
-        if not all(math.isfinite(x) for x in window + spans):
+        if not all(math.isfinite(x) for x in spans):
             raise ConfigError(f"[atlas] window {', '.join(map(str, window))} "
                               "has a non-finite span or sample grid")
         points = classify_all(

@@ -104,8 +104,7 @@ class ModelSpec:
         return tuple(l.capacity for l in self.levels)
 
     def family(self) -> "MatrixFamily":
-        ops = build_operator_matrices(self)
-        return MatrixFamily(ops.T, ops.P + self.gamma * ops.Q)
+        return build_operator_matrices(self).family(self.gamma)
 
 
 def enumerate_basis(model: ModelSpec) -> list[tuple[int, ...]]:
@@ -135,6 +134,10 @@ class OperatorMatrices:
     P: np.ndarray
     Q: np.ndarray
     basis: tuple[tuple[int, ...], ...] = field(default=())
+
+    def family(self, gamma: float) -> "MatrixFamily":
+        """H(g) = T + g*(P + gamma*Q) as a matrix family."""
+        return MatrixFamily(self.T, self.P + float(gamma) * self.Q)
 
 
 def build_operator_matrices(model: ModelSpec) -> OperatorMatrices:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import LoopError
 from .model import as_family
-from .spectra import (DEFAULT_TAU_C, AmbiguityRecord, _transport, c_normalize,
-                      eigendecompose, match_states)
+from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, AmbiguityRecord, _transport,
+                      c_normalize, eigendecompose, match_states)
 
 __all__ = ["LoopSpec", "LoopTrace", "trace_loop", "restore_count", "RestoreResult"]
 
@@ -167,13 +167,13 @@ class _Turns:
     yielded are final.  One transported block is held at a time.
     """
 
-    def __init__(self, family, loop: LoopSpec, tau_c, label_im_tol, vectors):
+    def __init__(self, family, loop: LoopSpec, tau_c, vectors):
         self.family, self.loop, self.tau_c, self.vectors = family, loop, tau_c, vectors
         n_samples = loop.steps * loop.loops + 1
         self.phis = loop.orientation * np.linspace(0.0, 2 * np.pi * loop.loops,
                                                    n_samples)
         g0 = loop.point(self.phis[0])
-        start = eigendecompose(family.matrix(g0), g=g0, im_tol=label_im_tol)
+        start = eigendecompose(family.matrix(g0), g=g0, im_tol=LABEL_IM_TOL)
         if vectors:
             start = c_normalize(start, tau_c=tau_c)
         self.start = start
@@ -258,7 +258,7 @@ def _checked_family(model_or_family, loop, degeneracies):
 
 
 def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
-               tau_c: float = DEFAULT_TAU_C, label_im_tol: float = 1e-3) -> LoopTrace:
+               tau_c: float = DEFAULT_TAU_C) -> LoopTrace:
     """Transport all eigenpairs around the loop, accumulating phases.
 
     ``degeneracies`` (the model's full root list) validates that the contour
@@ -266,14 +266,13 @@ def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
     explicitly to avoid recomputation, or None to compute it here.
     """
     family = _checked_family(model_or_family, loop, degeneracies)
-    turns = _Turns(family, loop, tau_c, label_im_tol, vectors=True)
+    turns = _Turns(family, loop, tau_c, vectors=True)
     for _ in turns:
         pass
     return turns.trace()
 
 
-def _turn_permutation(model_or_family, loop: LoopSpec, degeneracies=None,
-                     label_im_tol: float = 1e-3) -> tuple:
+def _turn_permutation(model_or_family, loop: LoopSpec, degeneracies=None) -> tuple:
     """``trace_loop(...).loop_permutations[0]`` from eigenvalues alone.
 
     Matching reads only eigenvalues, so the vectors are neither
@@ -281,7 +280,7 @@ def _turn_permutation(model_or_family, loop: LoopSpec, degeneracies=None,
     those of ``trace_loop``, so the permutation is too.
     """
     family = _checked_family(model_or_family, loop, degeneracies)
-    turns = _Turns(family, loop, DEFAULT_TAU_C, label_im_tol, vectors=False)
+    turns = _Turns(family, loop, DEFAULT_TAU_C, vectors=False)
     next(iter(turns))
     return turns.perms[0]
 
@@ -323,7 +322,7 @@ def restore_count(model_or_family, loop: LoopSpec, max_loops: int,
     """
     spec = LoopSpec(loop.center, loop.radius, loop.steps, max_loops, loop.orientation)
     family = _checked_family(model_or_family, spec, degeneracies)
-    turns = _Turns(family, spec, tau_c, 1e-3, vectors=True)
+    turns = _Turns(family, spec, tau_c, vectors=True)
     periods = (None, None)
     for _ in turns:
         periods = _restore_periods(turns.perms, turns.loop_re)

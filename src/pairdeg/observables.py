@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import FitRejectedError, SelfOrthogonalityError
 from .model import ModelSpec, build_operator_matrices
-from .spectra import (DEFAULT_TAU_C, Spectrum, continue_spectrum, semicircle)
+from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, Spectrum, continue_spectrum,
+                      eigendecompose, semicircle)
 
 __all__ = [
     "EigenbasisOperator",
@@ -77,20 +78,16 @@ class EigenbasisOperator:
         return np.diag(self.matrix)
 
 
-def operator_in_eigenbasis(model: ModelSpec, g: complex,
-                           label_im_tol: float = 1e-8) -> EigenbasisOperator:
+def operator_in_eigenbasis(model: ModelSpec, g: complex) -> EigenbasisOperator:
     """O_ij = u_i^T (g P) u_j with raw (unguarded) c-normalization.
 
     Labels are canonical at g.  Exactly at a degeneracy the normalization is
     undefined; the guard raises with advice to step further away.
     """
-    from .spectra import eigendecompose
-
     g = complex(g)
-    H = model.family().matrix(g)
-    spec = eigendecompose(H, g=g, im_tol=label_im_tol)
-    P = build_operator_matrices(model).P
-    return EigenbasisOperator(g=g, matrix=_operator_matrix(P, spec),
+    ops = build_operator_matrices(model)
+    spec = eigendecompose(ops.family(model.gamma).matrix(g), g=g)
+    return EigenbasisOperator(g=g, matrix=_operator_matrix(ops.P, spec),
                               eigenvalues=spec.eigenvalues)
 
 
@@ -140,9 +137,10 @@ def pairing_energy_cut(model: ModelSpec, start=None, stop=None, n: int = None,
             raise ValueError("need either points or (start, stop, n)")
         points = np.linspace(complex(start), complex(stop), n)
     points = [complex(p) for p in points]
-    res = continue_spectrum(model, points, want_vectors=True, tau_c=tau_c)
-    P = build_operator_matrices(model).P
-    diag = np.array([np.diag(_operator_matrix(P, s)) for s in res.spectra])
+    ops = build_operator_matrices(model)
+    res = continue_spectrum(ops.family(model.gamma), points, want_vectors=True,
+                            tau_c=tau_c)
+    diag = np.array([np.diag(_operator_matrix(ops.P, s)) for s in res.spectra])
     return PairingCut(gs=np.array(points), diagonal=diag,
                       energies=res.eigenvalues, pair=tuple(pair),
                       ambiguities=res.ambiguities)
@@ -161,9 +159,10 @@ def fit_power_law(deltas, values, max_residual: float = 0.02,
                   min_samples: int = 6, min_decades: float = 1.5) -> PowerLawFit:
     """Log-log fit of |value| against delta.
 
-    Requires at least ``min_samples`` strictly positive, sorted deltas
-    spanning ``min_decades`` decades; a fit whose RMS residual in log-space
-    exceeds ``max_residual`` is rejected.
+    Requires at least ``min_samples`` finite, strictly positive, sorted
+    deltas spanning ``min_decades`` decades, and finite non-zero values
+    whose unit phases do not average to zero; a fit whose RMS residual in
+    log-space exceeds ``max_residual`` (or is not a number) is rejected.
     """
     d = np.asarray(deltas, dtype=float)
     v = np.asarray(values, dtype=complex)
@@ -171,8 +170,12 @@ def fit_power_law(deltas, values, max_residual: float = 0.02,
         raise ValueError("deltas and values must have equal length")
     if len(d) < min_samples:
         raise FitRejectedError(f"need at least {min_samples} samples, got {len(d)}")
+    if not np.isfinite(d).all():
+        raise FitRejectedError("deltas must be finite")
     if np.any(d <= 0) or np.any(np.diff(d) <= 0):
         raise FitRejectedError("deltas must be positive and strictly increasing")
+    if not (np.isfinite(v) & (v != 0)).all():
+        raise FitRejectedError("values must be finite and non-zero")
     if np.log10(d[-1] / d[0]) < min_decades:
         raise FitRejectedError(
             f"delta range spans {np.log10(d[-1] / d[0]):.2f} decades "
@@ -183,24 +186,26 @@ def fit_power_law(deltas, values, max_residual: float = 0.02,
     A = np.stack([x, np.ones_like(x)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
     residual = float(np.sqrt(np.mean((A @ (slope, intercept) - y) ** 2)))
-    if residual > max_residual:
+    if not residual <= max_residual:
         raise FitRejectedError(
             f"power-law fit residual {residual:.3f} exceeds {max_residual}"
         )
     phases = v * d ** (-slope)
     mean_phase = np.mean(phases / np.abs(phases))
+    if not abs(mean_phase) > 0:
+        raise FitRejectedError("the values' phases cancel: no amplitude phase")
     amplitude = np.exp(intercept) * mean_phase / abs(mean_phase)
     return PowerLawFit(exponent=float(slope), amplitude=complex(amplitude),
                        residual=residual)
 
 
 def ladder_spectra(model_or_family, g0: complex, deltas,
-                   tau_c: float = DEFAULT_TAU_C, label_im_tol: float = 1e-3):
+                   tau_c: float = DEFAULT_TAU_C):
     """Labeled spectra at g0 + delta for a descending ladder of real deltas.
 
-    Branch labels are fixed at g0 - max(delta) (canonical order with a loose
-    imaginary-part tolerance, so the nearly degenerate pair is ordered by real
-    part), carried to +max(delta) over a semicircle of ``LADDER_ARC_STEPS``
+    Branch labels are fixed at g0 - max(delta) (canonical order with
+    ``LABEL_IM_TOL`` clustering, so the nearly degenerate pair is ordered by
+    real part), carried to +max(delta) over a semicircle of ``LADDER_ARC_STEPS``
     steps around the degeneracy and then down the real ladder with geometric
     intermediate steps of ratio ``LADDER_DESCENT_RATIO``.  Matching
     straight across the degeneracy would be ambiguous; the arc is not.
@@ -224,7 +229,7 @@ def ladder_spectra(model_or_family, g0: complex, deltas,
         current = d
         targets[len(path) - 1] = d
     res = continue_spectrum(model_or_family, path, want_vectors=True,
-                            tau_c=tau_c, start_im_tol=label_im_tol)
+                            tau_c=tau_c, start_im_tol=LABEL_IM_TOL)
     out = [(targets[i], res.spectra[i]) for i in sorted(targets)]
     out.sort(key=lambda t: t[0])
     return out
@@ -279,7 +284,7 @@ class CoefficientTable:
         return out
 
 
-def _locate_pseudo_dp(model: ModelSpec, roots=None) -> complex:
+def _locate_pseudo_dp(model_or_family, roots=None) -> complex:
     """The lowest multiplicity-2 root below the real axis, away from g = 0.
 
     ``roots`` is the model's root set, solved here when None.
@@ -287,7 +292,7 @@ def _locate_pseudo_dp(model: ModelSpec, roots=None) -> complex:
     if roots is None:
         from .discriminant import find_degeneracies
 
-        roots = find_degeneracies(model)
+        roots = find_degeneracies(model_or_family)
     candidates = [r for r in roots
                   if r.multiplicity == 2 and r.g0.imag < 0 and abs(r.g0) > 1e-8]
     if not candidates:
@@ -311,18 +316,19 @@ def coefficient_extract(model: ModelSpec, g0: complex = None,
     the remaining entries, including both conjugacy relations, carry no
     freedom and are genuine predictions.
     """
+    ops = build_operator_matrices(model)
+    family = ops.family(model.gamma)
     if g0 is None:
-        g0 = _locate_pseudo_dp(model)
+        g0 = _locate_pseudo_dp(family)
     g0 = complex(g0)
     pair0 = tuple(k - 1 for k in pair)
-    samples = ladder_spectra(model, g0, deltas)
+    samples = ladder_spectra(family, g0, deltas)
     dim = samples[0][1].dim
 
-    P = build_operator_matrices(model).P
     mats = []
     ds = []
     for d, spec in samples:
-        mats.append(_operator_matrix(P, spec))
+        mats.append(_operator_matrix(ops.P, spec))
         ds.append(d)
     ds = np.array(ds)
 

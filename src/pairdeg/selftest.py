@@ -20,10 +20,10 @@ import numpy as np
 
 from .atlas import Kind, classify, sweep_gamma
 from .discriminant import (discriminant_at, discriminant_poly, find_degeneracies)
-from .model import ModelSpec, hamiltonian_at
+from .model import ModelSpec, build_operator_matrices, hamiltonian_at
 from .monodromy import LoopSpec, restore_count, trace_loop
-from .observables import (_locate_pseudo_dp, coefficient_extract, fit_power_law,
-                          ladder_spectra, pairing_energy_cut)
+from .observables import (_locate_pseudo_dp, _raw_c_normalized, coefficient_extract,
+                          fit_power_law, ladder_spectra, pairing_energy_cut)
 from .spectra import (branch_slopes, c_normalize, continue_spectrum,
                       eigendecompose)
 
@@ -228,17 +228,14 @@ def criterion_8(roots_of=find_degeneracies) -> CriterionResult:
     """Square-root and inverse-delta divergence exponents."""
     model = reference_model()
     deltas = np.logspace(-4, -2, 9)
-    samples = ladder_spectra(model, PSEUDO_DP_G, deltas)
-    from .model import build_operator_matrices
-    from .observables import _raw_c_normalized
-
-    P = build_operator_matrices(model).P
+    ops = build_operator_matrices(model)
+    samples = ladder_spectra(ops.family(model.gamma), PSEUDO_DP_G, deltas)
     comp = []
     o22 = []
     for d, spec in samples:
         U = _raw_c_normalized(spec)
         comp.append(np.max(np.abs(U[:, 1])))
-        o22.append((U[:, 1] @ (spec.g * P) @ U[:, 1]))
+        o22.append((U[:, 1] @ (spec.g * ops.P) @ U[:, 1]))
     ds = np.array([d for d, _ in samples])
     fit_u = fit_power_law(ds, np.array(comp))
     fit_o = fit_power_law(ds, np.array(o22))

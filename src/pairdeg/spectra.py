@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 DEFAULT_TAU_C = 1e-6
+# Im clustering of the canonical labels fixed next to a degeneracy, where a
+# nearly degenerate pair is then ordered by real part.
+LABEL_IM_TOL = 1e-3
 RESIDUAL_BOUND = 1e-9
 MATCH_AMBIGUITY_TOL = 1e-12
 EXHAUSTIVE_MATCH_LIMIT = 7
@@ -125,7 +128,6 @@ class Spectrum:
     eigenvectors: np.ndarray
     self_orthogonality: np.ndarray
     self_orthogonal: np.ndarray = field(default=None)
-    c_normalized: bool = False
 
     def __post_init__(self):
         if self.self_orthogonal is None:
@@ -143,7 +145,6 @@ class Spectrum:
             eigenvectors=self.eigenvectors[:, perm],
             self_orthogonality=self.self_orthogonality[perm],
             self_orthogonal=self.self_orthogonal[perm],
-            c_normalized=self.c_normalized,
         )
 
 
@@ -229,11 +230,10 @@ def _eigendecompose_stack(H: np.ndarray, gs, im_tol: float = 1e-8) -> list:
 def _solve_path(family, gs):
     """Eigensystems at the couplings ``gs``, in order, solved ``SOLVE_BLOCK`` at a time.
 
-    Yields ``(E, V, b, stacked)``: the arrays of ``_eig_stack`` for a block
-    solved as one stack, or, for a block that fails a check, for one point
-    at a time solved again on its own, so the first failing coupling raises
-    its own EigensolverError only once the consumer has taken every row
-    before it.
+    Yields the arrays of ``_eig_stack`` for each block solved as one stack.
+    A block that fails a check is solved again one point at a time and
+    yielded one row at a time, so the first failing coupling raises its own
+    EigensolverError only once the consumer has taken every row before it.
     """
     for lo in range(0, len(gs), SOLVE_BLOCK):
         block = gs[lo:lo + SOLVE_BLOCK]
@@ -242,9 +242,9 @@ def _solve_path(family, gs):
             E, V, b = _eig_stack(matrices, block)
         except EigensolverError:
             for H, g in zip(matrices, block):
-                yield (*_eig_stack(H[None], [g]), False)
+                yield _eig_stack(H[None], [g])
             continue
-        yield E, V, b, True
+        yield E, V, b
 
 
 def _orthogonalize_clusters(e: np.ndarray, V: np.ndarray, tau_c: float) -> None:
@@ -325,7 +325,6 @@ def c_normalize(spectrum: Spectrum, tau_c: float = DEFAULT_TAU_C) -> Spectrum:
         eigenvectors=V[0],
         self_orthogonality=b[0],
         self_orthogonal=flagged[0],
-        c_normalized=True,
     )
 
 
@@ -482,16 +481,16 @@ class ContinuationResult:
 
 
 def _align_next(family, current: Spectrum, t_from, t_to, point, nxt: Spectrum,
-                want_vectors, tau_c, depth, records):
-    """One continuation step from ``current`` at path parameter t_from to t_to.
+                depth, records):
+    """Match the continuation step from ``current`` at t_from to path parameter t_to.
 
     ``nxt`` is the spectrum already solved at ``point(t_to)``.  ``point``
     maps the path parameter to the coupling: ``complex`` for cuts, whose
     parameter is g itself, or ``LoopSpec.point`` for loops, which bisect in
     phi.  Only bisection midpoints are solved here.  Returns the accepted
     sub-steps in path order, bisection midpoints first, the last one at t_to,
-    and the permutation of ``nxt`` that the last one is.  Vectors are
-    c-normalized when wanted; the sign gauge is left to the caller.
+    each with its solved vectors in label order, and the permutation of
+    ``nxt`` that the last one is.
     """
     m = match_states(current.eigenvalues, nxt.eigenvalues)
     if m.ambiguous and not m.benign_tie:
@@ -505,17 +504,14 @@ def _align_next(family, current: Spectrum, t_from, t_to, point, nxt: Spectrum,
         g_mid = point(t_mid)
         mid = eigendecompose(family.matrix(g_mid), g=g_mid)
         first, _ = _align_next(family, current, t_from, t_mid, point, mid,
-                               want_vectors, tau_c, depth + 1, records)
+                               depth + 1, records)
         second, perm = _align_next(family, first[-1], t_mid, t_to, point, nxt,
-                                   want_vectors, tau_c, depth + 1, records)
+                                   depth + 1, records)
         return first + second, perm
     if m.ambiguous:
         records.append(AmbiguityRecord(current.g, nxt.g, m.margin,
                                        benign=True, refined=depth))
-    aligned = nxt.permuted(m.perm)
-    if want_vectors:
-        aligned = c_normalize(aligned, tau_c=tau_c)
-    return [aligned], m.perm
+    return [nxt.permuted(m.perm)], m.perm
 
 
 def _column_dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -609,29 +605,6 @@ def _gauge(prev: Spectrum, W: np.ndarray, flagged: np.ndarray, b: np.ndarray,
     return W, increments
 
 
-def _exact_step(family, current: Spectrum, t_from, t_to, point, nxt: Spectrum,
-                want_vectors, tau_c, phases, records):
-    """One step by ``_align_next``, each sub-step gauged after the one before.
-
-    Returns the accepted spectrum at t_to, the step's phase increments (the
-    sub-steps' added in path order; None without ``phases``) and the
-    permutation of ``nxt`` it is.
-    """
-    steps, perm = _align_next(family, current, t_from, t_to, point, nxt,
-                              want_vectors, tau_c, 0, records)
-    increments = None
-    for aligned in steps:
-        if want_vectors:
-            W, d = _gauge(current, aligned.eigenvectors[None],
-                          aligned.self_orthogonal[None],
-                          aligned.self_orthogonality[None], phases)
-            aligned.eigenvectors = W[0]
-            if phases:
-                increments = d[0] if increments is None else increments + d[0]
-        current = aligned
-    return current, increments, np.asarray(perm)
-
-
 def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
                records):
     """Continue ``start`` (at path parameter ts[0]) through ``point(ts[1:])``.
@@ -639,61 +612,59 @@ def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
     Yields, in path order, blocks ``(E, V, b, flagged, increments)`` of the
     accepted states at consecutive path points after the start: (k, n)
     eigenvalues, (k, n, n) vectors, c-norms and self-orthogonality flags,
-    and with ``phases`` the (k, n) phase increments of the steps (bisection
-    sub-steps added in path order), else None.  The vectors are
-    c-normalized and in the sign gauge when ``want_vectors``.  Consumers
-    must not write to the blocks.
+    and with ``phases`` the (k, n) phase increments of the steps, else None.
+    The vectors are c-normalized and in the sign gauge when
+    ``want_vectors``.  Consumers must not write to the blocks.
 
-    The path is solved in stacked blocks (``_solve_path``).  Within a block
-    the steps that ``_match_block`` finds clear are matched, c-normalized and
-    gauged together, each a stacked kernel whose rows are bit for bit the
-    step taken alone, and handed on as one block, at every dimension.  Steps
-    that the certificate does not clear (near-ties among them) and steps of
-    blocks solved point by point take ``_exact_step``, which bisects, and
-    are handed on one row at a time.  Only the state that the next matching
-    starts from is kept as a Spectrum.
+    The path is solved in stacked blocks (``_solve_path``).  Each step is
+    put into label order one of two ways: a run of steps that
+    ``_match_block`` finds clear by the permutations it found, and any other
+    step (near-ties among them) by ``_align_next``, which bisects.  Either
+    way the states then take one tail: c-normalized, gauged and, with
+    ``phases``, given their increments as a stack, each row bit for bit the
+    step taken alone.  Of a bisected step only the state at its path point
+    is handed on, with the sub-steps' increments added in path order.  Only
+    the state that the next matching starts from is kept as a Spectrum.
     """
     current = start
     n = start.dim
     gs = [point(t) for t in ts[1:]]
     i = 0  # path point of the block's first row, as an index into gs
-    for E, V, B, stacked in _solve_path(family, gs):
+    for E, V, B in _solve_path(family, gs):
         k = len(E)
-        clear = np.zeros(k, dtype=bool)
-        if stacked:
-            q, clear = _match_block(current.eigenvalues, E)
+        q, clear = _match_block(current.eigenvalues, E)
         perm = np.arange(n)  # current, in label order, as a permutation of itself
         j = 0
         while j < k:
-            if not clear[j]:
-                nxt = Spectrum(complex(gs[i + j]), E[j], V[j], B[j])
-                current, increments, perm = _exact_step(
-                    family, current, ts[i + j], ts[i + j + 1], point, nxt,
-                    want_vectors, tau_c, phases, records)
-                yield (current.eigenvalues[None], current.eigenvectors[None],
-                       current.self_orthogonality[None], current.self_orthogonal[None],
-                       None if increments is None else increments[None])
-                j += 1
-                continue
             end = j + 1
-            while end < k and clear[end]:
-                end += 1
-            perms = np.empty((end - j, n), dtype=int)
-            for t in range(j, end):
-                perm = perms[t - j] = q[t][perm]
-            rows = np.arange(end - j)[:, None]
-            Ea = E[j:end][rows, perms]
-            Va = np.take_along_axis(V[j:end], perms[:, None, :], axis=2)
+            if clear[j]:
+                while end < k and clear[end]:
+                    end += 1
+                perms = np.empty((end - j, n), dtype=int)
+                for t in range(j, end):
+                    perm = perms[t - j] = q[t][perm]
+                rows = np.arange(end - j)[:, None]
+                Ea, Ba = E[j:end][rows, perms], B[j:end][rows, perms]
+                Va = np.take_along_axis(V[j:end], perms[:, None, :], axis=2)
+            else:
+                steps, perm = _align_next(
+                    family, current, ts[i + j], ts[i + end], point,
+                    Spectrum(complex(gs[i + j]), E[j], V[j], B[j]), 0, records)
+                perm = np.asarray(perm)
+                Ea = np.array([s.eigenvalues for s in steps])
+                Va = np.array([s.eigenvectors for s in steps])
+                Ba = np.array([s.self_orthogonality for s in steps])
+            Fa = np.zeros(Ea.shape, dtype=bool)
+            increments = None
             if want_vectors:
                 Va, Ba, Fa = _c_normalize_stack(Ea, Va, tau_c)
                 Va, increments = _gauge(current, Va, Fa, Ba, phases)
-            else:
-                Ba = B[j:end][rows, perms]
-                Fa = np.zeros(Ea.shape, dtype=bool)
-                increments = None
+            if not clear[j]:
+                Ea, Va, Ba, Fa = Ea[-1:], Va[-1:], Ba[-1:], Fa[-1:]
+                if increments is not None:
+                    increments = sum(increments[1:], increments[0])[None]
             yield Ea, Va, Ba, Fa, increments
-            current = Spectrum(complex(gs[i + end - 1]), Ea[-1], Va[-1], Ba[-1], Fa[-1],
-                               c_normalized=want_vectors)
+            current = Spectrum(complex(gs[i + end - 1]), Ea[-1], Va[-1], Ba[-1], Fa[-1])
             j = end
         i += k
 
@@ -723,8 +694,7 @@ def continue_spectrum(model_or_family, points, want_vectors: bool = True,
     for E, V, b, flagged, _ in _transport(family, start, points, complex, want_vectors,
                                           tau_c, False, records):
         for t in range(len(E)):
-            spectra.append(Spectrum(points[len(spectra)], E[t], V[t], b[t], flagged[t],
-                                    c_normalized=want_vectors))
+            spectra.append(Spectrum(points[len(spectra)], E[t], V[t], b[t], flagged[t]))
     return ContinuationResult(spectra=spectra, ambiguities=records)
 
 
@@ -775,17 +745,16 @@ def semicircle(g0: complex, h: float, steps: int, upper: bool = True) -> np.ndar
 
 
 def branch_slopes(model_or_family, g0: complex, h: float = 1e-4,
-                  steps: int = 32, label_im_tol: float = 1e-3) -> np.ndarray:
+                  steps: int = 32) -> np.ndarray:
     """Central-difference dE/d(delta) at g0 along the real direction.
 
     The two evaluation points g0 -+ h are connected by analytic continuation
     over a semicircle around g0, so the branch assignment is well defined even
     when the spectrum is degenerate at g0 itself (matching straight across the
-    degeneracy is ambiguous at O(h^3)).  Labels are canonical at g0 - h with a
-    loose imaginary-part clustering so nearly degenerate pairs are ordered by
-    real part there.
+    degeneracy is ambiguous at O(h^3)).  Labels are canonical at g0 - h with
+    ``LABEL_IM_TOL`` clustering.
     """
     path = semicircle(complex(g0), h, steps)
     res = continue_spectrum(model_or_family, path, want_vectors=False,
-                            start_im_tol=label_im_tol)
+                            start_im_tol=LABEL_IM_TOL)
     return (res.spectra[-1].eigenvalues - res.spectra[0].eigenvalues) / (2 * h)

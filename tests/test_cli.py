@@ -163,8 +163,27 @@ heatmap_points = 5
     result = runner.invoke(main, ["atlas", "--config", cfg, "--out",
                                   str(tmp_path / "o")])
     assert result.exit_code == 2
-    assert result.stderr.startswith("config error: [atlas] window ")
-    assert "non-finite span or sample grid" in result.stderr
+    assert result.stderr.startswith(f"config error: [atlas] window {window}: "
+                                    "expected finite numbers")
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("atlas", "precision", "tau_c", "nan"),
+    ("sweep", "sweep", "merge_radius", "inf"),
+])
+def test_non_finite_number_is_a_config_error(tmp_path, runner, command, section, key,
+                                             value):
+    # A NaN tau_c once turned every EP UNRESOLVED, and an infinite
+    # merge_radius switched off the merge distance check, both silently.
+    cfg = write_config(tmp_path, BASE_CONFIG + f"""
+[{section}]
+{key} = {value}
+""")
+    result = runner.invoke(main, [command, "--config", cfg, "--out",
+                                  str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert result.stderr == (f"config error: [{section}] {key} {value}: "
+                             "expected finite numbers\n")
 
 
 def test_cut_with_one_sample_is_a_config_error(tmp_path, runner):

@@ -105,20 +105,37 @@ def test_pairing_cut_linear_segment(model, pseudo_dp):
     assert cut.diagonal.shape == (9, 4)
 
 
-@pytest.mark.parametrize("samples", [2, 9, 40])
-def test_pairing_cut_builds_operators_once(monkeypatch, model, pseudo_dp, samples):
+@pytest.fixture
+def builds(monkeypatch):
+    """The models that T, P and Q are built for, one entry per build."""
+    import pairdeg.model
     import pairdeg.observables as observables
 
     calls = []
-    original = observables.build_operator_matrices
+    original = pairdeg.model.build_operator_matrices
 
     def counting(m):
         calls.append(m)
         return original(m)
 
+    # ModelSpec.family() finds the builder in the model module, the
+    # observables in their own: count both.
+    monkeypatch.setattr(pairdeg.model, "build_operator_matrices", counting)
     monkeypatch.setattr(observables, "build_operator_matrices", counting)
+    return calls
+
+
+@pytest.mark.parametrize("samples", [2, 9, 40])
+def test_pairing_cut_builds_operators_once(builds, model, pseudo_dp, samples):
     pairing_energy_cut(model, pseudo_dp - 0.05, pseudo_dp - 0.01, samples)
-    assert len(calls) == 1
+    assert len(builds) == 1
+
+
+def test_eigenbasis_and_coefficients_build_operators_once(builds, model, pseudo_dp):
+    operator_in_eigenbasis(model, pseudo_dp + 0.01)
+    assert len(builds) == 1
+    coefficient_extract(model)  # locates the pseudo-DP itself
+    assert len(builds) == 2
 
 
 def test_pairing_cut_csv(tmp_path, model, pseudo_dp):
@@ -150,6 +167,22 @@ def test_fit_power_law_validation():
     noisy = d ** -0.5 * np.exp(rng.normal(scale=0.5, size=10))
     with pytest.raises(FitRejectedError):
         fit_power_law(d, noisy)
+    with pytest.raises(FitRejectedError, match="phases cancel"):
+        fit_power_law(d, d ** -0.5 * (-1.0) ** np.arange(10))
+
+
+@pytest.mark.parametrize("target, bad", [
+    ("values", 0.0), ("values", np.nan), ("values", np.inf),
+    ("values", complex(np.nan, 1.0)), ("deltas", np.nan), ("deltas", np.inf),
+])
+def test_fit_power_law_rejects_non_finite_or_zero_input(target, bad):
+    # Each once gave a NaN exponent with no error: NaN fails every residual
+    # comparison.  Rejected before any log, so no numpy warning either.
+    data = {"deltas": np.logspace(-4, -2, 8)}
+    data["values"] = data["deltas"] ** -0.5 + 0j
+    data[target][-1 if target == "deltas" else 3] = bad
+    with pytest.raises(FitRejectedError, match="finite"):
+        fit_power_law(data["deltas"], data["values"])
 
 
 def test_divergence_exponents(model, pseudo_dp):

@@ -567,19 +567,19 @@ def test_residual_failure_raises_at_its_own_step(model, monkeypatch):
         v[np.all(H == bad, axis=(-2, -1))] += 0.1
         return w, v
 
-    calls = {"match": 0}
-    match_states = pairdeg.spectra.match_states
+    calls = {"rows": 0}
+    match_block = pairdeg.spectra._match_block
 
-    def counted(*args):
-        calls["match"] += 1
-        return match_states(*args)
+    def counted(first, E):
+        calls["rows"] += len(E)
+        return match_block(first, E)
 
     monkeypatch.setattr(np.linalg, "eig", corrupt)
-    monkeypatch.setattr(pairdeg.spectra, "match_states", counted)
+    monkeypatch.setattr(pairdeg.spectra, "_match_block", counted)
     with pytest.raises(EigensolverError, match="residual") as info:
         continue_spectrum(model, points)
     assert info.value.g == points[6]
-    assert calls["match"] == 5
+    assert calls["rows"] == 5
 
 
 def test_stacked_lapack_failure_falls_back(model, pseudo_dp, monkeypatch):

@@ -68,8 +68,7 @@ def _c_normalize_oracle(spectrum, tau_c=1e-6):
             V[:, m] = V[:, m] / np.sqrt(b_values[m])
         V[:, m] = _fix_gauge_oracle(V[:, m])
     return Spectrum(g=spectrum.g, eigenvalues=e.copy(), eigenvectors=V,
-                    self_orthogonality=b_values, self_orthogonal=flagged,
-                    c_normalized=True)
+                    self_orthogonality=b_values, self_orthogonal=flagged)
 
 
 def _align_next_oracle(family, current, t_from, t_to, point, nxt, want_vectors,
@@ -195,7 +194,7 @@ def _assert_same_bytes(got, want):
 
 
 def _assert_same_spectrum(got, want):
-    assert got.g == want.g and got.c_normalized == want.c_normalized
+    assert got.g == want.g
     for name in ("eigenvalues", "eigenvectors", "self_orthogonality",
                  "self_orthogonal"):
         _assert_same_bytes(getattr(got, name), getattr(want, name))
@@ -477,14 +476,14 @@ def test_dim_11_loop_takes_only_the_block_path(monkeypatch):
     rng = np.random.default_rng(11)
     family = _random_family(rng, 11)
     loop = LoopSpec(complex(*rng.normal(size=2)), 0.05, steps=256)
-    exact_step = pairdeg.spectra._exact_step
+    align_next = pairdeg.spectra._align_next
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[3])
-        return exact_step(*args, **kwargs)
+        return align_next(*args, **kwargs)
 
-    monkeypatch.setattr(pairdeg.spectra, "_exact_step", counted)
+    monkeypatch.setattr(pairdeg.spectra, "_align_next", counted)
     _assert_loop_matches_oracle(family, loop, [])
     assert calls == []
 
@@ -637,3 +636,71 @@ def test_short_loops_match_full_trace_through_forced_bisection(model, pseudo_dp,
     monkeypatch.undo()
     plain = trace_loop(family, full_spec, degeneracies=roots)
     assert not np.array_equal(plain.thetas, full.thetas)
+
+
+def _force_ties(monkeypatch, family, g, count):
+    """Report the first ``count`` matchings onto the state solved at ``g`` as
+    genuine ties, in the engine and in the oracles alike, and keep the block
+    matcher from clearing any step onto it.  Returns the list of ties fired,
+    to be cleared before each run."""
+    target = eigendecompose(family.matrix(g), g=g).eigenvalues
+    match_block, match_states_ = pairdeg.spectra._match_block, match_states
+    fired = []
+
+    def unclear(first, E):
+        assign, clear = match_block(first, E)
+        return assign, clear & ~(E == target).all(axis=1)
+
+    def tied(prev, nxt):
+        m = match_states_(prev, nxt)
+        if len(fired) < count and np.array_equal(nxt, target):
+            fired.append(g)
+            return m._replace(ambiguous=True, benign_tie=False)
+        return m
+
+    monkeypatch.setattr(pairdeg.spectra, "_match_block", unclear)
+    monkeypatch.setattr(pairdeg.spectra, "match_states", tied)
+    monkeypatch.setitem(globals(), "match_states", tied)  # the oracles' binding
+    return fired
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_bisected_loop_step_matches_oracle(model, pseudo_dp, monkeypatch, count):
+    # The tied step is bisected into count + 1 sub-steps, which take the
+    # shared normalise-and-gauge tail as one stack; their phase increments
+    # are added in path order.
+    roots = find_degeneracies(model)
+    root = min(roots, key=lambda r: abs(r.g0 - pseudo_dp))
+    loop = LoopSpec(root.g0, 0.01, steps=100, loops=2)
+    family = model.family()
+    phis = np.linspace(0.0, 4 * np.pi, 201)
+    fired = _force_ties(monkeypatch, family, loop.point(phis[37]), count)
+    eigenvalues, thetas, perms, loop_re, raw_loop, records = _trace_loop_oracle(
+        family, loop)
+    assert len(fired) == count
+    fired.clear()
+    got = trace_loop(family, loop, degeneracies=roots)
+    assert len(fired) == count
+    _assert_same_bytes(got.eigenvalues, eigenvalues)
+    _assert_same_bytes(got.thetas, thetas)
+    _assert_same_bytes(got.loop_re_theta, loop_re)
+    _assert_same_bytes(got.raw_loop_theta, raw_loop)
+    assert got.loop_permutations == perms
+    assert got.ambiguities == records
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("tau_c", [1e-6, 0.3])
+def test_bisected_cut_step_matches_oracle(model, pseudo_dp, monkeypatch, count, tau_c):
+    family = model.family()
+    points = np.linspace(pseudo_dp - 0.05, pseudo_dp + 0.05, 101)
+    fired = _force_ties(monkeypatch, family, complex(points[70]), count)
+    want, records = _continue_spectrum_oracle(family, points, True, tau_c)
+    assert len(fired) == count
+    fired.clear()
+    got = continue_spectrum(family, points, want_vectors=True, tau_c=tau_c)
+    assert len(fired) == count
+    assert len(got.spectra) == len(want)
+    for a, b in zip(got.spectra, want):
+        _assert_same_spectrum(a, b)
+    assert got.ambiguities == records
