@@ -26,10 +26,11 @@ from enum import Enum
 
 import numpy as np
 
-from .discriminant import DegeneracyRoot, contour_moments, find_degeneracies
+from .discriminant import (DEFAULT_CLUSTER_FACTOR, DEFAULT_RADIUS, DegeneracyRoot,
+                           contour_moments, find_degeneracies)
 from .errors import PairdegError
 from .model import ModelSpec, as_family, build_operator_matrices
-from .monodromy import LoopSpec, _turn_permutation
+from .monodromy import MIN_STEPS, LoopSpec, _turn_permutation
 from .spectra import DEFAULT_TAU_C, c_normalize, closest_pair, eigendecompose
 
 __all__ = [
@@ -46,8 +47,10 @@ __all__ = [
 DEFAULT_LOOP_RADIUS = 0.01
 DEFAULT_LOOP_STEPS = 64
 DEFAULT_MERGE_RADIUS = 1e-4
-# Merge refinement (see _merge_event and sweep_gamma).
+# Share of the distance to the nearest other root that a circle around a
+# root may span: the sweep's merge circles and the verification loops.
 CIRCLE_FRACTION = 0.45
+# Merge refinement (see _merge_event and sweep_gamma).
 S0_TOL = 1e-6
 MAX_HALVINGS = 40
 MAX_FALSI_STEPS = 100
@@ -106,8 +109,8 @@ def _verification_loop(family, root, degeneracies, loop_radius, loop_steps):
     for other in degeneracies:
         if other is root or abs(other.g0 - root.g0) < 1e-12:
             continue
-        radius = min(radius, 0.45 * abs(other.g0 - root.g0))
-    loop = LoopSpec(root.g0, radius, steps=max(loop_steps, 64), loops=1)
+        radius = min(radius, CIRCLE_FRACTION * abs(other.g0 - root.g0))
+    loop = LoopSpec(root.g0, radius, steps=max(loop_steps, MIN_STEPS), loops=1)
     return _turn_permutation(family, loop, degeneracies=degeneracies)
 
 
@@ -160,9 +163,10 @@ def classify(model_or_family, root: DegeneracyRoot, degeneracies=None,
 
 
 def classify_all(model_or_family, tau_c: float = DEFAULT_TAU_C,
-                 radius: float = 0.5, loop_radius: float = DEFAULT_LOOP_RADIUS,
+                 radius: float = DEFAULT_RADIUS,
+                 loop_radius: float = DEFAULT_LOOP_RADIUS,
                  loop_steps: int = DEFAULT_LOOP_STEPS,
-                 cluster_factor: float = 1e-4) -> list:
+                 cluster_factor: float = DEFAULT_CLUSTER_FACTOR) -> list:
     """find_degeneracies followed by classify on every root."""
     family = as_family(model_or_family)
     roots = find_degeneracies(family, radius=radius, cluster_factor=cluster_factor)
@@ -289,9 +293,9 @@ def _merge_event(family_at, g_lo, g_k, g_hi, center, radius, merge_radius):
 
 def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
                 steps: int, classify_points: bool = True,
-                refine_events: bool = True,
                 merge_radius: float = DEFAULT_MERGE_RADIUS,
-                radius: float = 0.5, cluster_factor: float = 1e-4,
+                radius: float = DEFAULT_RADIUS,
+                cluster_factor: float = DEFAULT_CLUSTER_FACTOR,
                 tau_c: float = DEFAULT_TAU_C) -> GammaTrajectory:
     """Track all degeneracies over a gamma interval and detect EP mergers.
 
@@ -336,62 +340,57 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
                 link_ambiguities.append((float(gammas[k]), r.g0))
 
     events = []
-    if refine_events:
-        # Pair-distance profile of the closest same-sample pair.
-        profile = []
-        for roots, pts in zip(root_sets, points):
-            best = (np.inf, None)
-            if len(roots) >= 2:
-                a, b = (roots[k].g0 for k in closest_pair([r.g0 for r in roots]))
-                best = (abs(a - b), 0.5 * (a + b))
-            # A multiplicity-2 root that is not a plain level crossing (nor,
-            # unclassified, at g = 0) is an already merged pair: a grid
-            # sample can land exactly on gamma*.
-            merged = [p.g0 for p in pts if p.root.multiplicity >= 2
-                      and p.kind != Kind.DP
-                      and (classify_points or abs(p.g0) > 1e-6)]
-            if merged:
-                best = (0.0, merged[0])
-            profile.append(best)
-        dists = np.array([p[0] for p in profile])
-        for k in range(len(gammas)):
-            lo = dists[k - 1] if k > 0 else np.inf
-            hi = dists[k + 1] if k + 1 < len(dists) else np.inf
-            if not (dists[k] < lo and dists[k] <= hi):
-                continue
-            center = profile[k][1]
-            # The pair is the merged root, or the two roots nearest the centre.
-            others = sorted(abs(r.g0 - center) for r in root_sets[k])
-            others = others[1 if dists[k] == 0.0 else 2:]
-            circle = CIRCLE_FRACTION * min(others, default=radius)
-            event = _merge_event(
-                ops.family, float(gammas[max(k - 1, 0)]), float(gammas[k]),
-                float(gammas[min(k + 1, len(gammas) - 1)]), center, circle,
-                merge_radius)
-            if event is not None:
-                events.append(event)
+    # Pair-distance profile of the closest same-sample pair.
+    profile = []
+    for roots, pts in zip(root_sets, points):
+        best = (np.inf, None)
+        if len(roots) >= 2:
+            a, b = (roots[k].g0 for k in closest_pair([r.g0 for r in roots]))
+            best = (abs(a - b), 0.5 * (a + b))
+        # A multiplicity-2 root that is not a plain level crossing (nor,
+        # unclassified, at g = 0) is an already merged pair: a grid
+        # sample can land exactly on gamma*.
+        merged = [p.g0 for p in pts if p.root.multiplicity >= 2
+                  and p.kind != Kind.DP
+                  and (classify_points or abs(p.g0) > 1e-6)]
+        if merged:
+            best = (0.0, merged[0])
+        profile.append(best)
+    dists = np.array([p[0] for p in profile])
+    for k in range(len(gammas)):
+        lo = dists[k - 1] if k > 0 else np.inf
+        hi = dists[k + 1] if k + 1 < len(dists) else np.inf
+        if not (dists[k] < lo and dists[k] <= hi):
+            continue
+        center = profile[k][1]
+        # The pair is the merged root, or the two roots nearest the centre.
+        others = sorted(abs(r.g0 - center) for r in root_sets[k])
+        others = others[1 if dists[k] == 0.0 else 2:]
+        circle = CIRCLE_FRACTION * min(others, default=radius)
+        event = _merge_event(
+            ops.family, float(gammas[max(k - 1, 0)]), float(gammas[k]),
+            float(gammas[min(k + 1, len(gammas) - 1)]), center, circle,
+            merge_radius)
+        if event is not None:
+            events.append(event)
     return GammaTrajectory(gammas=gammas, points=points, events=events,
                            link_ambiguities=link_ambiguities)
 
 
-def pair_truncation_family(model_or_family, g0: complex, pair=None,
-                           reference_offset: complex = 1e-3,
-                           tau_c: float = DEFAULT_TAU_C):
+def pair_truncation_family(model_or_family, g0: complex):
     """Truncate the family onto the merging pair's two-dimensional subspace.
 
-    Builds a c-orthonormal basis of the involved pair's eigenvector span at a
-    regular reference point g0 + reference_offset and congruence-truncates
-    both parts of the affine family.  Used for the structural check that the
-    double-root degeneracy is not a property of the two merging states alone:
-    the truncated 2x2 family's discriminant has only simple roots near g0.
+    Builds a c-orthonormal basis of the eigenvector span of the closest
+    eigenvalue pair at a regular reference point g0 + 1e-3 and
+    congruence-truncates both parts of the affine family.  Used for the
+    structural check that the double-root degeneracy is not a property of
+    the two merging states alone: the truncated 2x2 family's discriminant
+    has only simple roots near g0.
     """
     family = as_family(model_or_family)
-    g_ref = complex(g0) + complex(reference_offset)
-    spec = c_normalize(eigendecompose(family.matrix(g_ref), g=g_ref), tau_c=tau_c)
-    if pair is None:
-        i, j = closest_pair(spec.eigenvalues)
-    else:
-        i, j = (k - 1 for k in pair)
+    g_ref = complex(g0) + 1e-3
+    spec = c_normalize(eigendecompose(family.matrix(g_ref), g=g_ref))
+    i, j = closest_pair(spec.eigenvalues)
     X = np.stack([spec.eigenvectors[:, i], spec.eigenvectors[:, j]], axis=1)
     # Bilinear Gram-Schmidt so that X^T X = I2.
     X[:, 1] = X[:, 1] - X[:, 0] * (X[:, 0] @ X[:, 1])

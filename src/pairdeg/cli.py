@@ -23,13 +23,14 @@ import click
 
 from . import __version__
 from ._csvio import format_value, write_csv
-from .atlas import classify_all, sweep_gamma
-from .discriminant import discriminant_grid
+from .atlas import (DEFAULT_LOOP_RADIUS, DEFAULT_LOOP_STEPS, DEFAULT_MERGE_RADIUS,
+                    classify_all, sweep_gamma)
+from .discriminant import DEFAULT_CLUSTER_FACTOR, DEFAULT_RADIUS, discriminant_grid
 from .errors import ConfigError, PairdegError
-from .model import ModelSpec
+from .model import ModelSpec, enumerate_basis
 from .monodromy import LoopSpec, _restore_periods, trace_loop
 from .observables import pairing_energy_cut
-from .spectra import CutTable, spectrum_along
+from .spectra import DEFAULT_TAU_C, CutTable, spectrum_along
 
 SCHEMA = {
     "model": {"epsilons", "omegas", "n_pairs", "gamma"},
@@ -42,15 +43,17 @@ SCHEMA = {
                   "loop_radius"},
 }
 
+# The library's defaults, spelled by repr, which reads back as the same number.
 DEFAULTS = {
     "atlas": {"window": "-0.3, 0.3, -0.3, 0.3", "heatmap_points": "101"},
     "sweep": {"gamma_start": "-0.6", "gamma_stop": "-0.4", "samples": "21",
-              "classify": "true", "merge_radius": "1e-4"},
+              "classify": "true", "merge_radius": repr(DEFAULT_MERGE_RADIUS)},
     "encircle": {"radius": "0.01", "steps": "256", "loops": "4"},
     "cut": {"samples": "200", "pairing": "true", "pair": "2, 3"},
-    "precision": {"tau_c": "1e-6", "interp_radius": "0.5",
-                  "cluster_factor": "1e-4", "loop_steps": "64",
-                  "loop_radius": "0.01"},
+    "precision": {"tau_c": repr(DEFAULT_TAU_C), "interp_radius": repr(DEFAULT_RADIUS),
+                  "cluster_factor": repr(DEFAULT_CLUSTER_FACTOR),
+                  "loop_steps": repr(DEFAULT_LOOP_STEPS),
+                  "loop_radius": repr(DEFAULT_LOOP_RADIUS)},
 }
 
 
@@ -107,6 +110,9 @@ class RunConfig:
         v = self.float(section, key)
         if v != int(v):
             raise ConfigError(f"[{section}] {key}: expected an integer")
+        # sys.maxsize is numpy's largest index (intp) too.
+        if abs(v) > sys.maxsize:
+            raise ConfigError(f"[{section}] {key}: {v:g} is too large")
         return int(v)
 
     def ints(self, section, key):
@@ -191,8 +197,12 @@ def atlas(config_path, out_dir):
         if not all(math.isfinite(x) for x in spans):
             raise ConfigError(f"[atlas] window {', '.join(map(str, window))} "
                               "has a non-finite span or sample grid")
+        n = cfg.int("atlas", "heatmap_points")
+        if n < 1:
+            raise ConfigError("[atlas] heatmap_points must be at least 1")
+        family = model.family()  # T, P and Q built once for both outputs
         points = classify_all(
-            model,
+            family,
             tau_c=cfg.float("precision", "tau_c"),
             radius=cfg.float("precision", "interp_radius"),
             cluster_factor=cfg.float("precision", "cluster_factor"),
@@ -206,8 +216,7 @@ def atlas(config_path, out_dir):
             os.path.join(out_dir, "degeneracies.json"), cfg.meta_dict(),
             {"degeneracies": [p.as_dict() for p in points]},
         )
-        n = cfg.int("atlas", "heatmap_points")
-        res, ims, grid = discriminant_grid(model, window, n, n)
+        res, ims, grid = discriminant_grid(family, window, n, n)
         # Each coordinate repeats along the grid: format it once.
         re_tokens = [format_value(x) for x in res.tolist()]
         im_tokens = [format_value(y) for y in ims.tolist()]
@@ -298,8 +307,10 @@ def cut(config_path, out_dir):
         written = ["spectrum_cut.csv"]
         if cfg.bool("cut", "pairing"):
             pair = cfg.ints("cut", "pair")
-            if len(pair) != 2:
-                raise ConfigError("[cut] pair needs two state labels")
+            dim = len(enumerate_basis(model))
+            if len(pair) != 2 or not all(1 <= k <= dim for k in pair):
+                raise ConfigError(f"[cut] pair {', '.join(map(str, pair))}: "
+                                  f"needs two state labels in 1..{dim}")
             # One continuation with vectors serves both files: its
             # eigenvalues are those of a continuation without vectors.
             pcut = pairing_energy_cut(model, start, stop, n, pair=tuple(pair),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EigensolverError, InterpolationError
 from .model import as_family
-from .spectra import Spectrum, _eig_stack, _eigendecompose_stack, closest_pair
+from .spectra import Spectrum, _eig_stack, closest_pair
 
 __all__ = [
     "char_poly",
@@ -182,7 +182,6 @@ class DiscriminantPoly:
     coefficients: np.ndarray
     radius: float
     holdout_residual: float
-    is_real: bool
 
     @property
     def degree(self) -> int:
@@ -190,9 +189,6 @@ class DiscriminantPoly:
 
     def __call__(self, g: complex) -> complex:
         return poly_eval(self.coefficients, complex(g))
-
-    def derivative(self) -> np.ndarray:
-        return poly_derivative(self.coefficients)
 
     def scale_at(self, g: complex) -> float:
         """Evaluation scale sum_k |c_k| |g|^k (cancellation-free)."""
@@ -229,7 +225,7 @@ def discriminant_poly(model_or_family,
     n = family.dim
     M = n * (n - 1)
     if M == 0:
-        return DiscriminantPoly(np.array([1.0 + 0j]), radius, 0.0, family.is_real)
+        return DiscriminantPoly(np.array([1.0 + 0j]), radius, 0.0)
 
     last_residual = np.inf
     overflowed = 0
@@ -250,7 +246,7 @@ def discriminant_poly(model_or_family,
         if not (np.isfinite(samples).all() and np.isfinite(coeffs).all()):
             overflowed += 1
             continue
-        poly = DiscriminantPoly(coeffs, r0, np.nan, family.is_real)
+        poly = DiscriminantPoly(coeffs, r0, np.nan)
 
         rng = np.random.default_rng(20260808)
         held = [r0 * (0.15 + 0.75 * rng.random()) * np.exp(2j * np.pi * rng.random())
@@ -309,13 +305,13 @@ class DegeneracyRoot:
         }
 
 
-def _newton_polish(coeffs, roots, max_iter=60):
+def _newton_polish(coeffs, roots):
     dcoeffs = poly_derivative(coeffs)
     roots = np.array(roots, dtype=complex)
     converged = np.zeros(len(roots), dtype=bool)
     for k in range(len(roots)):
         r = roots[k]
-        for _ in range(max_iter):
+        for _ in range(60):
             d = poly_eval(dcoeffs, r)
             if d == 0:
                 break
@@ -356,7 +352,7 @@ def _closest_gap_squared(family, gs) -> list:
     return gaps
 
 
-def _gap_newton(family, starts, step_bound: float, max_iter: int = 12) -> list:
+def _gap_newton(family, starts, step_bound: float) -> list:
     """Polish simple roots directly on the squared gap of the closest pair.
 
     d(g) = (E_a - E_b)^2 is analytic through a simple degeneracy with a
@@ -368,14 +364,14 @@ def _gap_newton(family, starts, step_bound: float, max_iter: int = 12) -> list:
 
     The roots of ``starts`` iterate in lockstep: each iteration solves the
     (g, g + h, g - h) triple of every root still iterating in one stack.
-    Each root keeps its own h and stop rule, and falls back to its start if
-    a step, or its total move, exceeds ``step_bound``.  Returns the polished
-    roots in the order of ``starts``.
+    Each root keeps its own h and stop rule, takes at most 12 steps, and
+    falls back to its start if a step, or its total move, exceeds
+    ``step_bound``.  Returns the polished roots in the order of ``starts``.
     """
     g = [complex(g0) for g0 in starts]
     h = [1e-6 * max(1.0, abs(x)) for x in g]
     active = list(range(len(g)))
-    for _ in range(max_iter):
+    for _ in range(12):
         if not active:
             break
         probes = [p for k in active for p in (g[k], g[k] + h[k], g[k] - h[k])]
@@ -478,8 +474,7 @@ def _polish_clusters(family, poly: DiscriminantPoly, clusters: list,
 
 
 def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
-                      cluster_factor: float = DEFAULT_CLUSTER_FACTOR,
-                      poly: DiscriminantPoly = None) -> list:
+                      cluster_factor: float = DEFAULT_CLUSTER_FACTOR) -> list:
     """All roots of D(g) with multiplicities: the complete degeneracy set.
 
     Roots come from the companion matrix of the reconstructed discriminant,
@@ -490,16 +485,13 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
     eigendecomposition, whose spectra the roots keep.
     """
     family = as_family(model_or_family)
-    if poly is None:
-        poly = discriminant_poly(family, radius=radius)
+    poly = discriminant_poly(family, radius=radius)
     clusters = _root_clusters(poly, cluster_factor)
     if not clusters:
         return []
     gs = _polish_clusters(family, poly, clusters, cluster_factor)
     roots = []
-    for g0, cluster, spec in zip(gs, clusters,
-                                 _eigendecompose_stack(family.matrices(gs), gs)):
-        e = spec.eigenvalues
+    for g0, cluster, e, V, b in zip(gs, clusters, *_eig_stack(family.matrices(gs), gs)):
         i, j = closest_pair(e)
         roots.append(DegeneracyRoot(
             g0=g0,
@@ -508,7 +500,7 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
             involved_pair=(i + 1, j + 1),
             min_gap=float(abs(e[i] - e[j])),
             converged=cluster.converged,
-            spectrum=spec,
+            spectrum=Spectrum(complex(g0), e, V, b),
         ))
     roots.sort(key=lambda r: (r.g0.imag, r.g0.real))
     return roots

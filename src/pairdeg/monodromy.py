@@ -312,7 +312,7 @@ def _restore_periods(permutations, loop_re_theta) -> tuple:
 
 
 def restore_count(model_or_family, loop: LoopSpec, max_loops: int,
-                  degeneracies=None, tau_c: float = DEFAULT_TAU_C) -> RestoreResult:
+                  degeneracies=None) -> RestoreResult:
     """Smallest loop counts restoring (a) the eigenvalue assignment and
     (b) additionally all real phases to 0 mod 2*pi (within 0.05).
 
@@ -322,7 +322,7 @@ def restore_count(model_or_family, loop: LoopSpec, max_loops: int,
     """
     spec = LoopSpec(loop.center, loop.radius, loop.steps, max_loops, loop.orientation)
     family = _checked_family(model_or_family, spec, degeneracies)
-    turns = _Turns(family, spec, tau_c, vectors=True)
+    turns = _Turns(family, spec, DEFAULT_TAU_C, vectors=True)
     periods = (None, None)
     for _ in turns:
         periods = _restore_periods(turns.perms, turns.loop_re)

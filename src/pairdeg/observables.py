@@ -130,7 +130,8 @@ def pairing_energy_cut(model: ModelSpec, start=None, stop=None, n: int = None,
 
     Either a straight segment (start, stop, n) or an explicit ``points``
     sequence; the latter is how the divergence region is sampled with a
-    geometric grid that avoids the degeneracy itself.
+    geometric grid that avoids the degeneracy itself.  ``pair`` holds two
+    labels in 1..dim.
     """
     if points is None:
         if start is None or stop is None or n is None:
@@ -138,6 +139,9 @@ def pairing_energy_cut(model: ModelSpec, start=None, stop=None, n: int = None,
         points = np.linspace(complex(start), complex(stop), n)
     points = [complex(p) for p in points]
     ops = build_operator_matrices(model)
+    dim = len(ops.T)
+    if len(pair) != 2 or not all(1 <= k <= dim for k in pair):
+        raise ValueError(f"pair {tuple(pair)}: needs two state labels in 1..{dim}")
     res = continue_spectrum(ops.family(model.gamma), points, want_vectors=True,
                             tau_c=tau_c)
     diag = np.array([np.diag(_operator_matrix(ops.P, s)) for s in res.spectra])
@@ -155,41 +159,37 @@ class PowerLawFit:
     residual: float
 
 
-def fit_power_law(deltas, values, max_residual: float = 0.02,
-                  min_samples: int = 6, min_decades: float = 1.5) -> PowerLawFit:
+def fit_power_law(deltas, values) -> PowerLawFit:
     """Log-log fit of |value| against delta.
 
-    Requires at least ``min_samples`` finite, strictly positive, sorted
-    deltas spanning ``min_decades`` decades, and finite non-zero values
-    whose unit phases do not average to zero; a fit whose RMS residual in
-    log-space exceeds ``max_residual`` (or is not a number) is rejected.
+    Requires at least 6 finite, strictly positive, sorted deltas spanning
+    1.5 decades, and finite non-zero values whose unit phases do not average
+    to zero; a fit whose RMS residual in log-space exceeds 0.02 (or is not a
+    number) is rejected.
     """
     d = np.asarray(deltas, dtype=float)
     v = np.asarray(values, dtype=complex)
     if len(d) != len(v):
         raise ValueError("deltas and values must have equal length")
-    if len(d) < min_samples:
-        raise FitRejectedError(f"need at least {min_samples} samples, got {len(d)}")
+    if len(d) < 6:
+        raise FitRejectedError(f"need at least 6 samples, got {len(d)}")
     if not np.isfinite(d).all():
         raise FitRejectedError("deltas must be finite")
     if np.any(d <= 0) or np.any(np.diff(d) <= 0):
         raise FitRejectedError("deltas must be positive and strictly increasing")
     if not (np.isfinite(v) & (v != 0)).all():
         raise FitRejectedError("values must be finite and non-zero")
-    if np.log10(d[-1] / d[0]) < min_decades:
+    if np.log10(d[-1] / d[0]) < 1.5:
         raise FitRejectedError(
-            f"delta range spans {np.log10(d[-1] / d[0]):.2f} decades "
-            f"< required {min_decades}"
+            f"delta range spans {np.log10(d[-1] / d[0]):.2f} decades < required 1.5"
         )
     x = np.log(d)
     y = np.log(np.abs(v))
     A = np.stack([x, np.ones_like(x)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
     residual = float(np.sqrt(np.mean((A @ (slope, intercept) - y) ** 2)))
-    if not residual <= max_residual:
-        raise FitRejectedError(
-            f"power-law fit residual {residual:.3f} exceeds {max_residual}"
-        )
+    if not residual <= 0.02:
+        raise FitRejectedError(f"power-law fit residual {residual:.3f} exceeds 0.02")
     phases = v * d ** (-slope)
     mean_phase = np.mean(phases / np.abs(phases))
     if not abs(mean_phase) > 0:
@@ -199,8 +199,7 @@ def fit_power_law(deltas, values, max_residual: float = 0.02,
                        residual=residual)
 
 
-def ladder_spectra(model_or_family, g0: complex, deltas,
-                   tau_c: float = DEFAULT_TAU_C):
+def ladder_spectra(model_or_family, g0: complex, deltas):
     """Labeled spectra at g0 + delta for a descending ladder of real deltas.
 
     Branch labels are fixed at g0 - max(delta) (canonical order with
@@ -229,7 +228,7 @@ def ladder_spectra(model_or_family, g0: complex, deltas,
         current = d
         targets[len(path) - 1] = d
     res = continue_spectrum(model_or_family, path, want_vectors=True,
-                            tau_c=tau_c, start_im_tol=LABEL_IM_TOL)
+                            start_im_tol=LABEL_IM_TOL)
     out = [(targets[i], res.spectra[i]) for i in sorted(targets)]
     out.sort(key=lambda t: t[0])
     return out

@@ -111,7 +111,7 @@ def criterion_2(roots_of=find_degeneracies) -> CriterionResult:
 def criterion_3(roots_of=find_degeneracies) -> CriterionResult:
     """Central-difference eigenvalue slopes at the double root."""
     model = reference_model()
-    slopes = branch_slopes(model, PSEUDO_DP_G, h=1e-4)
+    slopes = branch_slopes(model, PSEUDO_DP_G)
     checks = []
     for k, ref in enumerate(REF_SLOPES):
         s = slopes[k]

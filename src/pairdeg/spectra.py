@@ -42,11 +42,16 @@ __all__ = [
 ]
 
 DEFAULT_TAU_C = 1e-6
+# Im clustering of canonical labels (``canonical_order``) away from a degeneracy.
+ORDER_IM_TOL = 1e-8
 # Im clustering of the canonical labels fixed next to a degeneracy, where a
 # nearly degenerate pair is then ordered by real part.
 LABEL_IM_TOL = 1e-3
 RESIDUAL_BOUND = 1e-9
 MATCH_AMBIGUITY_TOL = 1e-12
+# Eigenvalues within this fraction of max(1, max|E|) coincide: a cluster to
+# c-orthogonalize, or a tie no step refinement can resolve.
+COINCIDENCE_TOL = 1e-9
 EXHAUSTIVE_MATCH_LIMIT = 7
 MAX_BISECT = 12
 # Path points solved per stacked eigensolve; 256 was no faster at dim 4.
@@ -76,7 +81,8 @@ def closest_pair(values) -> tuple:
     return pair
 
 
-def canonical_order(eigenvalues: np.ndarray, im_tol: float = 1e-8) -> np.ndarray:
+def canonical_order(eigenvalues: np.ndarray,
+                    im_tol: float = ORDER_IM_TOL) -> np.ndarray:
     """Index order: ascending Im, with Re breaking ties inside Im clusters.
 
     Eigenvalues whose imaginary parts differ by no more than
@@ -148,17 +154,19 @@ class Spectrum:
         )
 
 
-def eigendecompose(H: np.ndarray, g: complex = None, im_tol: float = 1e-8) -> Spectrum:
+def eigendecompose(H: np.ndarray, g: complex = None,
+                   im_tol: float = ORDER_IM_TOL) -> Spectrum:
     """Full eigensystem of a dense complex matrix, canonically ordered.
 
     Residuals are required to satisfy ||H u - E u|| <= 1e-9 ||H||_F for every
     returned pair; LAPACK failures and out-of-tolerance pairs raise
     EigensolverError naming the offending coupling.
     """
-    return _eigendecompose_stack(np.asarray(H, dtype=complex)[None], [g], im_tol)[0]
+    E, V, b = _eig_stack(np.asarray(H, dtype=complex)[None], [g], im_tol)
+    return Spectrum(complex(g) if g is not None else 0j, E[0], V[0], b[0])
 
 
-def _eig_stack(H: np.ndarray, gs, im_tol: float = 1e-8):
+def _eig_stack(H: np.ndarray, gs, im_tol: float = ORDER_IM_TOL):
     """Checked, canonically ordered eigensystems of a (k, n, n) stack, as arrays.
 
     Returns the (k, n) eigenvalues, the (k, n, n) eigenvectors, one state per
@@ -210,23 +218,6 @@ def _eig_stack(H: np.ndarray, gs, im_tol: float = 1e-8):
     return eigenvalues, vectors, np.einsum("kij,kij->kj", vectors, vectors)
 
 
-def _eigendecompose_stack(H: np.ndarray, gs, im_tol: float = 1e-8) -> list:
-    """``eigendecompose`` of each matrix of a (k, n, n) stack, one LAPACK call.
-
-    The rows of ``_eig_stack``, one Spectrum per coupling of ``gs``.
-    """
-    eigenvalues, vectors, b = _eig_stack(H, gs, im_tol)
-    return [
-        Spectrum(
-            g=complex(g) if g is not None else 0j,
-            eigenvalues=eigenvalues[r],
-            eigenvectors=vectors[r],
-            self_orthogonality=b[r],
-        )
-        for r, g in enumerate(gs)
-    ]
-
-
 def _solve_path(family, gs):
     """Eigensystems at the couplings ``gs``, in order, solved ``SOLVE_BLOCK`` at a time.
 
@@ -250,13 +241,14 @@ def _solve_path(family, gs):
 def _orthogonalize_clusters(e: np.ndarray, V: np.ndarray, tau_c: float) -> None:
     """c-orthogonalize, in place, the columns of V inside eigenvalue clusters.
 
-    A cluster is a run of eigenvalues within ``1e-9 * max(1, max|e|)`` of its
-    first member.  Columns already inside the self-orthogonality guard are
-    not projected out, which is the defective (EP-like) situation.
+    A cluster is a run of eigenvalues within ``COINCIDENCE_TOL * max(1,
+    max|e|)`` of its first member.  Columns already inside the
+    self-orthogonality guard are not projected out, which is the defective
+    (EP-like) situation.
     """
     n = len(e)
     scale = max(1.0, float(np.max(np.abs(e))))
-    cluster_tol = 1e-9 * scale
+    cluster_tol = COINCIDENCE_TOL * scale
     k = 0
     while k < n:
         j = k + 1
@@ -290,7 +282,8 @@ def _c_normalize_stack(E: np.ndarray, V: np.ndarray, tau_c: float):
     # Hermitian-normalize first (LAPACK already does, but keep it exact).
     V /= np.linalg.norm(V, axis=1)[:, None, :]
     scale = np.maximum(1.0, np.abs(E).max(axis=1, initial=0.0))
-    near = (np.abs(np.diff(E, axis=1)) <= 2e-9 * scale[:, None]).any(axis=1)
+    near = (np.abs(np.diff(E, axis=1))
+            <= 2 * COINCIDENCE_TOL * scale[:, None]).any(axis=1)
     for r in np.flatnonzero(near):
         _orthogonalize_clusters(E[r], V[r], tau_c)
 
@@ -358,7 +351,7 @@ def _permutation_table(n: int) -> np.ndarray:
     return table
 
 
-def match_states(prev, next, ambiguity_tol: float = MATCH_AMBIGUITY_TOL) -> Matching:
+def match_states(prev, next) -> Matching:
     """Permutation pi minimizing sum_m |E_m^prev - E_pi(m)^next|.
 
     For dimensions up to 7 the assignment is solved exhaustively: the cost of
@@ -366,9 +359,9 @@ def match_states(prev, next, ambiguity_tol: float = MATCH_AMBIGUITY_TOL) -> Matc
     term by term in source order, so each total is the same float as the
     plain sum over m.  Ties are broken by that order: the best assignment is
     the first minimum, and the runner-up is the first minimum among the
-    rest.  Two assignments within ``ambiguity_tol`` of each other raise the
-    ``ambiguous`` flag.  A tie whose alternatives only swap eigenvalues that
-    coincide within 1e-9 of the spectral scale is additionally marked
+    rest.  Two assignments within ``MATCH_AMBIGUITY_TOL`` of each other raise
+    the ``ambiguous`` flag.  A tie whose alternatives only swap eigenvalues
+    that coincide (``COINCIDENCE_TOL``) is additionally marked
     ``benign_tie``: no refinement of the step can (or needs to) resolve it.
     Larger dimensions fall back to scipy's assignment solver, which reports
     ``margin = inf`` and so detects no ambiguity.
@@ -400,7 +393,7 @@ def match_states(prev, next, ambiguity_tol: float = MATCH_AMBIGUITY_TOL) -> Matc
         second_perm = tuple(table[:, second].tolist())
         second_cost = float(totals[second])
     margin = second_cost - best_cost
-    ambiguous = bool(margin <= ambiguity_tol)
+    ambiguous = bool(margin <= MATCH_AMBIGUITY_TOL)
     benign = False
     if ambiguous and second_perm is not None:
         # A tie is unresolvable-but-harmless when the competing assignments
@@ -408,7 +401,7 @@ def match_states(prev, next, ambiguity_tol: float = MATCH_AMBIGUITY_TOL) -> Matc
         # the source side (leaving an exact degeneracy, the branch labels are
         # genuinely undefined and no step refinement can split them).
         scale = max(1.0, float(np.max(np.abs(en))), float(np.max(np.abs(ep))))
-        tol = 1e-9 * scale
+        tol = COINCIDENCE_TOL * scale
         orbit = [i for i in range(n) if best_perm[i] != second_perm[i]]
         benign_next = all(
             abs(en[best_perm[i]] - en[second_perm[i]]) <= tol for i in orbit
@@ -523,7 +516,7 @@ def _column_dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     stride, so they go through ``np.vdot`` one by one, laid out as given.
     """
     n = P.shape[-1]
-    if n <= EXHAUSTIVE_MATCH_LIMIT:
+    if n <= 7:
         A, B = P.transpose(0, 2, 1), Q.transpose(0, 2, 1)
         return (np.conj(A)[..., None, :] @ B[..., :, None])[..., 0, 0]
     return np.array([[np.vdot(p[:, m], q[:, m]) for m in range(n)]
@@ -671,7 +664,7 @@ def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
 
 def continue_spectrum(model_or_family, points, want_vectors: bool = True,
                       tau_c: float = DEFAULT_TAU_C,
-                      start_im_tol: float = 1e-8) -> ContinuationResult:
+                      start_im_tol: float = ORDER_IM_TOL) -> ContinuationResult:
     """Continue a labeled eigensystem through a sequence of couplings.
 
     Labels are assigned at the first point by canonical ordering (ascending
@@ -736,25 +729,23 @@ def spectrum_along(model_or_family, start, stop, n: int) -> CutTable:
                     ambiguities=res.ambiguities)
 
 
-def semicircle(g0: complex, h: float, steps: int, upper: bool = True) -> np.ndarray:
-    """Arc from g0 - h to g0 + h avoiding g0 (upper half by default)."""
-    thetas = np.linspace(np.pi, 0.0, steps + 1)
-    if not upper:
-        thetas = -thetas
-    return g0 + h * np.exp(1j * thetas)
+def semicircle(g0: complex, h: float, steps: int) -> np.ndarray:
+    """Arc from g0 - h to g0 + h over the upper half plane, avoiding g0."""
+    return g0 + h * np.exp(1j * np.linspace(np.pi, 0.0, steps + 1))
 
 
-def branch_slopes(model_or_family, g0: complex, h: float = 1e-4,
-                  steps: int = 32) -> np.ndarray:
+def branch_slopes(model_or_family, g0: complex) -> np.ndarray:
     """Central-difference dE/d(delta) at g0 along the real direction.
 
-    The two evaluation points g0 -+ h are connected by analytic continuation
-    over a semicircle around g0, so the branch assignment is well defined even
-    when the spectrum is degenerate at g0 itself (matching straight across the
-    degeneracy is ambiguous at O(h^3)).  Labels are canonical at g0 - h with
-    ``LABEL_IM_TOL`` clustering.
+    The two evaluation points g0 -+ h, h = 1e-4, are connected by analytic
+    continuation over a 32-step semicircle around g0, so the branch
+    assignment is well defined even when the spectrum is degenerate at g0
+    itself (matching straight across the degeneracy is ambiguous at
+    O(h^3)).  Labels are canonical at g0 - h with ``LABEL_IM_TOL``
+    clustering.
     """
-    path = semicircle(complex(g0), h, steps)
+    h = 1e-4
+    path = semicircle(complex(g0), h, 32)
     res = continue_spectrum(model_or_family, path, want_vectors=False,
                             start_im_tol=LABEL_IM_TOL)
     return (res.spectra[-1].eigenvalues - res.spectra[0].eigenvalues) / (2 * h)

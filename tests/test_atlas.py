@@ -137,8 +137,7 @@ def test_sweep_gamma_deterministic(model):
 
 
 def test_gamma_trajectory_csv(tmp_path, model):
-    traj = sweep_gamma(model, -0.51, -0.49, steps=3, classify_points=True,
-                       refine_events=False)
+    traj = sweep_gamma(model, -0.51, -0.49, steps=3, classify_points=True)
     path = tmp_path / "traj.csv"
     traj.to_csv(path, meta=["version=test"])
     lines = path.read_text().splitlines()

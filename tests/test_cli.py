@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pairdeg.atlas
+import pairdeg.model
 import pairdeg.observables
 import pairdeg.spectra
 from pairdeg.cli import main
@@ -199,6 +201,71 @@ samples = 1
                                   str(tmp_path / "o")])
     assert result.exit_code == 2
     assert "samples must be at least 2" in result.stderr
+
+
+@pytest.mark.parametrize("pair", ["0, 3", "2, 5"])
+def test_cut_pair_out_of_range_is_a_config_error(tmp_path, runner, monkeypatch, pair):
+    # Label 0 once wrapped to the last state under a column headed ReO_00,
+    # and label 5 failed with an IndexError after the whole continuation.
+    calls = []
+    monkeypatch.setattr(pairdeg.observables, "continue_spectrum",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(tmp_path, BASE_CONFIG + f"""
+[cut]
+start_re = -0.05
+start_im = 0.1
+stop_re = 0.05
+stop_im = 0.1
+pair = {pair}
+""")
+    result = runner.invoke(main, ["cut", "--config", cfg, "--out",
+                                  str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert result.stderr == (f"config error: [cut] pair {pair}: "
+                             "needs two state labels in 1..4\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, section, keys, message", [
+    ("atlas", "atlas", "heatmap_points = -1", "heatmap_points must be at least 1"),
+    ("atlas", "atlas", "heatmap_points = 0", "heatmap_points must be at least 1"),
+    ("atlas", "atlas", "heatmap_points = 1e20", "heatmap_points: 1e+20 is too large"),
+    ("cut", "cut", "start_re = 0\nstart_im = 0.1\nstop_re = 0.1\nstop_im = 0.1\n"
+     "samples = 1e20", "samples: 1e+20 is too large"),
+    ("encircle", "encircle", "center_re = 0\ncenter_im = 0.1\nsteps = 1e20",
+     "steps: 1e+20 is too large"),
+    ("sweep", "sweep", "samples = 1e20", "samples: 1e+20 is too large"),
+], ids=["heatmap-negative", "heatmap-zero", "heatmap-huge", "cut-samples-huge",
+        "encircle-steps-huge", "sweep-samples-huge"])
+def test_count_out_of_range_is_a_config_error(tmp_path, runner, command, section, keys,
+                                              message):
+    # A negative or huge count once ended in a numpy traceback, and a zero
+    # heatmap wrote a header-only CSV.
+    cfg = write_config(tmp_path, BASE_CONFIG + f"\n[{section}]\n{keys}\n")
+    result = runner.invoke(main, [command, "--config", cfg, "--out",
+                                  str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"config error: [{section}] {message}\n"
+    assert "Traceback" not in result.output
+
+
+def test_atlas_builds_operators_once(tmp_path, runner, monkeypatch):
+    # The classified roots and the heatmap come from one family.
+    builds = []
+    build = pairdeg.model.build_operator_matrices
+
+    def counting(m):
+        builds.append(m)
+        return build(m)
+
+    for module in (pairdeg.model, pairdeg.atlas, pairdeg.observables):
+        monkeypatch.setattr(module, "build_operator_matrices", counting)
+    cfg = write_config(tmp_path, BASE_CONFIG + "\n[atlas]\nheatmap_points = 5\n")
+    result = runner.invoke(main, ["atlas", "--config", cfg, "--out",
+                                  str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    assert len(builds) == 1
 
 
 def test_encircle_command(tmp_path, runner):

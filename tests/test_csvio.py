@@ -131,8 +131,7 @@ def test_producers_match_row_wise_oracle(tmp_path, model, pseudo_dp):
                        degeneracies=roots)
     table = spectrum_along(model, -0.1, 0.1, 300)
     cut = pairing_energy_cut(model, pseudo_dp + 0.01, pseudo_dp + 0.05, 40)
-    traj = sweep_gamma(model, -0.51, -0.49, steps=3, classify_points=True,
-                       refine_events=False)
+    traj = sweep_gamma(model, -0.51, -0.49, steps=3, classify_points=True)
     for obj, rows in [(trace, _loop_rows), (table, _cut_rows), (cut, _pairing_rows),
                       (traj, _trajectory_rows)]:
         def write(p, obj=obj):

@@ -133,7 +133,7 @@ def test_find_degeneracies_reference(model, pseudo_dp):
 
 def test_find_degeneracies_residual_and_gap(model):
     poly = discriminant_poly(model)
-    roots = find_degeneracies(model, poly=poly)
+    roots = find_degeneracies(model)
     for r in roots:
         assert r.residual <= 1e-10 * poly.disc_norm
         H = hamiltonian_at(model, r.g0)
@@ -166,7 +166,7 @@ def test_double_root_splits_under_gamma_perturbation(model, model_049, pseudo_dp
 
 def test_multiplicity_gcd_cross_check(model):
     poly = discriminant_poly(model)
-    roots = find_degeneracies(model, poly=poly)
+    roots = find_degeneracies(model)
     gcd_degree = _gcd_degree(poly.coefficients, poly.radius)
     assert gcd_degree == sum(r.multiplicity - 1 for r in roots)
     assert gcd_degree == 3  # g = 0 and the two pseudo-DPs

@@ -13,6 +13,7 @@ outputs, from the repository root:
     PYTHONPATH=src python -m pairdeg.cli selftest --out tests/golden
 """
 
+import hashlib
 import json
 import math
 import pathlib
@@ -133,6 +134,33 @@ def outputs(tmp_path_factory):
 )
 def test_output_matches_golden(outputs, name):
     assert diff_output(name, (outputs / name).read_text()) is None
+
+
+def test_written_defaults_match_omitted_ones(tmp_path):
+    # The README's [precision] defaults and merge_radius, written out, give
+    # the bytes of the golden config, which omits them, but for its hash.
+    explicit = tmp_path / "explicit.ini"
+    explicit.write_text(CONFIG.read_text().replace(
+        "[sweep]\n", "[sweep]\nmerge_radius = 1e-4\n") + """
+[precision]
+tau_c = 1e-6
+interp_radius = 0.5
+cluster_factor = 1e-4
+loop_steps = 64
+loop_radius = 0.01
+""")
+    runner = CliRunner()
+    written = []
+    for config in (CONFIG, explicit):
+        out = tmp_path / config.stem
+        sha = hashlib.sha256(config.read_bytes()).hexdigest().encode()
+        for command in ("atlas", "sweep"):
+            result = runner.invoke(main, [command, "--config", str(config),
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        written.append({name: (out / name).read_bytes().replace(sha, b"<sha256>")
+                        for name in OUTPUTS["atlas"] + OUTPUTS["sweep"]})
+    assert written[0] == written[1]
 
 
 def test_comparator_names_first_divergence():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pairdeg.observables
 from pairdeg import (FitRejectedError, SelfOrthogonalityError,
                      build_operator_matrices, coefficient_extract,
                      fit_power_law, ladder_spectra, operator_in_eigenbasis,
@@ -103,6 +104,17 @@ def test_pairing_cut_divergence_and_cancellation(model, pseudo_dp):
 def test_pairing_cut_linear_segment(model, pseudo_dp):
     cut = pairing_energy_cut(model, pseudo_dp - 0.05, pseudo_dp - 0.01, 9)
     assert cut.diagonal.shape == (9, 4)
+
+
+@pytest.mark.parametrize("pair", [(0, 3), (2, 5)])
+def test_pairing_cut_rejects_labels_out_of_range(model, pseudo_dp, monkeypatch, pair):
+    # Label 0 once wrapped to the last state; label 5 failed after the cut.
+    def never(*args, **kwargs):
+        raise AssertionError("continued before the pair was checked")
+
+    monkeypatch.setattr(pairdeg.observables, "continue_spectrum", never)
+    with pytest.raises(ValueError, match=r"needs two state labels in 1\.\.4"):
+        pairing_energy_cut(model, pseudo_dp - 0.05, pseudo_dp - 0.01, 9, pair=pair)
 
 
 @pytest.fixture

@@ -256,7 +256,6 @@ def test_lockstep_newton_matches_single_root_runs(n, seed, bound, jitter):
 
 def test_root_set_costs_one_stacked_eigensolve(model, monkeypatch):
     family = model.family()
-    poly = discriminant_poly(family)
     eig = np.linalg.eig
     stacks = []
 
@@ -265,7 +264,7 @@ def test_root_set_costs_one_stacked_eigensolve(model, monkeypatch):
         return eig(H)
 
     monkeypatch.setattr(np.linalg, "eig", counted)
-    roots = find_degeneracies(family, poly=poly)
+    roots = find_degeneracies(family)
     assert stacks == [len(roots)]
     assert all(r.spectrum is not None and r.spectrum.g == complex(r.g0) for r in roots)
 

@@ -537,9 +537,9 @@ def _assert_restore_is_prefix(family, loop, max_loops, roots, tau_c=1e-6):
         full = trace_loop(family, full_spec, degeneracies=roots, tau_c=tau_c)
     except MatchingAmbiguityError:
         with pytest.raises(MatchingAmbiguityError):
-            restore_count(family, loop, max_loops, degeneracies=roots, tau_c=tau_c)
+            restore_count(family, loop, max_loops, degeneracies=roots)
         return
-    res = restore_count(family, loop, max_loops, degeneracies=roots, tau_c=tau_c)
+    res = restore_count(family, loop, max_loops, degeneracies=roots)
     periods = _restore_periods(full.loop_permutations, full.loop_re_theta)
     assert (res.eigenvalue_period, res.phase_period) == periods
     trace = res.trace
