@@ -311,28 +311,23 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
         raise PairdegError("gamma sweep needs at least 2 samples")
     gammas = np.linspace(gamma_start, gamma_stop, steps)
     ops = build_operator_matrices(model)
-    root_sets = []
     points = []
-    link_ambiguities = []
     for gamma in gammas:
         family = ops.family(gamma)
-        roots = find_degeneracies(family, radius=radius,
-                                  cluster_factor=cluster_factor)
-        root_sets.append(roots)
         if classify_points:
-            points.append([
-                classify(family, r, degeneracies=roots, tau_c=tau_c)
-                for r in roots
-            ])
+            pts = classify_all(family, tau_c=tau_c, radius=radius,
+                               cluster_factor=cluster_factor)
         else:
-            points.append([
-                DegeneracyPoint(r, Kind.UNRESOLVED, np.nan, note="not classified")
-                for r in roots
-            ])
-        for r in roots:
-            r.spectrum = None  # classified; the sweep keeps every root set
+            pts = [DegeneracyPoint(r, Kind.UNRESOLVED, np.nan, note="not classified")
+                   for r in find_degeneracies(family, radius=radius,
+                                              cluster_factor=cluster_factor)]
+        for p in pts:
+            p.root.spectrum = None  # classified; the sweep keeps every root set
+        points.append(pts)
+    root_sets = [[p.root for p in pts] for pts in points]
 
     # Record ambiguous nearest-root links between adjacent samples.
+    link_ambiguities = []
     for k in range(len(gammas) - 1):
         for r in root_sets[k]:
             d = sorted(abs(r.g0 - s.g0) for s in root_sets[k + 1])

@@ -32,24 +32,18 @@ from .monodromy import LoopSpec, _restore_periods, trace_loop
 from .observables import pairing_energy_cut
 from .spectra import DEFAULT_TAU_C, CutTable, spectrum_along
 
-SCHEMA = {
-    "model": {"epsilons", "omegas", "n_pairs", "gamma"},
-    "atlas": {"window", "heatmap_points"},
-    "sweep": {"gamma_start", "gamma_stop", "samples", "classify", "merge_radius"},
-    "encircle": {"center_re", "center_im", "radius", "steps", "loops"},
-    "cut": {"start_re", "start_im", "stop_re", "stop_im", "samples",
-            "pairing", "pair"},
-    "precision": {"tau_c", "interp_radius", "cluster_factor", "loop_steps",
-                  "loop_radius"},
-}
-
-# The library's defaults, spelled by repr, which reads back as the same number.
-DEFAULTS = {
+# Every key of every section with its default, None where there is none.
+# The library's defaults are spelled by repr, which reads back as the same
+# number.  Every [model] key is required.
+KEYS = {
+    "model": {"epsilons": None, "omegas": None, "n_pairs": None, "gamma": None},
     "atlas": {"window": "-0.3, 0.3, -0.3, 0.3", "heatmap_points": "101"},
     "sweep": {"gamma_start": "-0.6", "gamma_stop": "-0.4", "samples": "21",
               "classify": "true", "merge_radius": repr(DEFAULT_MERGE_RADIUS)},
-    "encircle": {"radius": "0.01", "steps": "256", "loops": "4"},
-    "cut": {"samples": "200", "pairing": "true", "pair": "2, 3"},
+    "encircle": {"center_re": None, "center_im": None, "radius": "0.01",
+                 "steps": "256", "loops": "4"},
+    "cut": {"start_re": None, "start_im": None, "stop_re": None, "stop_im": None,
+            "samples": "200", "pairing": "true", "pair": "2, 3"},
     "precision": {"tau_c": repr(DEFAULT_TAU_C), "interp_radius": repr(DEFAULT_RADIUS),
                   "cluster_factor": repr(DEFAULT_CLUSTER_FACTOR),
                   "loop_steps": repr(DEFAULT_LOOP_STEPS),
@@ -71,14 +65,14 @@ class RunConfig:
             raise ConfigError(f"cannot parse config file: {exc}") from exc
 
         for section in parser.sections():
-            if section not in SCHEMA:
+            if section not in KEYS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key in parser[section]:
-                if key not in SCHEMA[section]:
+                if key not in KEYS[section]:
                     raise ConfigError(f"unknown key '{key}' in section [{section}]")
         if "model" not in parser:
             raise ConfigError("config must contain a [model] section")
-        for key in SCHEMA["model"]:
+        for key in KEYS["model"]:
             if key not in parser["model"]:
                 raise ConfigError(f"[model] is missing required key '{key}'")
         self._parser = parser
@@ -86,8 +80,8 @@ class RunConfig:
     def _get(self, section, key):
         if section in self._parser and key in self._parser[section]:
             return self._parser[section][key]
-        if section in DEFAULTS and key in DEFAULTS[section]:
-            return DEFAULTS[section][key]
+        if KEYS[section][key] is not None:
+            return KEYS[section][key]
         raise ConfigError(f"[{section}] requires key '{key}' (no default)")
 
     def floats(self, section, key):
@@ -107,16 +101,18 @@ class RunConfig:
         return vals[0]
 
     def int(self, section, key):
-        v = self.float(section, key)
-        if v != int(v):
-            raise ConfigError(f"[{section}] {key}: expected an integer")
-        # sys.maxsize is numpy's largest index (intp) too.
-        if abs(v) > sys.maxsize:
-            raise ConfigError(f"[{section}] {key}: {v:g} is too large")
-        return int(v)
+        self.float(section, key)  # exactly one number
+        return self.ints(section, key)[0]
 
     def ints(self, section, key):
-        return [int(x) for x in self.floats(section, key)]
+        vals = self.floats(section, key)
+        for v in vals:
+            if v != int(v):
+                raise ConfigError(f"[{section}] {key}: expected an integer")
+            # sys.maxsize is numpy's largest index (intp) too.
+            if abs(v) > sys.maxsize:
+                raise ConfigError(f"[{section}] {key}: {v:g} is too large")
+        return [int(v) for v in vals]
 
     def bool(self, section, key):
         v = self._get(section, key).strip().lower()
@@ -129,13 +125,10 @@ class RunConfig:
     def model(self) -> ModelSpec:
         from .errors import InvalidModelError
 
+        values = (self.floats("model", "epsilons"), self.ints("model", "omegas"),
+                  self.int("model", "n_pairs"), self.float("model", "gamma"))
         try:
-            return ModelSpec.from_arrays(
-                self.floats("model", "epsilons"),
-                self.ints("model", "omegas"),
-                self.int("model", "n_pairs"),
-                self.float("model", "gamma"),
-            )
+            return ModelSpec.from_arrays(*values)
         except (InvalidModelError, ValueError) as exc:
             raise ConfigError(f"invalid [model] section: {exc}") from exc
 

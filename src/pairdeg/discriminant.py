@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EigensolverError, InterpolationError
 from .model import as_family
-from .spectra import Spectrum, _eig_stack, closest_pair
+from .spectra import Spectrum, _eig_stack, _lapack, closest_pair
 
 __all__ = [
     "char_poly",
@@ -134,27 +134,10 @@ def _require_finite(values: np.ndarray, gs) -> None:
 def _eigvals_along(family, gs) -> np.ndarray:
     """Eigenvalues of H(g) for each g of ``gs``, one row per point.
 
-    One stacked ``eigvals`` call; its rows are bitwise equal to solving each
-    ``family.matrix(g)`` on its own.  A non-finite matrix raises
-    EigensolverError naming the first such g, and so do non-finite
-    eigenvalues (an overflow inside the solver); a solver that does not
-    converge raises it too, naming g when the stack holds one matrix.
+    One stacked ``eigvals`` call, checked by ``spectra._lapack``; its rows
+    are bitwise equal to solving each ``family.matrix(g)`` on its own.
     """
-    stack = family.matrices(gs)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        raise EigensolverError("matrix has non-finite entries",
-                               g=gs[int(np.argmin(finite))])
-    try:
-        eigenvalues = np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}",
-                               g=gs[0] if len(stack) == 1 else None) from exc
-    finite = np.isfinite(eigenvalues).all(axis=1)
-    if not finite.all():
-        raise EigensolverError("eigensolver returned non-finite eigenvalues",
-                               g=gs[int(np.argmin(finite))])
-    return eigenvalues
+    return _lapack(np.linalg.eigvals, family.matrices(gs), gs, "eigenvalues")
 
 
 def discriminant_at(model_or_family, g: complex, method: str = "product") -> complex:
@@ -343,13 +326,20 @@ def _cluster(roots, rho):
 
 
 def _closest_gap_squared(family, gs) -> list:
-    """(E_a - E_b)^2 of the closest eigenvalue pair at each g of ``gs``."""
-    gaps = []
-    for e in _eigvals_along(family, gs):
-        i, j = closest_pair(e)
-        d = e[i] - e[j]
-        gaps.append(d * d)
-    return gaps
+    """(E_a - E_b)^2 of the closest eigenvalue pair at each g of ``gs``.
+
+    Squared on real and imaginary parts, as a complex scalar multiply
+    rounds (see ``_discriminant_rows``); the list holds numpy complex
+    scalars, whose arithmetic the callers rely on.
+    """
+    E = _eigvals_along(family, gs)
+    rows = np.arange(len(E))
+    i, j = closest_pair(E)
+    d = E[rows, i] - E[rows, j]
+    a, b = d.real, d.imag
+    out = np.empty(len(E), dtype=complex)
+    out.real, out.imag = a * a - b * b, a * b + b * a
+    return list(out)
 
 
 def _gap_newton(family, starts, step_bound: float) -> list:
@@ -490,9 +480,10 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
     if not clusters:
         return []
     gs = _polish_clusters(family, poly, clusters, cluster_factor)
+    E, V, B = _eig_stack(family.matrices(gs), gs)
+    I, J = closest_pair(E)
     roots = []
-    for g0, cluster, e, V, b in zip(gs, clusters, *_eig_stack(family.matrices(gs), gs)):
-        i, j = closest_pair(e)
+    for g0, cluster, e, v, b, i, j in zip(gs, clusters, E, V, B, I.tolist(), J.tolist()):
         roots.append(DegeneracyRoot(
             g0=g0,
             multiplicity=cluster.multiplicity,
@@ -500,7 +491,7 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
             involved_pair=(i + 1, j + 1),
             min_gap=float(abs(e[i] - e[j])),
             converged=cluster.converged,
-            spectrum=Spectrum(complex(g0), e, V, b),
+            spectrum=Spectrum(complex(g0), e, v, b),
         ))
     roots.sort(key=lambda r: (r.g0.imag, r.g0.real))
     return roots

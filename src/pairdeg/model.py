@@ -220,12 +220,6 @@ class MatrixFamily:
         X = np.asarray(columns)
         return MatrixFamily(X.T @ self.base @ X, X.T @ self.linear @ X)
 
-    def subfamily(self, keep) -> "MatrixFamily":
-        keep = np.asarray(list(keep), dtype=int)
-        return MatrixFamily(
-            self.base[np.ix_(keep, keep)], self.linear[np.ix_(keep, keep)]
-        )
-
 
 def hamiltonian_at(model: ModelSpec, g: complex) -> np.ndarray:
     """H(g) = T + g*(P + gamma*Q); complex symmetric for every complex g."""

@@ -66,19 +66,24 @@ def bilinear(u: np.ndarray, v: np.ndarray) -> complex:
 def closest_pair(values) -> tuple:
     """Indices (i, j), i < j, of the two closest values; the first pair wins a tie.
 
-    A plain loop over Python numbers: for the few states of a spectrum it is
-    several times faster than any vectorised search.
+    ``values`` is one row, giving a tuple of ints, or a (k, n) stack, giving
+    the (k,) index arrays i and j of every row.  Pairs are compared in
+    (i, j) order by ``np.hypot`` of their difference, which is Python's
+    ``abs``; a NaN distance never wins.
     """
-    v = np.asarray(values).tolist()
-    if len(v) < 2:
+    v = np.asarray(values)
+    if v.shape[-1] < 2:
         raise ValueError("need at least two values")
-    best, pair = math.inf, (0, 1)
-    for i, a in enumerate(v):
-        for j in range(i + 1, len(v)):
-            d = abs(a - v[j])
-            if d < best:
-                best, pair = d, (i, j)
-    return pair
+    # The pairs i < j in row order, as np.triu_indices lists them, at a
+    # fifth of its cost.
+    k = np.arange(v.shape[-1])
+    i, j = np.nonzero(k[:, None] < k)
+    d = v[..., i] - v[..., j]
+    dist = np.hypot(d.real, d.imag)
+    best = np.where(np.isnan(dist), np.inf, dist).argmin(axis=-1)
+    if v.ndim == 1:
+        return int(i[best]), int(j[best])
+    return i[best], j[best]
 
 
 def canonical_order(eigenvalues: np.ndarray,
@@ -96,28 +101,18 @@ def canonical_order(eigenvalues: np.ndarray,
 def _canonical_orders(E: np.ndarray, im_tol: float) -> np.ndarray:
     """``canonical_order`` of every row of a (k, n) eigenvalue array.
 
-    A row whose sorted imaginary parts are all more than the cluster
-    tolerance apart has only one-element clusters, so its stable argsort is
-    already the answer; only the other rows run the cluster loop.
+    A cluster is a run of the Im-sorted values whose neighbours are at most
+    the tolerance apart; one stable lexsort then orders each row by cluster,
+    Re and Im, so that exact ties keep their index order.
     """
     atol = im_tol * np.maximum(1.0, np.abs(E).max(axis=1, initial=0.0))
-    orders = np.argsort(E.imag, axis=1, kind="stable")
+    order = np.argsort(E.imag, axis=1, kind="stable")
     im = np.sort(E.imag, axis=1)
-    isolated = (im[:, 1:] - im[:, :-1] > atol[:, None]).all(axis=1)
-    for r in np.flatnonzero(~isolated):
-        e, order = E[r], orders[r]
-        out = []
-        k = 0
-        while k < len(order):
-            j = k + 1
-            while j < len(order) and e.imag[order[j]] - e.imag[order[j - 1]] <= atol[r]:
-                j += 1
-            cluster = order[k:j]
-            cluster = cluster[np.lexsort((e.imag[cluster], e.real[cluster]))]
-            out.extend(cluster.tolist())
-            k = j
-        orders[r] = out
-    return orders
+    # Written so that a NaN gap starts a cluster.
+    starts = ~(im[:, 1:] - im[:, :-1] <= atol[:, None])
+    cluster = np.zeros(E.shape, dtype=int)
+    cluster[np.arange(len(E))[:, None], order[:, 1:]] = np.cumsum(starts, axis=1)
+    return np.lexsort((E.imag, E.real, cluster), axis=1)
 
 
 @dataclass
@@ -166,6 +161,33 @@ def eigendecompose(H: np.ndarray, g: complex = None,
     return Spectrum(complex(g) if g is not None else 0j, E[0], V[0], b[0])
 
 
+def _lapack(solve, H: np.ndarray, gs, returned: str):
+    """``solve(H)`` on a (k, n, n) stack, under the one policy for LAPACK failures.
+
+    ``solve`` is ``np.linalg.eig`` or ``eigvals``, looked up by the caller at
+    call time so that a wrapper installed on numpy is seen.  EigensolverError
+    is raised for a non-finite matrix and for non-finite results (an
+    overflow inside the solver; the message calls them ``returned``), naming
+    the first such coupling of ``gs``, and for a solver that does not
+    converge, naming g when the stack holds one matrix.
+    """
+    finite = np.isfinite(H).all(axis=(1, 2))
+    if not finite.all():
+        raise EigensolverError("matrix has non-finite entries",
+                               g=gs[int(np.argmin(finite))])
+    try:
+        out = solve(H)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver did not converge: {exc}",
+                               g=gs[0] if len(H) == 1 else None) from exc
+    for part in out if isinstance(out, tuple) else (out,):
+        finite &= np.isfinite(part).reshape(len(H), -1).all(axis=1)
+    if not finite.all():
+        raise EigensolverError(f"eigensolver returned non-finite {returned}",
+                               g=gs[int(np.argmin(finite))])
+    return out
+
+
 def _eig_stack(H: np.ndarray, gs, im_tol: float = ORDER_IM_TOL):
     """Checked, canonically ordered eigensystems of a (k, n, n) stack, as arrays.
 
@@ -174,23 +196,11 @@ def _eig_stack(H: np.ndarray, gs, im_tol: float = ORDER_IM_TOL):
     matrices of a stack one by one, so every row is bit for bit the one its
     matrix gives alone.  A failed check raises EigensolverError for the whole
     stack, naming the first coupling found with non-finite entries,
-    non-finite eigenpairs (an overflow inside the solver) or residuals not
-    within tolerance.
+    non-finite eigenpairs (``_lapack``) or residuals not within tolerance.
     """
     H = np.ascontiguousarray(H, dtype=complex)
     k, n = H.shape[:2]
-    if not np.isfinite(H).all():
-        first = int(np.argmin(np.isfinite(H).all(axis=(1, 2))))
-        raise EigensolverError("matrix has non-finite entries", g=gs[first])
-    try:
-        eigenvalues, vectors = np.linalg.eig(H)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}",
-                               g=gs[0] if k == 1 else None) from exc
-    finite = np.isfinite(eigenvalues).all(axis=1) & np.isfinite(vectors).all(axis=(1, 2))
-    if not finite.all():
-        raise EigensolverError("eigensolver returned non-finite eigenpairs",
-                               g=gs[int(np.argmin(finite))])
+    eigenvalues, vectors = _lapack(np.linalg.eig, H, gs, "eigenpairs")
     # Frobenius and column 2-norms, summed over the float views of each
     # matrix and its residuals divided by the matrix's largest component, so
     # that no square overflows (an entry above ~1.3e154 would).
@@ -703,19 +713,14 @@ class CutTable:
     def dim(self) -> int:
         return self.energies.shape[1]
 
-    def csv_rows(self):
-        names = ["g_re", "g_im"]
-        for m in range(self.dim):
-            names += [f"E{m + 1}_re", f"E{m + 1}_im"]
-        columns = [self.gs.real, self.gs.imag]
-        for m in range(self.dim):
-            columns += [self.energies[:, m].real, self.energies[:, m].imag]
-        return names, columns
-
     def to_csv(self, path, meta=()):
         from ._csvio import write_csv
 
-        names, columns = self.csv_rows()
+        names = ["g_re", "g_im"]
+        columns = [self.gs.real, self.gs.imag]
+        for m in range(self.dim):
+            names += [f"E{m + 1}_re", f"E{m + 1}_im"]
+            columns += [self.energies[:, m].real, self.energies[:, m].imag]
         write_csv(path, names, columns, meta=meta)
 
 

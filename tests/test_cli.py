@@ -250,6 +250,26 @@ def test_count_out_of_range_is_a_config_error(tmp_path, runner, command, section
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("atlas", BASE_CONFIG.replace("omegas = 2, 6, 2", "omegas = 2, 6.5, 2"),
+     "[model] omegas: expected an integer"),
+    ("cut", BASE_CONFIG + "[cut]\nstart_re = -0.05\nstart_im = 0.1\n"
+     "stop_re = 0.05\nstop_im = 0.1\npair = 2, 3.7\n",
+     "[cut] pair: expected an integer"),
+], ids=["model-omegas", "cut-pair"])
+def test_non_integer_list_entry_is_a_config_error(tmp_path, runner, command, config,
+                                                  message):
+    # Each entry was once truncated: omegas 2, 6.5, 2 ran the model 2, 6, 2,
+    # and pair 2, 3.7 tracked states 2 and 3.
+    cfg = write_config(tmp_path, config)
+    result = runner.invoke(main, [command, "--config", cfg, "--out",
+                                  str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"config error: {message}\n"
+    assert "Traceback" not in result.output
+
+
 def test_atlas_builds_operators_once(tmp_path, runner, monkeypatch):
     # The classified roots and the heatmap come from one family.
     builds = []

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -14,7 +15,6 @@ from pairdeg.discriminant import (_closest_gap_squared, _eigvals_along,
                                   _gcd_degree, _polish_clusters, _root_clusters,
                                   contour_moments, poly_eval)
 from pairdeg.model import MatrixFamily
-from pairdeg.spectra import closest_pair
 
 
 def test_char_poly_diagonal():
@@ -324,11 +324,33 @@ def _pointwise_discriminant(family, g):
     return _discriminant_oracle(np.linalg.eigvals(family.matrix(g)))
 
 
+def _closest_pair_oracle(values):
+    """The double loop over Python numbers that closest_pair replaced."""
+    v = np.asarray(values).tolist()
+    best, pair = math.inf, (0, 1)
+    for i, a in enumerate(v):
+        for j in range(i + 1, len(v)):
+            d = abs(a - v[j])
+            if d < best:
+                best, pair = d, (i, j)
+    return pair
+
+
 def _closest_gap_squared_oracle(family, g):
     e = np.linalg.eigvals(family.matrix(g))
-    i, j = closest_pair(e)
+    i, j = _closest_pair_oracle(e)
     d = e[i] - e[j]
     return d * d
+
+
+def test_closest_gap_squared_returns_numpy_scalars(model, pseudo_dp):
+    # _gap_newton's scalar arithmetic rounds differently on Python complex.
+    # At g = 0 the reference spectrum has exact ties.
+    gs = [pseudo_dp, 0.1j, 0.0]
+    gaps = _closest_gap_squared(model.family(), gs)
+    assert [type(d) for d in gaps] == [np.complex128] * 3
+    _assert_same_bytes(gaps, [_closest_gap_squared_oracle(model.family(), g)
+                              for g in gs])
 
 
 def _assert_same_bytes(got, want):

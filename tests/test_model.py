@@ -144,12 +144,8 @@ def test_eigenvalues_at_pseudo_dp(model, pseudo_dp):
     np.testing.assert_allclose(e, ref, atol=1e-5)
 
 
-def test_family_restriction_and_subfamily(model):
+def test_family_restriction(model):
     family = model.family()
-    sub = family.subfamily([1, 2])
-    assert sub.dim == 2
-    np.testing.assert_allclose(sub.matrix(0.3j),
-                               family.matrix(0.3j)[np.ix_([1, 2], [1, 2])])
     X = np.eye(4)[:, :2]
     np.testing.assert_allclose(family.restricted(X).matrix(0.1),
                                family.matrix(0.1)[:2, :2])

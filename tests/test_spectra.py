@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -255,14 +256,15 @@ def test_match_states_large_dimension_path():
     np.testing.assert_array_equal(e[perm][restored], e)
 
 
-def _closest_pair_oracle(e):
-    """The double loop that closest_pair replaced, kept as its oracle."""
-    e = np.asarray(e)
-    gap, pair = np.inf, (0, 1)
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            if abs(e[i] - e[j]) < gap:
-                gap, pair = abs(e[i] - e[j]), (i, j)
+def _closest_pair_oracle(values):
+    """The loop over Python numbers that closest_pair replaced, kept as its oracle."""
+    v = np.asarray(values).tolist()
+    best, pair = math.inf, (0, 1)
+    for i, a in enumerate(v):
+        for j in range(i + 1, len(v)):
+            d = abs(a - v[j])
+            if d < best:
+                best, pair = d, (i, j)
     return pair
 
 
@@ -282,6 +284,46 @@ def test_closest_pair_oracle_exact_ties(data, n):
     # Gaussian integers repeat distances exactly: the first pair must win.
     e = np.array(data.draw(st.lists(lattice, min_size=n, max_size=n)))
     assert closest_pair(e) == _closest_pair_oracle(e)
+
+
+@pytest.fixture(scope="session")
+def root_sets(model, model_049):
+    return [find_degeneracies(m) for m in (model, model_049)]
+
+
+@st.composite
+def tied_rows(draw, n, root_sets):
+    """A row of n values with exact ties in its pairwise distances."""
+    kind = draw(st.sampled_from(["lattice", "conjugate", "roots", "nan"]))
+    if kind == "roots":
+        # The sweep's closest_pair input: a root set of a real family, in
+        # conjugate pairs, repeated to length n.
+        roots = [r.g0 for r in draw(st.sampled_from(root_sets))]
+        return (draw(st.permutations(roots)) * n)[:n]
+    row = draw(st.lists(lattice, min_size=n, max_size=n))
+    if kind == "conjugate":
+        row = [z for x in row for z in (x, x.conjugate())][:n]
+    if kind == "nan":
+        row[draw(st.integers(0, n - 1))] = complex(*draw(st.sampled_from(
+            [(np.nan, 0.0), (0.0, np.nan), (np.inf, 1.0), (np.inf, np.nan)])))
+    return row
+
+
+@oracle_settings
+@given(data=st.data(), n=st.integers(2, 9), k=st.integers(1, 6))
+def test_closest_pair_stack_oracle(data, root_sets, n, k):
+    E = np.array([data.draw(tied_rows(n, root_sets)) for _ in range(k)])
+    for stack in (E, E.real):
+        I, J = closest_pair(stack)
+        assert list(zip(I.tolist(), J.tolist())) == [_closest_pair_oracle(e)
+                                                     for e in stack]
+        for e in stack:
+            pair = closest_pair(e)
+            assert pair == _closest_pair_oracle(e)
+            assert all(type(x) is int for x in pair)
+    # The pair goes into repr and JSON: plain ints, as the oracle's.
+    assert all(type(x) is int for roots in root_sets for r in roots
+               for x in r.involved_pair)
 
 
 def test_closest_pair_first_tie_and_short_input():
@@ -475,20 +517,37 @@ def test_stacked_solve_oracle_imaginary_clusters(model, pseudo_dp, k, seed, spre
     _assert_stack_matches_oracle(matrices, gs, im_tol=1e-8)
 
 
-@oracle_settings
-@given(data=st.data(), n=st.integers(1, 7),
-       im_tol=st.sampled_from([1e-8, 1e-3, 0.5]))
-def test_canonical_order_oracle(data, n, im_tol):
+def _clustered_row(data, n):
     # Lattice points plus tiny offsets put imaginary gaps on both sides of
     # the cluster tolerance, and repeat values exactly.
     base = data.draw(st.lists(lattice, min_size=n, max_size=n))
     jitter = data.draw(st.lists(st.sampled_from([0.0, 1e-9, 2e-8, 1e-4, 1e-3]),
                                 min_size=n, max_size=n))
-    e = np.array(base) + 1j * np.array(jitter)
+    return np.array(base) + 1j * np.array(jitter)
+
+
+def _isolated_row(data, n):
+    # Distinct integer imaginary parts: one-element clusters unless im_tol = 0.5.
+    re = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return np.array(re) + 1j * np.array(data.draw(st.permutations(range(n))))
+
+
+@oracle_settings
+@given(data=st.data(), n=st.integers(1, 7), k=st.integers(1, 6),
+       im_tol=st.sampled_from([1e-8, 1e-3, 0.5]))
+def test_canonical_order_oracle(data, n, k, im_tol):
+    e = _clustered_row(data, n)
     got = canonical_order(e, im_tol=im_tol)
     want = _canonical_order_oracle(e, im_tol=im_tol)
     np.testing.assert_array_equal(got, want)
     assert got.dtype == want.dtype
+    # A stack of isolated and clustered rows, ordered row by row as alone.
+    E = np.array([data.draw(st.sampled_from([_clustered_row, _isolated_row]))(data, n)
+                  for _ in range(k)])
+    orders = pairdeg.spectra._canonical_orders(E, im_tol)
+    for row, order in zip(E, orders):
+        np.testing.assert_array_equal(order, _canonical_order_oracle(row, im_tol))
+    assert orders.dtype == want.dtype
 
 
 def test_canonical_order_gap_equal_to_tolerance():

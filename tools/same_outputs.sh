@@ -7,7 +7,8 @@
 # and 26, 2 s each, once in a temporary git worktree of BASE and once in
 # this checkout (its working tree, uncommitted changes included).  Then
 # compares the two .perfbench_out/ trees with diff -r, leaving out the
-# timing spans (spans.json).  Exits non-zero on any difference.  Both
+# timing spans (spans.json).  Exits non-zero on any difference, and
+# otherwise ends with the line delta of src/ against BASE.  Both
 # .perfbench_out/ trees are rewritten; the worktree is removed on exit, and
 # is made under $TMPDIR (default /tmp).
 set -eu
@@ -40,3 +41,4 @@ for side in base checkout; do
 done
 diff -r -x spans.json "$work/base/.perfbench_out" "$root/.perfbench_out"
 echo "same outputs: $base and this checkout, reference and midsize at seeds 0 and 26"
+echo "src/ against $base:$(git -C "$root" diff --shortstat "$base" -- src)"
