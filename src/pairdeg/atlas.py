@@ -27,11 +27,12 @@ from enum import Enum
 import numpy as np
 
 from .discriminant import (DEFAULT_CLUSTER_FACTOR, DEFAULT_RADIUS, DegeneracyRoot,
-                           contour_moments, find_degeneracies)
+                           _degeneracies, contour_moments, find_degeneracies)
 from .errors import PairdegError
 from .model import ModelSpec, as_family, build_operator_matrices
-from .monodromy import MIN_STEPS, LoopSpec, _turn_permutation
-from .spectra import DEFAULT_TAU_C, c_normalize, closest_pair, eigendecompose
+from .monodromy import MIN_STEPS, LoopSpec, _turn_permutations
+from .spectra import (DEFAULT_TAU_C, STACK_BYTES, _c_normalize_stack, _in_lockstep,
+                      c_normalize, closest_pair, eigendecompose)
 
 __all__ = [
     "Kind",
@@ -88,48 +89,52 @@ class DegeneracyPoint:
         return d
 
 
-def _pair_coalescence(family, root, tau_c):
-    """min |b| of the involved pair at g0, and whether each is self-orthogonal.
-
-    Reads the spectrum ``find_degeneracies`` kept on the root; only a root
-    built without one is solved here.
-    """
-    spec = root.spectrum
-    if spec is None:
-        spec = eigendecompose(family.matrix(root.g0), g=root.g0)
-    spec = c_normalize(spec, tau_c=tau_c)
-    i, j = (k - 1 for k in root.involved_pair)
-    b = np.abs(spec.self_orthogonality)
-    return float(min(b[i], b[j])), (bool(b[i] <= tau_c), bool(b[j] <= tau_c))
-
-
-def _verification_loop(family, root, degeneracies, loop_radius, loop_steps):
-    """The eigenvalue permutation of one small loop around ``root``."""
+def _verification_loop(root, degeneracies, loop_radius, loop_steps) -> LoopSpec:
+    """The small loop around ``root`` that ``classify`` checks for an exchange."""
     radius = loop_radius
     for other in degeneracies:
         if other is root or abs(other.g0 - root.g0) < 1e-12:
             continue
         radius = min(radius, CIRCLE_FRACTION * abs(other.g0 - root.g0))
-    loop = LoopSpec(root.g0, radius, steps=max(loop_steps, MIN_STEPS), loops=1)
-    return _turn_permutation(family, loop, degeneracies=degeneracies)
+    return LoopSpec(root.g0, radius, steps=max(loop_steps, MIN_STEPS), loops=1)
 
 
-def classify(model_or_family, root: DegeneracyRoot, degeneracies=None,
-             tau_c: float = DEFAULT_TAU_C, loop_radius: float = DEFAULT_LOOP_RADIUS,
-             loop_steps: int = DEFAULT_LOOP_STEPS) -> DegeneracyPoint:
-    """Assign EP / DP / PSEUDO_DP (or UNRESOLVED) to one degeneracy root.
+def _classify_roots(jobs, tau_c, loop_radius, loop_steps) -> list:
+    """``classify`` of each (family, root, degeneracies) of ``jobs``, in lockstep.
 
-    For multiplicity-2 roots a small encircling loop verifies that the
-    eigenvalues do not permute; an exchange there means the root is really a
-    pair of unresolved exceptional points and is reported UNRESOLVED with a
-    cluster note.  The coalescence is read from the spectrum the root keeps,
-    so ``root`` must come from ``find_degeneracies`` on this same family.
+    The coalescence of every root is read from one stacked c-normalisation
+    of the spectra the roots keep (a root built without one is solved
+    here), and the verification loops of every multiplicity-2 root are
+    solved in shared stacks (``_turn_permutations``).  Every row is what the
+    root gives alone, so every point is too.
     """
-    family = as_family(model_or_family)
-    if degeneracies is None:
-        degeneracies = find_degeneracies(family)
-    coalescence, flags = _pair_coalescence(family, root, tau_c)
+    spectra = [root.spectrum if root.spectrum is not None
+               else eigendecompose(family.matrix(root.g0), g=root.g0)
+               for family, root, _ in jobs]
+    if not spectra:
+        return []
+    _, B, _ = _c_normalize_stack(np.array([s.eigenvalues for s in spectra]),
+                                 np.array([s.eigenvectors for s in spectra]), tau_c)
+    perms = iter(_turn_permutations([
+        (family, _verification_loop(root, roots, loop_radius, loop_steps), roots)
+        for family, root, roots in jobs if root.multiplicity == 2]))
+    points = []
+    for (_, root, _), b in zip(jobs, np.abs(B)):
+        i, j = (k - 1 for k in root.involved_pair)
+        coalescence = float(min(b[i], b[j]))
+        flags = (bool(b[i] <= tau_c), bool(b[j] <= tau_c))
+        perm = next(perms) if root.multiplicity == 2 else None
+        points.append(_decide(root, coalescence, flags, perm, tau_c))
+    return points
 
+
+def _decide(root, coalescence, flags, perm, tau_c) -> DegeneracyPoint:
+    """The kind that the evidence of ``classify`` gives ``root``.
+
+    ``coalescence`` is min |b| of the involved pair at g0, ``flags`` whether
+    each of the two is self-orthogonal, and ``perm`` the eigenvalue
+    permutation of the verification loop of a multiplicity-2 root.
+    """
     if root.multiplicity == 1:
         if all(flags) or coalescence <= tau_c:
             return DegeneracyPoint(root, Kind.EP, coalescence)
@@ -139,7 +144,6 @@ def classify(model_or_family, root: DegeneracyRoot, degeneracies=None,
         )
 
     if root.multiplicity == 2:
-        perm = _verification_loop(family, root, degeneracies, loop_radius, loop_steps)
         identity = all(p == k for k, p in enumerate(perm))
         if not identity:
             return DegeneracyPoint(
@@ -162,19 +166,46 @@ def classify(model_or_family, root: DegeneracyRoot, degeneracies=None,
     )
 
 
+def classify(model_or_family, root: DegeneracyRoot, degeneracies=None,
+             tau_c: float = DEFAULT_TAU_C, loop_radius: float = DEFAULT_LOOP_RADIUS,
+             loop_steps: int = DEFAULT_LOOP_STEPS) -> DegeneracyPoint:
+    """Assign EP / DP / PSEUDO_DP (or UNRESOLVED) to one degeneracy root.
+
+    For multiplicity-2 roots a small encircling loop verifies that the
+    eigenvalues do not permute; an exchange there means the root is really a
+    pair of unresolved exceptional points and is reported UNRESOLVED with a
+    cluster note.  The coalescence is read from the spectrum the root keeps,
+    so ``root`` must come from ``find_degeneracies`` on this same family.
+    """
+    family = as_family(model_or_family)
+    if degeneracies is None:
+        degeneracies = find_degeneracies(family)
+    return _classify_roots([(family, root, degeneracies)], tau_c, loop_radius,
+                           loop_steps)[0]
+
+
 def classify_all(model_or_family, tau_c: float = DEFAULT_TAU_C,
                  radius: float = DEFAULT_RADIUS,
                  loop_radius: float = DEFAULT_LOOP_RADIUS,
                  loop_steps: int = DEFAULT_LOOP_STEPS,
                  cluster_factor: float = DEFAULT_CLUSTER_FACTOR) -> list:
     """find_degeneracies followed by classify on every root."""
-    family = as_family(model_or_family)
-    roots = find_degeneracies(family, radius=radius, cluster_factor=cluster_factor)
-    return [
-        classify(family, r, degeneracies=roots, tau_c=tau_c,
-                 loop_radius=loop_radius, loop_steps=loop_steps)
-        for r in roots
-    ]
+    return _classify_families([as_family(model_or_family)], tau_c, radius, loop_radius,
+                              loop_steps, cluster_factor)[0]
+
+
+def _classify_families(families, tau_c, radius, loop_radius, loop_steps,
+                       cluster_factor) -> list:
+    """``classify_all`` of each of the same-dimension ``families``, in lockstep.
+
+    The roots of all families are found together (``_degeneracies``) and
+    classified together (``_classify_roots``).
+    """
+    root_sets = _degeneracies(families, radius, cluster_factor)
+    points = iter(_classify_roots(
+        [(family, root, roots) for family, roots in zip(families, root_sets)
+         for root in roots], tau_c, loop_radius, loop_steps))
+    return [[next(points) for _ in roots] for roots in root_sets]
 
 
 @dataclass
@@ -305,25 +336,36 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
     local minimum (or a multiplicity-2 root appears where two simple roots
     were) and located as the zero of the pair's squared separation, taken
     from contour moments (see ``_merge_event``); the event is recorded if the
-    pair's separation there is at most ``merge_radius``.
+    pair's separation there is at most ``merge_radius``.  The samples are
+    solved and classified in lockstep (``_classify_families``), each
+    sample's points those ``classify_all`` gives it alone.
     """
     if steps < 2:
         raise PairdegError("gamma sweep needs at least 2 samples")
     gammas = np.linspace(gamma_start, gamma_stop, steps)
     ops = build_operator_matrices(model)
+    families = [ops.family(gamma) for gamma in gammas]
+    if classify_points:
+        solve = functools.partial(
+            _classify_families, tau_c=tau_c, radius=radius,
+            loop_radius=DEFAULT_LOOP_RADIUS, loop_steps=DEFAULT_LOOP_STEPS,
+            cluster_factor=cluster_factor)
+    else:
+        def solve(batch):
+            return [[DegeneracyPoint(r, Kind.UNRESOLVED, np.nan, note="not classified")
+                     for r in roots]
+                    for roots in _degeneracies(batch, radius, cluster_factor)]
+    # Samples go through in lockstep batches whose discriminant samples fit
+    # in one stack of STACK_BYTES: all 21 of the default reference sweep.
+    n = ops.T.shape[0]
+    per_batch = max(1, STACK_BYTES // (16 * n * n * (n * (n - 1) + 1)))
     points = []
-    for gamma in gammas:
-        family = ops.family(gamma)
-        if classify_points:
-            pts = classify_all(family, tau_c=tau_c, radius=radius,
-                               cluster_factor=cluster_factor)
-        else:
-            pts = [DegeneracyPoint(r, Kind.UNRESOLVED, np.nan, note="not classified")
-                   for r in find_degeneracies(family, radius=radius,
-                                              cluster_factor=cluster_factor)]
-        for p in pts:
-            p.root.spectrum = None  # classified; the sweep keeps every root set
-        points.append(pts)
+    for lo in range(0, steps, per_batch):
+        batch = _in_lockstep(solve, families[lo:lo + per_batch])
+        for pts in batch:
+            for p in pts:
+                p.root.spectrum = None  # classified; the sweep keeps every root set
+        points += batch
     root_sets = [[p.root for p in pts] for pts in points]
 
     # Record ambiguous nearest-root links between adjacent samples.

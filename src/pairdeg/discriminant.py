@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import EigensolverError, InterpolationError
 from .model import as_family
-from .spectra import Spectrum, _eig_stack, _lapack, closest_pair
+from .spectra import (STACK_BYTES, Spectrum, _eig_stack, _in_lockstep, _lapack,
+                      closest_pair)
 
 __all__ = [
     "char_poly",
@@ -140,6 +141,13 @@ def _eigvals_along(family, gs) -> np.ndarray:
     return _lapack(np.linalg.eigvals, family.matrices(gs), gs, "eigenvalues")
 
 
+def _eigvals_at(groups) -> np.ndarray:
+    """``_eigvals_along`` for the points of several (family, gs) groups, in one call."""
+    gs = [g for _, part in groups for g in part]
+    H = np.concatenate([family.matrices(part) for family, part in groups])
+    return _lapack(np.linalg.eigvals, H, gs, "eigenvalues")
+
+
 def discriminant_at(model_or_family, g: complex, method: str = "product") -> complex:
     """D(g) by the squared-gap product or by the resultant route.
 
@@ -204,58 +212,88 @@ def discriminant_poly(model_or_family,
     pseudo-random points inside the circle; failure retries a schedule of
     larger and smaller radii before giving up.
     """
-    family = as_family(model_or_family)
-    n = family.dim
-    M = n * (n - 1)
-    if M == 0:
-        return DiscriminantPoly(np.array([1.0 + 0j]), radius, 0.0)
+    return _discriminant_polys([as_family(model_or_family)], radius)[0]
 
-    last_residual = np.inf
-    overflowed = 0
-    for r0 in (radius, 2 * radius, 0.5 * radius, 4 * radius, 0.25 * radius):
-        Ns = M + 1
-        nodes = r0 * np.exp(2j * np.pi * np.arange(Ns) / Ns)
-        samples = _discriminant_rows(_eigvals_along(family, nodes))
+
+def _reconstruct(families, r0) -> list:
+    """One reconstruction of D for each family at radius r0, with its hold-out.
+
+    The samples of all families are one stacked eigensolve, and so are the
+    hold-out points of every family whose coefficients are finite.  Returns
+    a DiscriminantPoly per family with its worst hold-out residual (inf for
+    a NaN), or None where D or its coefficients overflow.
+    """
+    n = families[0].dim
+    Ns = n * (n - 1) + 1
+    nodes = r0 * np.exp(2j * np.pi * np.arange(Ns) / Ns)
+    samples = _discriminant_rows(_eigvals_at([(f, nodes) for f in families]))
+    polys = []
+    for family, row in zip(families, samples.reshape(len(families), Ns)):
         # Past the float range r0**k is inf or 0, and coefficient k comes out
         # 0 (the hold-out decides whether that is right) or non-finite.
         with np.errstate(over="ignore", under="ignore", divide="ignore",
                          invalid="ignore"):
             powers = r0 ** np.arange(Ns)
-            coeffs = np.fft.fft(samples) / Ns / powers
+            coeffs = np.fft.fft(row) / Ns / powers
             if family.is_real:
                 # D(g*) = D(g)* forces real coefficients; rounding leaves dust.
                 coeffs = coeffs.real.astype(complex)
             coeffs = _trim_trailing(coeffs, powers)
-        if not (np.isfinite(samples).all() and np.isfinite(coeffs).all()):
-            overflowed += 1
-            continue
-        poly = DiscriminantPoly(coeffs, r0, np.nan)
+        finite = np.isfinite(row).all() and np.isfinite(coeffs).all()
+        polys.append(DiscriminantPoly(coeffs, r0, np.nan) if finite else None)
 
-        rng = np.random.default_rng(20260808)
-        held = [r0 * (0.15 + 0.75 * rng.random()) * np.exp(2j * np.pi * rng.random())
-                for _ in range(HOLDOUT_POINTS)]
+    rng = np.random.default_rng(20260808)
+    held = [r0 * (0.15 + 0.75 * rng.random()) * np.exp(2j * np.pi * rng.random())
+            for _ in range(HOLDOUT_POINTS)]
+    checked = [(family, poly) for family, poly in zip(families, polys)
+               if poly is not None]
+    if not checked:
+        return polys
+    directs = _discriminant_rows(_eigvals_at([(f, held) for f, _ in checked]))
+    for (_, poly), row in zip(checked, directs.reshape(len(checked), -1).tolist()):
         worst = 0.0
-        directs = _discriminant_rows(_eigvals_along(family, held)).tolist()
-        for g, direct in zip(held, directs):
+        for g, direct in zip(held, row):
             diff = abs(poly(g) - direct)
             if diff == 0.0:
                 continue  # covers identically vanishing discriminants too
             scale = max(abs(direct), 1e-9 * poly.scale_at(g))
             ratio = diff / scale if scale > 0 else np.inf
             worst = max(worst, ratio) if ratio <= np.inf else np.inf  # NaN fails
-        if worst <= HOLDOUT_TOL:
-            poly.holdout_residual = worst
-            return poly
-        last_residual = min(last_residual, worst)
-    if overflowed == 5:
+        poly.holdout_residual = worst
+    return polys
+
+
+def _discriminant_polys(families, radius: float) -> list:
+    """``discriminant_poly`` of each of the same-dimension ``families``.
+
+    The first radius is tried for all families at once (``_reconstruct``);
+    a family whose reconstruction overflows or fails the hold-out goes
+    through the rest of the retry schedule on its own.
+    """
+    M = families[0].dim * (families[0].dim - 1)
+    if M == 0:
+        return [DiscriminantPoly(np.array([1.0 + 0j]), radius, 0.0) for _ in families]
+    polys = _reconstruct(families, radius)
+    for k, family in enumerate(families):
+        tried = [polys[k]]
+        for r0 in (2 * radius, 0.5 * radius, 4 * radius, 0.25 * radius):
+            if tried[-1] is not None and tried[-1].holdout_residual <= HOLDOUT_TOL:
+                break
+            tried += _reconstruct([family], r0)
+        polys[k] = tried[-1]
+        if polys[k] is not None and polys[k].holdout_residual <= HOLDOUT_TOL:
+            continue
+        residuals = [p.holdout_residual for p in tried if p is not None]
+        if not residuals:
+            raise InterpolationError(
+                f"discriminant reconstruction at radius {radius!r}: D(g) or its "
+                f"coefficients overflow at every retry radius"
+            )
         raise InterpolationError(
-            f"discriminant reconstruction at radius {radius!r}: D(g) or its "
-            f"coefficients overflow at every retry radius"
+            f"discriminant reconstruction at radius {radius!r} failed hold-out "
+            f"validation (best residual {min(residuals):.3e} > {HOLDOUT_TOL:.0e})"
         )
-    raise InterpolationError(
-        f"discriminant reconstruction at radius {radius!r} failed hold-out "
-        f"validation (best residual {last_residual:.3e} > {HOLDOUT_TOL:.0e})"
-    )
+    return polys
 
 
 @dataclass
@@ -325,14 +363,13 @@ def _cluster(roots, rho):
     return clusters
 
 
-def _closest_gap_squared(family, gs) -> list:
-    """(E_a - E_b)^2 of the closest eigenvalue pair at each g of ``gs``.
+def _closest_gap_squared(E) -> list:
+    """(E_a - E_b)^2 of the closest eigenvalue pair of each row of E.
 
     Squared on real and imaginary parts, as a complex scalar multiply
     rounds (see ``_discriminant_rows``); the list holds numpy complex
     scalars, whose arithmetic the callers rely on.
     """
-    E = _eigvals_along(family, gs)
     rows = np.arange(len(E))
     i, j = closest_pair(E)
     d = E[rows, i] - E[rows, j]
@@ -342,7 +379,7 @@ def _closest_gap_squared(family, gs) -> list:
     return list(out)
 
 
-def _gap_newton(family, starts, step_bound: float) -> list:
+def _gap_newton(families, starts, step_bounds) -> list:
     """Polish simple roots directly on the squared gap of the closest pair.
 
     d(g) = (E_a - E_b)^2 is analytic through a simple degeneracy with a
@@ -352,36 +389,42 @@ def _gap_newton(family, starts, step_bound: float) -> list:
     evaluated from fresh eigenvalues and reaches machine accuracy, which the
     eigenvector coalescence measure used by classification requires.
 
-    The roots of ``starts`` iterate in lockstep: each iteration solves the
-    (g, g + h, g - h) triple of every root still iterating in one stack.
-    Each root keeps its own h and stop rule, takes at most 12 steps, and
-    falls back to its start if a step, or its total move, exceeds
-    ``step_bound``.  Returns the polished roots in the order of ``starts``.
+    ``starts[f]`` lists the roots of ``families[f]``, and ``step_bounds[f]``
+    bounds their steps.  All roots iterate in lockstep: each iteration solves
+    the (g, g + h, g - h) triple of every root still iterating, of every
+    family, in one stack.  Each root keeps its own h and stop rule, takes at
+    most 12 steps, and falls back to its start if a step, or its total move,
+    exceeds its family's bound.  Returns the polished roots, one list per
+    family, in the order of ``starts``.
     """
-    g = [complex(g0) for g0 in starts]
-    h = [1e-6 * max(1.0, abs(x)) for x in g]
-    active = list(range(len(g)))
+    g = [[complex(g0) for g0 in roots] for roots in starts]
+    h = [[1e-6 * max(1.0, abs(x)) for x in roots] for roots in g]
+    active = [list(range(len(roots))) for roots in g]
     for _ in range(12):
-        if not active:
+        groups = [(families[f], [p for k in ks
+                                 for p in (g[f][k], g[f][k] + h[f][k], g[f][k] - h[f][k])])
+                  for f, ks in enumerate(active) if ks]
+        if not groups:
             break
-        probes = [p for k in active for p in (g[k], g[k] + h[k], g[k] - h[k])]
-        gaps = _closest_gap_squared(family, probes)
-        iterating = []
-        for m, k in enumerate(active):
-            d0, d_plus, d_minus = gaps[3 * m:3 * m + 3]
-            der = (d_plus - d_minus) / (2 * h[k])
-            if der == 0:
-                continue
-            step = d0 / der
-            if abs(step) > step_bound:
-                g[k] = None
-                continue
-            g[k] = g[k] - step
-            if abs(step) > 1e-15 * max(1.0, abs(g[k])):
-                iterating.append(k)
-        active = iterating
-    return [complex(g0) if x is None or abs(x - g0) > step_bound else x
-            for x, g0 in zip(g, starts)]
+        gaps = iter(_closest_gap_squared(_eigvals_at(groups)))
+        for f, ks in enumerate(active):
+            iterating = []
+            for k in ks:
+                d0, d_plus, d_minus = next(gaps), next(gaps), next(gaps)
+                der = (d_plus - d_minus) / (2 * h[f][k])
+                if der == 0:
+                    continue
+                step = d0 / der
+                if abs(step) > step_bounds[f]:
+                    g[f][k] = None
+                    continue
+                g[f][k] = g[f][k] - step
+                if abs(step) > 1e-15 * max(1.0, abs(g[f][k])):
+                    iterating.append(k)
+            active[f] = iterating
+    return [[complex(g0) if x is None or abs(x - g0) > bound else x
+             for x, g0 in zip(roots, firsts)]
+            for roots, firsts, bound in zip(g, starts, step_bounds)]
 
 
 def _gcd_degree(coeffs, radius: float) -> int:
@@ -433,8 +476,7 @@ def _root_clusters(poly: DiscriminantPoly, cluster_factor: float) -> list:
     ]
 
 
-def _polish_clusters(family, poly: DiscriminantPoly, clusters: list,
-                     cluster_factor: float) -> list:
+def _polish_clusters(families, polys, cluster_sets, cluster_factor: float) -> list:
     """Sharpen each cluster centroid into a root with one polish step.
 
     A centroid of multiplicity m >= 2 is polished on the (m-1)-th derivative
@@ -442,24 +484,29 @@ def _polish_clusters(family, poly: DiscriminantPoly, clusters: list,
     real family, so conjugate clusters stay exact conjugates.  The eigenvalue
     gap is no use there: at a defective multiple root the eigenvalues carry
     sqrt(eps) noise, which a finite-difference Newton on the gap turns into
-    ~1e-8 errors in g.  Simple roots are polished on the squared gap, all in
-    lockstep (``_gap_newton``).  Either polish moves the centroid by at most
-    twice the cluster radius, or not at all.  Returns the roots in cluster
-    order.
+    ~1e-8 errors in g.  Simple roots are polished on the squared gap, those
+    of all families in lockstep (``_gap_newton``).  Either polish moves the
+    centroid by at most twice the cluster radius, or not at all.  Returns the
+    roots of each family in cluster order.
     """
-    rho = cluster_factor * poly.radius
-    gs = [cluster.centroid for cluster in clusters]
-    simple = [k for k, cluster in enumerate(clusters) if cluster.multiplicity == 1]
-    for k, g0 in zip(simple, _gap_newton(family, [gs[k] for k in simple], 2 * rho)):
-        gs[k] = g0
-    for k, (g0, mult, _) in enumerate(clusters):
-        if mult >= 2:
-            dk = poly.coefficients
-            for _ in range(mult - 1):
-                dk = poly_derivative(dk)
-            polished, conv = _newton_polish(dk, np.array([g0]))
-            if conv[0] and abs(polished[0] - g0) <= 2 * rho:
-                gs[k] = complex(polished[0])
+    rhos = [cluster_factor * poly.radius for poly in polys]
+    gs = [[cluster.centroid for cluster in clusters] for clusters in cluster_sets]
+    simple = [[k for k, cluster in enumerate(clusters) if cluster.multiplicity == 1]
+              for clusters in cluster_sets]
+    polished = _gap_newton(families, [[row[k] for k in ks] for row, ks in zip(gs, simple)],
+                           [2 * rho for rho in rhos])
+    for row, ks, new in zip(gs, simple, polished):
+        for k, g0 in zip(ks, new):
+            row[k] = g0
+    for row, poly, clusters, rho in zip(gs, polys, cluster_sets, rhos):
+        for k, (g0, mult, _) in enumerate(clusters):
+            if mult >= 2:
+                dk = poly.coefficients
+                for _ in range(mult - 1):
+                    dk = poly_derivative(dk)
+                root, conv = _newton_polish(dk, np.array([g0]))
+                if conv[0] and abs(root[0] - g0) <= 2 * rho:
+                    row[k] = complex(root[0])
     return gs
 
 
@@ -474,17 +521,33 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
     ``_polish_clusters``), and the polished roots are solved in one stacked
     eigendecomposition, whose spectra the roots keep.
     """
-    family = as_family(model_or_family)
-    poly = discriminant_poly(family, radius=radius)
-    clusters = _root_clusters(poly, cluster_factor)
-    if not clusters:
-        return []
-    gs = _polish_clusters(family, poly, clusters, cluster_factor)
-    E, V, B = _eig_stack(family.matrices(gs), gs)
+    return _degeneracies([as_family(model_or_family)], radius, cluster_factor)[0]
+
+
+def _degeneracies(families, radius: float, cluster_factor: float) -> list:
+    """``find_degeneracies`` of each of the same-dimension ``families``, in lockstep.
+
+    Each stage serves every family with one stacked solve: the discriminant
+    samples and hold-outs (``_discriminant_polys``), each gap-Newton
+    iteration, and the eigendecomposition of every polished root.  Every row
+    is what the family's matrix gives alone, so each root set is the one
+    ``find_degeneracies`` gives for the family alone.  A stage raises the
+    first error it meets, which may be a later family's than a loop over
+    the families would meet first (``spectra._in_lockstep`` restores that).
+    """
+    polys = _discriminant_polys(families, radius)
+    cluster_sets = [_root_clusters(poly, cluster_factor) for poly in polys]
+    gs = _polish_clusters(families, polys, cluster_sets, cluster_factor)
+    groups = [(family, row) for family, row in zip(families, gs) if row]
+    if not groups:
+        return [[] for _ in families]
+    E, V, B = _eig_stack(np.concatenate([f.matrices(row) for f, row in groups]),
+                         [g for _, row in groups for g in row])
     I, J = closest_pair(E)
-    roots = []
-    for g0, cluster, e, v, b, i, j in zip(gs, clusters, E, V, B, I.tolist(), J.tolist()):
-        roots.append(DegeneracyRoot(
+    solved = zip(E, V, B, I.tolist(), J.tolist())
+    root_sets = []
+    for row, poly, clusters in zip(gs, polys, cluster_sets):
+        roots = [DegeneracyRoot(
             g0=g0,
             multiplicity=cluster.multiplicity,
             residual=abs(poly(g0)),
@@ -492,9 +555,10 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
             min_gap=float(abs(e[i] - e[j])),
             converged=cluster.converged,
             spectrum=Spectrum(complex(g0), e, v, b),
-        ))
-    roots.sort(key=lambda r: (r.g0.imag, r.g0.real))
-    return roots
+        ) for g0, cluster, (e, v, b, i, j) in zip(row, clusters, solved)]
+        roots.sort(key=lambda r: (r.g0.imag, r.g0.real))
+        root_sets.append(roots)
+    return root_sets
 
 
 def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
@@ -502,23 +566,31 @@ def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
 
     ``window`` is (re_min, re_max, im_min, im_max).  Returns the real and
     imaginary grid axes and an (n_im, n_re) array whose row i holds
-    |D(re + i*ims[i])| along the real axis.  Each row is one stacked
-    eigensolve and one ``_discriminant_rows`` call; a whole-grid stack would
-    hold every matrix at once.  A non-finite |D| raises EigensolverError
-    naming the first such g in row-major order.
+    |D(re + i*ims[i])| along the real axis.  Whole rows are solved together,
+    as many as fit in ``STACK_BYTES`` of matrices, in one stacked eigensolve
+    and one ``_discriminant_rows`` call.  A non-finite |D| raises
+    EigensolverError naming the first such g in row-major order: a stack
+    that fails a check is solved again row by row.
     """
     family = as_family(model_or_family)
     re_min, re_max, im_min, im_max = window
     res = np.linspace(re_min, re_max, n_re)
     ims = np.linspace(im_min, im_max, n_im)
     grid = np.empty((n_im, n_re))
-    for row, y in zip(grid, ims):
-        gs = np.empty(n_re, dtype=complex)
-        gs.real, gs.imag = res, y
+
+    def fill(rows):
+        gs = np.empty((len(rows), n_re), dtype=complex)
+        gs.real, gs.imag = res, ims[rows, None]
+        gs = gs.ravel()
         D = _discriminant_rows(_eigvals_along(family, gs))
         with np.errstate(over="ignore"):
-            row[:] = np.hypot(D.real, D.imag)
-        _require_finite(row, gs)
+            absD = np.hypot(D.real, D.imag)
+        _require_finite(absD, gs)
+        grid[rows] = absD.reshape(len(rows), n_re)
+
+    per_stack = max(1, STACK_BYTES // (16 * family.dim ** 2 * n_re))
+    for lo in range(0, n_im, per_stack):
+        _in_lockstep(fill, list(range(lo, min(lo + per_stack, n_im))))
     return res, ims, grid
 
 

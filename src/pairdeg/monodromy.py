@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import LoopError
 from .model import as_family
-from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, AmbiguityRecord, _transport,
-                      c_normalize, eigendecompose, match_states)
+from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, STACK_BYTES, AmbiguityRecord,
+                      Spectrum, _eig_stack, _in_lockstep, _solve_path, _solve_paths,
+                      _transport, c_normalize, eigendecompose, match_states)
 
 __all__ = ["LoopSpec", "LoopTrace", "trace_loop", "restore_count", "RestoreResult"]
 
@@ -156,44 +157,51 @@ class LoopTrace:
 class _Turns:
     """Eigenpairs transported around ``loop``, one turn at a time.
 
-    Iterating solves and transports the path up to the end of the next turn
-    and yields the number of turns completed; ``perms[k - 1]`` is then turn
-    k's permutation.  With ``vectors`` the start and every accepted state
-    are c-normalized and sign-gauged, the phase increments are summed into
-    ``thetas``, and each turn's raw and holonomy-snapped phases go to
+    ``start`` is the eigensystem at ``loop.point(phis[0])`` in canonical
+    order with ``LABEL_IM_TOL`` clustering, and ``blocks`` the rest of the
+    path, ``loop.point(phis[1:])``, solved as ``_solve_path`` yields it (see
+    ``solved``).  Iterating transports the path up to the end of the next
+    turn and yields the number of turns completed; ``perms[k - 1]`` is then
+    turn k's permutation.  With ``vectors`` the start and every accepted
+    state are c-normalized and sign-gauged, the phase increments are summed
+    into ``thetas``, and each turn's raw and holonomy-snapped phases go to
     ``raw_loop`` and ``loop_re``.  Without, only eigenvalues are matched and
     the rest is never computed.  ``eigenvalues`` and ``thetas`` have rows
     for every turn of ``loop``; only those up to the end of the last turn
-    yielded are final.  One transported block is held at a time.
+    yielded are final.
     """
 
-    def __init__(self, family, loop: LoopSpec, tau_c, vectors):
+    def __init__(self, family, loop: LoopSpec, phis, start, blocks, tau_c, vectors):
         self.family, self.loop, self.tau_c, self.vectors = family, loop, tau_c, vectors
-        n_samples = loop.steps * loop.loops + 1
-        self.phis = loop.orientation * np.linspace(0.0, 2 * np.pi * loop.loops,
-                                                   n_samples)
-        g0 = loop.point(self.phis[0])
-        start = eigendecompose(family.matrix(g0), g=g0, im_tol=LABEL_IM_TOL)
+        self.phis, self.blocks = phis, blocks
         if vectors:
             start = c_normalize(start, tau_c=tau_c)
         self.start = start
-        self.eigenvalues = np.empty((n_samples, start.dim), dtype=complex)
+        self.eigenvalues = np.empty((len(phis), start.dim), dtype=complex)
         self.eigenvalues[0] = start.eigenvalues
         # Increments until a turn ends, then theta_i = theta_{i-1} +
         # increment_i, added left to right.
         self.thetas = None
         if vectors:
-            self.thetas = np.zeros((n_samples, start.dim), dtype=complex)
+            self.thetas = np.zeros((len(phis), start.dim), dtype=complex)
         self.records: list[AmbiguityRecord] = []
         self.perms, self.loop_re, self.raw_loop = [], [], []
+
+    @classmethod
+    def solved(cls, family, loop: LoopSpec, tau_c, vectors):
+        """The turns of ``loop``, its path solved one block at a time as they go."""
+        phis, gs = _loop_path(loop)
+        start = eigendecompose(family.matrix(gs[0]), g=gs[0], im_tol=LABEL_IM_TOL)
+        return cls(family, loop, phis, start, _solve_path(family, gs[1:]), tau_c,
+                   vectors)
 
     def __iter__(self):
         steps, thetas = self.loop.steps, self.thetas
         summed = 0  # thetas[:summed + 1] are final
         i = 1  # path point of the block's first row
         for E, V, _, _, increments in _transport(
-                self.family, self.start, self.phis, self.loop.point, self.vectors,
-                self.tau_c, self.vectors, self.records):
+                self.family, self.start, self.phis, self.loop.point, self.blocks,
+                self.vectors, self.tau_c, self.vectors, self.records):
             k = len(E)
             self.eigenvalues[i:i + k] = E
             if increments is not None:
@@ -241,6 +249,13 @@ class _Turns:
         )
 
 
+def _loop_path(loop: LoopSpec):
+    """The sample angles of ``loop`` and the couplings ``loop.point`` gives there."""
+    phis = loop.orientation * np.linspace(0.0, 2 * np.pi * loop.loops,
+                                          loop.steps * loop.loops + 1)
+    return phis, [loop.point(t) for t in phis]
+
+
 def _checked_family(model_or_family, loop, degeneracies):
     """The family, once ``loop`` is checked against its degeneracies.
 
@@ -266,23 +281,50 @@ def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
     explicitly to avoid recomputation, or None to compute it here.
     """
     family = _checked_family(model_or_family, loop, degeneracies)
-    turns = _Turns(family, loop, tau_c, vectors=True)
+    turns = _Turns.solved(family, loop, tau_c, vectors=True)
     for _ in turns:
         pass
     return turns.trace()
 
 
-def _turn_permutation(model_or_family, loop: LoopSpec, degeneracies=None) -> tuple:
-    """``trace_loop(...).loop_permutations[0]`` from eigenvalues alone.
+def _turn_permutations(loops) -> list:
+    """``trace_loop(...).loop_permutations[0]`` of each (family, loop,
+    degeneracies) of ``loops``, from eigenvalues alone.
 
-    Matching reads only eigenvalues, so the vectors are neither
-    c-normalized nor gauged and no phase is formed; the eigensolves are
-    those of ``trace_loop``, so the permutation is too.
+    Matching reads only eigenvalues, so the vectors are neither c-normalized
+    nor gauged and no phase is formed.  The loops go in groups whose paths
+    fit in ``STACK_BYTES / 4`` of matrices: the start points of a group are
+    solved in one stack, and their paths in another (``_solve_paths``).
+    Each row is what ``trace_loop`` solves there, so each permutation is
+    too.  An error is the one the first failing loop raises alone.
     """
-    family = _checked_family(model_or_family, loop, degeneracies)
-    turns = _Turns(family, loop, DEFAULT_TAU_C, vectors=False)
-    next(iter(turns))
-    return turns.perms[0]
+    perms, group, size = [], [], 0
+    for job in loops:
+        family, loop, _ = job
+        nbytes = loop.steps * loop.loops * 16 * as_family(family).dim ** 2
+        if group and size + nbytes > STACK_BYTES // 4:
+            perms += _in_lockstep(_first_turns, group)
+            group, size = [], 0
+        group.append(job)
+        size += nbytes
+    return perms + (_in_lockstep(_first_turns, group) if group else [])
+
+
+def _first_turns(loops) -> list:
+    families = [_checked_family(f, loop, degeneracies) for f, loop, degeneracies in loops]
+    paths = [_loop_path(loop) for _, loop, _ in loops]
+    firsts = [gs[0] for _, gs in paths]
+    E, V, b = _eig_stack(np.concatenate([f.matrices([g]) for f, g in zip(families, firsts)]),
+                         firsts, LABEL_IM_TOL)
+    solved = _solve_paths([(f, gs[1:]) for f, (_, gs) in zip(families, paths)])
+    perms = []
+    for k, (family, (_, loop, _)) in enumerate(zip(families, loops)):
+        start = Spectrum(complex(firsts[k]), E[k], V[k], b[k])
+        turns = _Turns(family, loop, paths[k][0], start, solved[k], DEFAULT_TAU_C,
+                       vectors=False)
+        next(iter(turns))
+        perms.append(turns.perms[0])
+    return perms
 
 
 class RestoreResult(NamedTuple):
@@ -322,7 +364,7 @@ def restore_count(model_or_family, loop: LoopSpec, max_loops: int,
     """
     spec = LoopSpec(loop.center, loop.radius, loop.steps, max_loops, loop.orientation)
     family = _checked_family(model_or_family, spec, degeneracies)
-    turns = _Turns(family, spec, DEFAULT_TAU_C, vectors=True)
+    turns = _Turns.solved(family, spec, DEFAULT_TAU_C, vectors=True)
     periods = (None, None)
     for _ in turns:
         periods = _restore_periods(turns.perms, turns.loop_re)

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import Kind, classify, sweep_gamma
-from .discriminant import (discriminant_at, discriminant_poly, find_degeneracies)
+from .discriminant import (_discriminant_rows, _eigvals_along, _require_finite,
+                           discriminant_at, discriminant_poly, find_degeneracies)
 from .model import ModelSpec, build_operator_matrices, hamiltonian_at
 from .monodromy import LoopSpec, restore_count, trace_loop
 from .observables import (_locate_pseudo_dp, _raw_c_normalized, coefficient_extract,
                           fit_power_law, ladder_spectra, pairing_energy_cut)
-from .spectra import (branch_slopes, c_normalize, continue_spectrum,
-                      eigendecompose)
+from .spectra import (DEFAULT_TAU_C, _c_normalize_stack, _eig_stack, branch_slopes,
+                      continue_spectrum, eigendecompose)
 
 __all__ = ["reference_model", "run_all", "CriterionResult", "CRITERIA"]
 
@@ -296,22 +297,25 @@ def criterion_10(roots_of=find_degeneracies) -> CriterionResult:
     rng = np.random.default_rng(1234)
     checks = []
 
+    # Each identity is checked on one stack of points, in the rng's order.
+    gs = [complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)) for _ in range(100)]
+    products = _discriminant_rows(_eigvals_along(family, gs))
+    _require_finite(products, gs)
     worst = 0.0
-    for _ in range(100):
-        g = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        d1 = discriminant_at(family, g, method="product")
+    for g, d1 in zip(gs, products.tolist()):
         d2 = discriminant_at(family, g, method="resultant")
         worst = max(worst, abs(d1 - d2) / max(abs(d1), abs(d2), 1e-300))
     checks.append(("resultant oracle", worst <= 1e-8,
                    f"max rel diff = {worst:.2e} (<= 1e-8)"))
 
+    gs = [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(25)]
+    E = _eig_stack(family.matrices(gs), gs)[0]
+    reflected = [-g for g in gs]
+    E_refl = _eig_stack(family.matrices(reflected), reflected)[0]
     worst_tr = worst_refl = 0.0
-    for _ in range(25):
-        g = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        spec = eigendecompose(family.matrix(g), g=g)
-        worst_tr = max(worst_tr, abs(np.sum(spec.eigenvalues) - (16 + 36 * g)))
-        e_refl = eigendecompose(family.matrix(-g), g=-g).eigenvalues
-        a = np.sort_complex(spec.eigenvalues)
+    for g, e, e_refl in zip(gs, E, E_refl):
+        worst_tr = max(worst_tr, abs(np.sum(e) - (16 + 36 * g)))
+        a = np.sort_complex(e)
         b = np.sort_complex(8.0 - e_refl)
         worst_refl = max(worst_refl, float(np.max(np.abs(a - b))))
     checks.append(("trace identity", worst_tr <= 1e-10,
@@ -319,20 +323,19 @@ def criterion_10(roots_of=find_degeneracies) -> CriterionResult:
     checks.append(("reflection symmetry", worst_refl <= 1e-10,
                    f"max multiset deviation = {worst_refl:.2e} (<= 1e-10)"))
 
+    gs = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.5)) for _ in range(25)]
+    matrices = family.matrices(gs)
+    E, V, _ = _eig_stack(matrices, gs)
+    V, _, flagged = _c_normalize_stack(E, V, DEFAULT_TAU_C)
     worst_bi = worst_res = 0.0
-    for _ in range(25):
-        g = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.5))
-        H = family.matrix(g)
-        spec = c_normalize(eigendecompose(H, g=g))
-        res = np.linalg.norm(
-            H @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues[None, :],
-            axis=0)
+    for H, e, U, self_orthogonal in zip(matrices, E, V, flagged):
+        res = np.linalg.norm(H @ U - U * e[None, :], axis=0)
         scale = np.linalg.norm(H)
-        norms = np.linalg.norm(spec.eigenvectors, axis=0)
+        norms = np.linalg.norm(U, axis=0)
         worst_res = max(worst_res, float(np.max(res / norms)) / scale)
-        G = spec.eigenvectors.T @ spec.eigenvectors
+        G = U.T @ U
         off = G - np.diag(np.diag(G))
-        keep = ~spec.self_orthogonal
+        keep = ~self_orthogonal
         worst_bi = max(worst_bi, float(np.max(np.abs(off[np.ix_(keep, keep)]))))
     checks.append(("residual bound", worst_res <= 1e-9,
                    f"max residual / ||H|| = {worst_res:.2e} (<= 1e-9)"))

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EigensolverError, MatchingAmbiguityError
+from .errors import EigensolverError, MatchingAmbiguityError, PairdegError
 from .model import as_family
 
 __all__ = [
@@ -56,6 +56,12 @@ EXHAUSTIVE_MATCH_LIMIT = 7
 MAX_BISECT = 12
 # Path points solved per stacked eigensolve; 256 was no faster at dim 4.
 SOLVE_BLOCK = 64
+# Matrix bytes per stack when many points of several grid rows, paths or
+# families are solved together: 256 KB, 1,024 points at dim 4, for
+# eigenvalues alone.  A full eigensystem holds its vectors and residuals
+# too, several times the matrices, so its stacks take a quarter of that.
+# Larger stacks raised the peak size of the process and were no faster.
+STACK_BYTES = 1 << 18
 
 
 def bilinear(u: np.ndarray, v: np.ndarray) -> complex:
@@ -93,9 +99,13 @@ def canonical_order(eigenvalues: np.ndarray,
     Eigenvalues whose imaginary parts differ by no more than
     ``im_tol * max(1, max|E|)`` are treated as one cluster and ordered by
     ascending real part.  The loose-tolerance variant is what reference-point
-    labeling near a degeneracy uses.
+    labeling near a degeneracy uses.  A non-finite eigenvalue has no place
+    in that order and raises EigensolverError.
     """
-    return _canonical_orders(np.asarray(eigenvalues)[None, :], im_tol)[0]
+    E = np.asarray(eigenvalues)[None, :]
+    if not np.isfinite(E).all():
+        raise EigensolverError("cannot order non-finite eigenvalues")
+    return _canonical_orders(E, im_tol)[0]
 
 
 def _canonical_orders(E: np.ndarray, im_tol: float) -> np.ndarray:
@@ -231,10 +241,11 @@ def _eig_stack(H: np.ndarray, gs, im_tol: float = ORDER_IM_TOL):
 def _solve_path(family, gs):
     """Eigensystems at the couplings ``gs``, in order, solved ``SOLVE_BLOCK`` at a time.
 
-    Yields the arrays of ``_eig_stack`` for each block solved as one stack.
-    A block that fails a check is solved again one point at a time and
-    yielded one row at a time, so the first failing coupling raises its own
-    EigensolverError only once the consumer has taken every row before it.
+    Yields ``(block, E, V, b)`` for each block of couplings solved as one
+    stack, with the arrays of ``_eig_stack``.  A block that fails a check is
+    solved again one point at a time and yielded one point at a time, so the
+    first failing coupling raises its own EigensolverError only once the
+    consumer has taken every row before it.
     """
     for lo in range(0, len(gs), SOLVE_BLOCK):
         block = gs[lo:lo + SOLVE_BLOCK]
@@ -243,9 +254,54 @@ def _solve_path(family, gs):
             E, V, b = _eig_stack(matrices, block)
         except EigensolverError:
             for H, g in zip(matrices, block):
-                yield _eig_stack(H[None], [g])
+                yield ([g], *_eig_stack(H[None], [g]))
             continue
-        yield E, V, b
+        yield block, E, V, b
+
+
+def _solve_paths(paths) -> list:
+    """The blocks ``_solve_path`` yields for each (family, gs) path, in one stack.
+
+    Every point of every path is solved in one stacked eigensolve, each row
+    bit for bit the one its matrix gives alone, and handed out as one list
+    of ``SOLVE_BLOCK`` blocks per path.  If the stack fails a check, every
+    path is left to ``_solve_path``, so that an error surfaces where solving
+    that path alone raises it.
+    """
+    points = [g for _, gs in paths for g in gs]
+    try:
+        E, V, b = _eig_stack(np.concatenate([f.matrices(gs) for f, gs in paths]), points)
+    except EigensolverError:
+        return [_solve_path(family, gs) for family, gs in paths]
+    out, row = [], 0
+    for _, gs in paths:
+        blocks = []
+        for lo in range(0, len(gs), SOLVE_BLOCK):
+            block = gs[lo:lo + SOLVE_BLOCK]
+            k = len(block)
+            blocks.append((block, E[row:row + k], V[row:row + k], b[row:row + k]))
+            row += k
+        out.append(blocks)
+    return out
+
+
+def _in_lockstep(run, items):
+    """``run(items)``, raising the error the first failing item raises alone.
+
+    ``run`` takes a list of independent items and solves them together, each
+    result what the item gives alone; only which item's error surfaces
+    depends on the grouping.  So on a PairdegError the items are run one at
+    a time, in order, and the first one that fails raises its own error, as
+    a loop over the items would.
+    """
+    try:
+        return run(items)
+    except PairdegError:
+        if len(items) < 2:
+            raise
+        for item in items:
+            run([item])
+        raise
 
 
 def _orthogonalize_clusters(e: np.ndarray, V: np.ndarray, tau_c: float) -> None:
@@ -608,8 +664,8 @@ def _gauge(prev: Spectrum, W: np.ndarray, flagged: np.ndarray, b: np.ndarray,
     return W, increments
 
 
-def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
-               records):
+def _transport(family, start: Spectrum, ts, point, blocks, want_vectors, tau_c,
+               phases, records):
     """Continue ``start`` (at path parameter ts[0]) through ``point(ts[1:])``.
 
     Yields, in path order, blocks ``(E, V, b, flagged, increments)`` of the
@@ -619,21 +675,22 @@ def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
     The vectors are c-normalized and in the sign gauge when
     ``want_vectors``.  Consumers must not write to the blocks.
 
-    The path is solved in stacked blocks (``_solve_path``).  Each step is
-    put into label order one of two ways: a run of steps that
-    ``_match_block`` finds clear by the permutations it found, and any other
-    step (near-ties among them) by ``_align_next``, which bisects.  Either
-    way the states then take one tail: c-normalized, gauged and, with
-    ``phases``, given their increments as a stack, each row bit for bit the
-    step taken alone.  Of a bisected step only the state at its path point
-    is handed on, with the sub-steps' increments added in path order.  Only
-    the state that the next matching starts from is kept as a Spectrum.
+    ``blocks`` holds the path solved by the caller, as ``_solve_path``
+    yields it: ``(couplings, E, V, b)`` blocks of consecutive path points
+    after the start.  Each step is put into label order one of two ways: a
+    run of steps that ``_match_block`` finds clear by the permutations it
+    found, and any other step (near-ties among them) by ``_align_next``,
+    which bisects.  Either way the states then take one tail: c-normalized,
+    gauged and, with ``phases``, given their increments as a stack, each row
+    bit for bit the step taken alone.  Of a bisected step only the state at
+    its path point is handed on, with the sub-steps' increments added in
+    path order.  Only the state that the next matching starts from is kept
+    as a Spectrum.
     """
     current = start
     n = start.dim
-    gs = [point(t) for t in ts[1:]]
-    i = 0  # path point of the block's first row, as an index into gs
-    for E, V, B in _solve_path(family, gs):
+    i = 1  # path point of the block's first row, as an index into ts
+    for gs, E, V, B in blocks:
         k = len(E)
         q, clear = _match_block(current.eigenvalues, E)
         perm = np.arange(n)  # current, in label order, as a permutation of itself
@@ -651,8 +708,8 @@ def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
                 Va = np.take_along_axis(V[j:end], perms[:, None, :], axis=2)
             else:
                 steps, perm = _align_next(
-                    family, current, ts[i + j], ts[i + end], point,
-                    Spectrum(complex(gs[i + j]), E[j], V[j], B[j]), 0, records)
+                    family, current, ts[i + j - 1], ts[i + j], point,
+                    Spectrum(complex(gs[j]), E[j], V[j], B[j]), 0, records)
                 perm = np.asarray(perm)
                 Ea = np.array([s.eigenvalues for s in steps])
                 Va = np.array([s.eigenvectors for s in steps])
@@ -667,7 +724,7 @@ def _transport(family, start: Spectrum, ts, point, want_vectors, tau_c, phases,
                 if increments is not None:
                     increments = sum(increments[1:], increments[0])[None]
             yield Ea, Va, Ba, Fa, increments
-            current = Spectrum(complex(gs[i + end - 1]), Ea[-1], Va[-1], Ba[-1], Fa[-1])
+            current = Spectrum(complex(gs[end - 1]), Ea[-1], Va[-1], Ba[-1], Fa[-1])
             j = end
         i += k
 
@@ -694,7 +751,8 @@ def continue_spectrum(model_or_family, points, want_vectors: bool = True,
     if want_vectors:
         start = c_normalize(start, tau_c=tau_c)
     spectra = [start]
-    for E, V, b, flagged, _ in _transport(family, start, points, complex, want_vectors,
+    for E, V, b, flagged, _ in _transport(family, start, points, complex,
+                                          _solve_path(family, points[1:]), want_vectors,
                                           tau_c, False, records):
         for t in range(len(E)):
             spectra.append(Spectrum(points[len(spectra)], E[t], V[t], b[t], flagged[t]))

@@ -220,7 +220,7 @@ def test_polish_moves_a_cluster_at_most_two_radii(model, gamma):
     family = model.with_gamma(gamma).family()
     poly = discriminant_poly(family)
     clusters = _root_clusters(poly, 1e-4)
-    polished = _polish_clusters(family, poly, clusters, 1e-4)
+    [polished] = _polish_clusters([family], [poly], [clusters], 1e-4)
     assert len(polished) == len(clusters)
     for g0, cluster in zip(polished, clusters):
         assert abs(g0 - cluster.centroid) <= 2e-4 * poly.radius
@@ -293,6 +293,21 @@ def test_discriminant_overflow_is_an_eigensolver_error(model, capfd):
     assert capfd.readouterr().err == ""
 
 
+def test_heatmap_error_is_the_first_in_row_major_order(model, capfd):
+    # Both rows are one stack.  The second fails its eigensolve (at
+    # 0.1 + 7e306 i the eigenvalues overflow inside LAPACK), but the first
+    # row's D overflows first in row-major order, and that is the error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigensolverError, match="non-finite discriminant") as info:
+            discriminant_grid(model, (0.1, 1e300, -0.2, 7e306), 3, 2)
+        assert info.value.g == complex(5e299, -0.2)
+        with pytest.raises(EigensolverError, match="non-finite eigenvalues") as info:
+            discriminant_grid(model, (0.1, 1e300, 7e306, -0.2), 3, 2)
+        assert info.value.g == complex(0.1, 7e306)
+    assert capfd.readouterr().err == ""
+
+
 oracle_settings = settings(derandomize=True, max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
 
@@ -347,7 +362,7 @@ def test_closest_gap_squared_returns_numpy_scalars(model, pseudo_dp):
     # _gap_newton's scalar arithmetic rounds differently on Python complex.
     # At g = 0 the reference spectrum has exact ties.
     gs = [pseudo_dp, 0.1j, 0.0]
-    gaps = _closest_gap_squared(model.family(), gs)
+    gaps = _closest_gap_squared(_eigvals_along(model.family(), gs))
     assert [type(d) for d in gaps] == [np.complex128] * 3
     _assert_same_bytes(gaps, [_closest_gap_squared_oracle(model.family(), g)
                               for g in gs])
@@ -378,7 +393,7 @@ def test_stacked_evaluator_oracle(n, k, seed):
                            _pointwise_discriminant(family, g))
     h = 1e-6 * max(1.0, abs(gs[0]))
     probes = [gs[0], gs[0] + h, gs[0] - h]
-    _assert_same_bytes(_closest_gap_squared(family, probes),
+    _assert_same_bytes(_closest_gap_squared(_eigvals_along(family, probes)),
                        [_closest_gap_squared_oracle(family, g) for g in probes])
 
 

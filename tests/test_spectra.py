@@ -550,6 +550,19 @@ def test_canonical_order_oracle(data, n, k, im_tol):
     assert orders.dtype == want.dtype
 
 
+@pytest.mark.parametrize("row", [
+    [complex(0, np.nan), 1, 0, complex(np.nan, np.nan)],
+    [1, np.inf, 0],
+    [complex(2, -np.inf), 1j],
+])
+def test_canonical_order_rejects_non_finite_eigenvalues(row):
+    # A NaN scale once made every value its own cluster, so the first row
+    # came out [1, 2, 0, 3] where the cluster loop gives [2, 1, 0, 3]: a
+    # non-finite eigenvalue has no canonical place.
+    with pytest.raises(EigensolverError, match="non-finite"):
+        canonical_order(np.array(row, dtype=complex))
+
+
 def test_canonical_order_gap_equal_to_tolerance():
     # A gap of exactly im_tol * scale still joins a cluster (ordered by Re),
     # so the stable argsort alone would be wrong here.

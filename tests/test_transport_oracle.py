@@ -25,7 +25,7 @@ from pairdeg import (LoopSpec, MatrixFamily, c_normalize, continue_spectrum,
                      eigendecompose, find_degeneracies, match_states, restore_count,
                      spectrum_along, trace_loop)
 from pairdeg.errors import MatchingAmbiguityError
-from pairdeg.monodromy import _restore_periods, _turn_permutation
+from pairdeg.monodromy import _restore_periods, _turn_permutations
 from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, MAX_BISECT, SOLVE_BLOCK,
                              AmbiguityRecord, Spectrum, _c_normalize_stack, _gauge,
                              _gauge_signs, _match_block, _permutation_table, bilinear)
@@ -525,9 +525,9 @@ def _assert_eigenvalue_permutation_matches(family, loop, roots):
         want = trace_loop(family, loop, degeneracies=roots).loop_permutations[0]
     except MatchingAmbiguityError:
         with pytest.raises(MatchingAmbiguityError):
-            _turn_permutation(family, loop, degeneracies=roots)
+            _turn_permutations([(family, loop, roots)])
         return
-    assert _turn_permutation(family, loop, degeneracies=roots) == want
+    assert _turn_permutations([(family, loop, roots)]) == [want]
 
 
 def _assert_restore_is_prefix(family, loop, max_loops, roots, tau_c=1e-6):
@@ -569,6 +569,26 @@ def test_short_loops_match_full_trace_on_random_models(n, seed, steps, orientati
     for loop in _loop_cases(roots, rng, steps, orientation):
         _assert_eigenvalue_permutation_matches(family, loop, roots)
         _assert_restore_is_prefix(family, loop, max_loops, roots)
+
+
+def test_turn_permutations_of_many_loops_match_trace_loop(model, model_049):
+    # Loops around every root of two families, EP loops with a transposition
+    # among them, and loops around no root, solved together in groups (a
+    # group's starts are one stack and its paths another), each as
+    # trace_loop gives it alone.
+    jobs = []
+    for m in (model_049, model):
+        family = m.family()
+        roots = find_degeneracies(family)
+        for root in roots:
+            others = min(abs(r.g0 - root.g0) for r in roots if r is not root)
+            jobs.append((family, LoopSpec(root.g0, 0.3 * others, steps=64), roots))
+            jobs.append((family, LoopSpec(root.g0 + 1.5 * others, 0.3 * others,
+                                          steps=100), roots))
+    want = [trace_loop(f, loop, degeneracies=roots).loop_permutations[0]
+            for f, loop, roots in jobs]
+    assert any(p != tuple(range(len(p))) for p in want)
+    assert _turn_permutations(jobs) == want
 
 
 @pytest.mark.parametrize("steps", [64, 100])
@@ -624,8 +644,8 @@ def test_short_loops_match_full_trace_through_forced_bisection(model, pseudo_dp,
     family = model.family()
     full_spec = dataclasses.replace(loop, loops=4)
     full = fresh(trace_loop, family, full_spec, degeneracies=roots)
-    assert fresh(_turn_permutation, family, loop, degeneracies=roots) == \
-        full.loop_permutations[0]
+    assert fresh(_turn_permutations, [(family, loop, roots)]) == \
+        [full.loop_permutations[0]]
     res = fresh(restore_count, family, loop, 4, degeneracies=roots)
     assert (res.eigenvalue_period, res.phase_period) == (1, 2)
     rows = 2 * loop.steps + 1

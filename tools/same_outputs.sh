@@ -5,8 +5,11 @@
 #
 # Runs perfbench/run.py on the reference and midsize workloads at seeds 0
 # and 26, 2 s each, once in a temporary git worktree of BASE and once in
-# this checkout (its working tree, uncommitted changes included).  Then
-# compares the two .perfbench_out/ trees with diff -r, leaving out the
+# this checkout (its working tree, uncommitted changes included).  Each side
+# also runs `pairdeg sweep` on the configs tools/wide_sweep_*.ini of this
+# checkout (gamma in [-2, 1], 61 samples, on the reference model and on L5,
+# whose discriminant retries its radius), writing into its .perfbench_out/.
+# Then compares the two .perfbench_out/ trees with diff -r, leaving out the
 # timing spans (spans.json).  Exits non-zero on any difference, and
 # otherwise ends with the line delta of src/ against BASE.  Both
 # .perfbench_out/ trees are rewritten; the worktree is removed on exit, and
@@ -38,7 +41,18 @@ for side in base checkout; do
             echo "$side $workload seed $seed: $(tail -n 1 "$work/run.log" | cut -c 1-45)"
         done
     done
+    for config in "$root"/tools/wide_sweep_*.ini; do
+        out=$dir/.perfbench_out/$(basename "$config" .ini)
+        if ! (cd "$dir" && PYTHONPATH=src python3 -m pairdeg.cli sweep \
+                --config "$config" --out "$out" > "$work/run.log" 2>&1); then
+            cat "$work/run.log"
+            echo "pairdeg sweep failed: $config in $dir" >&2
+            exit 1
+        fi
+        echo "$side $(basename "$config"): $(cat "$work/run.log")"
+    done
 done
 diff -r -x spans.json "$work/base/.perfbench_out" "$root/.perfbench_out"
-echo "same outputs: $base and this checkout, reference and midsize at seeds 0 and 26"
+echo "same outputs: $base and this checkout, reference and midsize at seeds 0 and 26," \
+    "and the wide sweeps"
 echo "src/ against $base:$(git -C "$root" diff --shortstat "$base" -- src)"
