@@ -31,7 +31,7 @@ from .discriminant import (DEFAULT_CLUSTER_FACTOR, DEFAULT_RADIUS, DegeneracyRoo
 from .errors import PairdegError
 from .model import ModelSpec, as_family, build_operator_matrices
 from .monodromy import MIN_STEPS, LoopSpec, _turn_permutations
-from .spectra import (DEFAULT_TAU_C, STACK_BYTES, _c_normalize_stack, _in_lockstep,
+from .spectra import (DEFAULT_TAU_C, EPS, STACK_BYTES, _c_normalize_stack, _in_lockstep,
                       c_normalize, closest_pair, eigendecompose)
 
 __all__ = [
@@ -264,7 +264,7 @@ def _illinois(f, a, b):
     c, last = x[int(abs(fx[1]) < abs(fx[0]))], None
     for _ in range(MAX_FALSI_STEPS):
         t = (x[0] * fx[1] - x[1] * fx[0]) / (fx[1] - fx[0])
-        if (x[1] - x[0] <= 4 * np.finfo(float).eps * max(1.0, abs(c))
+        if (x[1] - x[0] <= 4 * EPS * max(1.0, abs(c))
                 or not x[0] < t < x[1]):  # also when an end is a zero
             break
         c, fc = t, f(t)

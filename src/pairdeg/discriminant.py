@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EigensolverError, InterpolationError
 from .model import as_family
-from .spectra import (STACK_BYTES, Spectrum, _eig_stack, _in_lockstep, _lapack,
+from .spectra import (EPS, STACK_BYTES, Spectrum, _eig_stack, _in_lockstep, _lapack,
                       closest_pair)
 
 __all__ = [
@@ -338,7 +338,7 @@ def _newton_polish(coeffs, roots):
                 break
             step = poly_eval(coeffs, r) / d
             r = r - step
-            if abs(step) <= 8 * np.finfo(float).eps * max(1.0, abs(r)):
+            if abs(step) <= 8 * EPS * max(1.0, abs(r)):
                 converged[k] = True
                 break
         roots[k] = r

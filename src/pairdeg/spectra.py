@@ -19,6 +19,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -54,14 +57,24 @@ MATCH_AMBIGUITY_TOL = 1e-12
 COINCIDENCE_TOL = 1e-9
 EXHAUSTIVE_MATCH_LIMIT = 7
 MAX_BISECT = 12
-# Path points solved per stacked eigensolve; 256 was no faster at dim 4.
-SOLVE_BLOCK = 64
+EPS = np.finfo(float).eps
 # Matrix bytes per stack when many points of several grid rows, paths or
 # families are solved together: 256 KB, 1,024 points at dim 4, for
 # eigenvalues alone.  A full eigensystem holds its vectors and residuals
 # too, several times the matrices, so its stacks take a quarter of that.
 # Larger stacks raised the peak size of the process and were no faster.
 STACK_BYTES = 1 << 18
+# CPUs this process may run on, read once.  A stack of at least SPLIT_WORK
+# (matrices x n^3) is solved in one part per CPU at once; under
+# ``taskset -c 0`` every stack is one part.  On 2 CPUs, halves of an ``eig``
+# stack beat one call from about 24 matrices at dim 4 and 8 at dim 6; halves
+# of an ``eigvals`` stack run at once only from about 250 matrices at dim 4,
+# since numpy keeps the GIL through small ``eigvals`` loops (the caller then
+# mostly takes both halves itself).  Thresholds of 1,024 to 4,096 timed
+# alike end to end; 8,192 lost the 64-matrix stacks.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1)
+SPLIT_WORK = 2048
 
 
 def bilinear(u: np.ndarray, v: np.ndarray) -> complex:
@@ -171,11 +184,83 @@ def eigendecompose(H: np.ndarray, g: complex = None,
     return Spectrum(complex(g) if g is not None else 0j, E[0], V[0], b[0])
 
 
+def _take_parts(solve, parts: list, pending, done) -> None:
+    """Solve parts of a split stack, taking their indices from ``pending``
+    until none is left, and put ``(index, result, exception)`` in ``done``."""
+    while True:
+        try:
+            i = pending.get_nowait()
+        except queue.Empty:
+            return
+        try:
+            done.put((i, solve(parts[i]), None))
+        except BaseException as exc:  # raised by the caller once every part is back
+            done.put((i, None, exc))
+
+
+def _work(tasks) -> None:
+    while True:
+        _take_parts(*tasks.get())
+
+
+# The worker threads of split solves and the queue that feeds them, started
+# at the first split.  A forked child has none of its parent's threads.
+_tasks = queue.SimpleQueue()
+_workers = []
+
+
+def _forget_workers() -> None:
+    global _tasks
+    _tasks = queue.SimpleQueue()
+    _workers.clear()
+
+
+os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _solve_in_parts(solve, H: np.ndarray):
+    """``solve(H)``, with a big (k, n, n) stack cut into one part per CPU.
+
+    The parts are contiguous, and each is solved once, by the calling
+    thread or by a worker thread, whichever takes it first: so the caller
+    waits only for parts that a worker has begun, never for a worker that
+    is slow to wake.  The results are joined in order.  numpy releases the
+    GIL while LAPACK solves the matrices of a stack one by one, so the parts
+    run at once and every row is bit for bit the one a single call gives.
+    An exception of any part is raised here once every part has finished,
+    the first part's first.
+    """
+    k, n = H.shape[:2]
+    count = min(CPUS, k) if k * n ** 3 >= SPLIT_WORK else 1
+    if count == 1:
+        return solve(H)
+    tasks = _tasks
+    while len(_workers) < count - 1:
+        _workers.append(threading.Thread(target=_work, args=(tasks,), daemon=True))
+        _workers[-1].start()
+    parts = [H[k * i // count:k * (i + 1) // count] for i in range(count)]
+    pending, done = queue.SimpleQueue(), queue.SimpleQueue()
+    for i in range(count):
+        pending.put(i)
+    for _ in range(count - 1):
+        tasks.put((solve, parts, pending, done))
+    _take_parts(solve, parts, pending, done)
+    solved = sorted((done.get() for _ in range(count)), key=lambda got: got[0])
+    for _, _, exc in solved:
+        if exc is not None:
+            raise exc
+    results = [out for _, out, _ in solved]
+    if isinstance(results[0], tuple):
+        return tuple(np.concatenate(column) for column in zip(*results))
+    return np.concatenate(results)
+
+
 def _lapack(solve, H: np.ndarray, gs, returned: str):
     """``solve(H)`` on a (k, n, n) stack, under the one policy for LAPACK failures.
 
     ``solve`` is ``np.linalg.eig`` or ``eigvals``, looked up by the caller at
-    call time so that a wrapper installed on numpy is seen.  EigensolverError
+    call time so that a wrapper installed on numpy is seen; a big stack is
+    solved in parts on every CPU (``_solve_in_parts``).  EigensolverError
     is raised for a non-finite matrix and for non-finite results (an
     overflow inside the solver; the message calls them ``returned``), naming
     the first such coupling of ``gs``, and for a solver that does not
@@ -186,7 +271,7 @@ def _lapack(solve, H: np.ndarray, gs, returned: str):
         raise EigensolverError("matrix has non-finite entries",
                                g=gs[int(np.argmin(finite))])
     try:
-        out = solve(H)
+        out = _solve_in_parts(solve, H)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}",
                                g=gs[0] if len(H) == 1 else None) from exc
@@ -238,8 +323,14 @@ def _eig_stack(H: np.ndarray, gs, im_tol: float = ORDER_IM_TOL):
     return eigenvalues, vectors, np.einsum("kij,kij->kj", vectors, vectors)
 
 
+def _path_block(dim: int) -> int:
+    """Path points per stacked eigensolve of ``_solve_path``: as many as fit
+    in ``STACK_BYTES / 4`` of matrices, 256 at dim 4 and 83 at dim 7."""
+    return max(1, STACK_BYTES // (64 * dim * dim))
+
+
 def _solve_path(family, gs):
-    """Eigensystems at the couplings ``gs``, in order, solved ``SOLVE_BLOCK`` at a time.
+    """Eigensystems at the couplings ``gs``, in order, solved ``_path_block`` at a time.
 
     Yields ``(block, E, V, b)`` for each block of couplings solved as one
     stack, with the arrays of ``_eig_stack``.  A block that fails a check is
@@ -247,8 +338,9 @@ def _solve_path(family, gs):
     first failing coupling raises its own EigensolverError only once the
     consumer has taken every row before it.
     """
-    for lo in range(0, len(gs), SOLVE_BLOCK):
-        block = gs[lo:lo + SOLVE_BLOCK]
+    size = _path_block(family.dim)
+    for lo in range(0, len(gs), size):
+        block = gs[lo:lo + size]
         matrices = family.matrices(block)
         try:
             E, V, b = _eig_stack(matrices, block)
@@ -264,7 +356,7 @@ def _solve_paths(paths) -> list:
 
     Every point of every path is solved in one stacked eigensolve, each row
     bit for bit the one its matrix gives alone, and handed out as one list
-    of ``SOLVE_BLOCK`` blocks per path.  If the stack fails a check, every
+    of ``_path_block`` blocks per path.  If the stack fails a check, every
     path is left to ``_solve_path``, so that an error surfaces where solving
     that path alone raises it.
     """
@@ -274,10 +366,10 @@ def _solve_paths(paths) -> list:
     except EigensolverError:
         return [_solve_path(family, gs) for family, gs in paths]
     out, row = [], 0
-    for _, gs in paths:
-        blocks = []
-        for lo in range(0, len(gs), SOLVE_BLOCK):
-            block = gs[lo:lo + SOLVE_BLOCK]
+    for family, gs in paths:
+        blocks, size = [], _path_block(family.dim)
+        for lo in range(0, len(gs), size):
+            block = gs[lo:lo + size]
             k = len(block)
             blocks.append((block, E[row:row + k], V[row:row + k], b[row:row + k]))
             row += k
@@ -511,8 +603,7 @@ def _match_block(first: np.ndarray, E: np.ndarray):
     smallest = gaps.min(axis=1)
     gaps[steps[:, 0], gaps.argmin(axis=1)] = np.inf
     bound = smallest + gaps.min(axis=1)
-    guard = 2 * MATCH_AMBIGUITY_TOL + 6 * n * np.finfo(float).eps * (
-        best.sum(axis=1) + bound)
+    guard = 2 * MATCH_AMBIGUITY_TOL + 6 * n * EPS * (best.sum(axis=1) + bound)
     hit = np.zeros((k, n), dtype=bool)
     hit[steps, assign] = True  # every target hit: a permutation
     return assign, hit.all(axis=1) & (bound > guard)

@@ -447,8 +447,15 @@ def test_sweep_solves_each_stage_in_one_stack(model, monkeypatch):
         return wrapper
 
     # The merge events' contour moments solve stacks too: count only the
-    # root solves.
-    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    # root solves.  A stack is counted where it is handed to LAPACK, not per
+    # ``np.linalg`` call, since a big stack is solved in one part per CPU.
+    lapack = disc._lapack
+
+    def counted_stacks(solve, H, gs, returned):
+        calls["eigvals"] += solve is np.linalg.eigvals
+        return lapack(solve, H, gs, returned)
+
+    monkeypatch.setattr(disc, "_lapack", counted_stacks)
     monkeypatch.setattr(disc, "_gap_newton", counting("newton", disc._gap_newton,
                                                       "eigvals"))
     monkeypatch.setattr(disc, "_eig_stack", counted("eig", disc._eig_stack))
@@ -464,14 +471,15 @@ def test_sweep_solves_each_stage_in_one_stack(model, monkeypatch):
 
 
 def test_heatmap_solves_whole_rows_per_stack(model, monkeypatch):
-    # 1,024 points of dim-4 matrices per stack: ten rows of 101 at a time.
+    # 1,024 points of dim-4 matrices per stack: ten rows of 101 at a time,
+    # each stack counted where it is handed to LAPACK.
     stacks = []
-    eigvals = np.linalg.eigvals
+    lapack = disc._lapack
 
-    def counted(H):
+    def counted(solve, H, gs, returned):
         stacks.append(len(H))
-        return eigvals(H)
+        return lapack(solve, H, gs, returned)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(disc, "_lapack", counted)
     discriminant_grid(model, (-0.6, 0.6, -0.6, 0.6), 101, 101)
     assert stacks == [1010] * 10 + [101]

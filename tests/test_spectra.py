@@ -1,5 +1,11 @@
 import itertools
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +17,8 @@ from pairdeg import (EigensolverError, LoopSpec, MatrixFamily, branch_slopes,
                      c_normalize, canonical_order, continue_spectrum,
                      eigendecompose, find_degeneracies, hamiltonian_at,
                      match_states, spectrum_along, trace_loop)
-from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, SOLVE_BLOCK, Matching,
-                             _eig_stack, bilinear, closest_pair,
-                             semicircle)
+from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, Matching, _eig_stack, _path_block,
+                             bilinear, closest_pair, semicircle)
 
 
 def random_complex_symmetric(rng, n=4):
@@ -662,7 +667,7 @@ def test_stacked_lapack_failure_falls_back(model, pseudo_dp, monkeypatch):
     roots = find_degeneracies(model)
     pdp = min(roots, key=lambda r: abs(r.g0 - pseudo_dp))
     loop = LoopSpec(pdp.g0, 0.01, steps=64, loops=2)
-    points = np.linspace(-0.3 + 0.2j, 0.1 - 0.25j, 2 * SOLVE_BLOCK + 7)
+    points = np.linspace(-0.3 + 0.2j, 0.1 - 0.25j, 2 * _path_block(model.family().dim) + 7)
     runs = []
     for broken in (False, True):
         if broken:
@@ -684,3 +689,190 @@ def test_stacked_lapack_failure_falls_back(model, pseudo_dp, monkeypatch):
     for name in ("eigenvalues", "thetas", "loop_re_theta"):
         _assert_same_bytes(getattr(trace, name), getattr(trace_fb, name))
     assert trace.loop_permutations == trace_fb.loop_permutations
+
+
+def _split_threshold(n):
+    """Fewest matrices of dim n that ``_lapack`` solves in parts."""
+    return -(-pairdeg.spectra.SPLIT_WORK // n ** 3)
+
+
+def _parts_of(solve, sizes):
+    """``solve``, recording the size of every stack it is handed."""
+    def recorded(H):
+        sizes.append(len(H))
+        return solve(H)
+    return recorded
+
+
+def _finishes(fn, seconds=60):
+    """``fn()``, run on a thread that must finish within ``seconds``."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except Exception as exc:  # raised again on the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+@pytest.mark.parametrize("name", ["eig", "eigvals"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_split_stacks_are_byte_identical(name, n, monkeypatch):
+    # Rows solved in 1, 2 or 3 parts are the rows of one call, byte for byte.
+    rng = np.random.default_rng(n)
+    threshold = _split_threshold(n)
+    for k in (1, threshold - 1, threshold, 1000):
+        H = np.array([random_complex_symmetric(rng, n) for _ in range(k)])
+        gs = list(range(k))
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(pairdeg.spectra, "CPUS", cpus)
+            sizes = []
+            out = pairdeg.spectra._lapack(_parts_of(getattr(np.linalg, name), sizes),
+                                          H, gs, "values")
+            runs.append(out if isinstance(out, tuple) else (out,))
+            assert len(sizes) == (min(cpus, k) if k >= threshold else 1)
+            assert sum(sizes) == k
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                _assert_same_bytes(got, want)
+
+
+def test_split_stack_errors_match_the_unsplit_ones(model, monkeypatch):
+    # A non-finite matrix, or an overflow inside the solver, in a later part
+    # raises what the whole stack raises unsplit, naming the same g.
+    family = model.family()
+    k = 3 * _split_threshold(4)
+    gs = [0.1 + 0.01j * t for t in range(k)]
+    for g_bad, want in ((np.inf, "non-finite entries"), (1e307, "non-finite eigenpairs")):
+        gs_bad = gs[:-2] + [g_bad] + gs[-1:]
+        errors = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(pairdeg.spectra, "CPUS", cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0 in H
+                H = family.matrices(gs_bad)
+            with pytest.raises(EigensolverError, match=want) as info:
+                _eig_stack(H, gs_bad)
+            errors.append((str(info.value), info.value.g))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == g_bad
+
+
+def test_worker_failure_is_raised_and_workers_stay_usable(monkeypatch):
+    # A LinAlgError in a part solved on a worker thread raises the same
+    # EigensolverError as an unsplit stack, and the next split call still
+    # has a worker solve a part.
+    monkeypatch.setattr(pairdeg.spectra, "CPUS", 2)
+    rng = np.random.default_rng(5)
+    k = 2 * _split_threshold(4)
+    H = np.array([random_complex_symmetric(rng) for _ in range(k)])
+    eigvals = np.linalg.eigvals
+
+    def on_a_worker(fails):
+        """A solve whose caller holds its first part until a worker has
+        taken the other one, which raises if ``fails``."""
+        caller, started, workers = threading.current_thread(), threading.Event(), []
+
+        def solve(A):
+            if threading.current_thread() is caller:
+                assert started.wait(30)
+                return eigvals(A)
+            workers.append(threading.current_thread())
+            started.set()
+            if fails:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(A)
+
+        out = pairdeg.spectra._lapack(solve, H, list(range(k)), "eigenvalues")
+        return out, workers
+
+    with pytest.raises(EigensolverError, match="did not converge") as info:
+        _finishes(lambda: on_a_worker(fails=True))
+    assert info.value.g is None
+    out, workers = _finishes(lambda: on_a_worker(fails=False))
+    assert len(workers) == 1
+    _assert_same_bytes(out, eigvals(H))
+
+
+def test_concurrent_split_solves_keep_their_rows(monkeypatch):
+    # Three callers split stacks on four workers at once, with thread
+    # switches forced often: every call gets its own rows, in order.
+    monkeypatch.setattr(pairdeg.spectra, "CPUS", 5)
+    rng = np.random.default_rng(8)
+    stacks = [np.array([random_complex_symmetric(rng) for _ in range(64)]) for _ in range(3)]
+    wants = [np.linalg.eig(H) for H in stacks]
+    mismatches, calls = [], []
+
+    def caller(j):
+        for _ in range(20):
+            w, v = pairdeg.spectra._lapack(np.linalg.eig, stacks[j], list(range(64)),
+                                           "eigenpairs")
+            if w.tobytes() != wants[j][0].tobytes() or v.tobytes() != wants[j][1].tobytes():
+                mismatches.append(j)
+            calls.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(j,), daemon=True) for j in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == [] and len(calls) == 60
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(pairdeg.spectra, "CPUS", 1)
+    rng = np.random.default_rng(6)
+    H = np.array([random_complex_symmetric(rng) for _ in range(1000)])
+    threads = threading.active_count()
+    solvers = set()
+
+    def solve(A):
+        solvers.add(threading.current_thread())
+        return np.linalg.eig(A)
+
+    pairdeg.spectra._lapack(solve, H, list(range(1000)), "eigenpairs")
+    assert threading.active_count() == threads
+    assert solvers == {threading.current_thread()}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_splits_on_its_own_workers(monkeypatch):
+    # The parent's workers do not exist in a forked child, which starts its own.
+    monkeypatch.setattr(pairdeg.spectra, "CPUS", 2)
+    rng = np.random.default_rng(7)
+    H = np.array([random_complex_symmetric(rng) for _ in range(100)])
+    want = pairdeg.spectra._lapack(np.linalg.eigvals, H, list(range(100)), "eigenvalues")
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            got = pairdeg.spectra._lapack(np.linalg.eigvals, H, list(range(100)),
+                                          "eigenvalues")
+            status = 0 if got.tobytes() == want.tobytes() else 2
+        finally:
+            os._exit(status)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("forked child did not finish its split solve")
+    assert os.waitstatus_to_exitcode(status) == 0

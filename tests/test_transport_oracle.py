@@ -26,9 +26,9 @@ from pairdeg import (LoopSpec, MatrixFamily, c_normalize, continue_spectrum,
                      spectrum_along, trace_loop)
 from pairdeg.errors import MatchingAmbiguityError
 from pairdeg.monodromy import _restore_periods, _turn_permutations
-from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, MAX_BISECT, SOLVE_BLOCK,
-                             AmbiguityRecord, Spectrum, _c_normalize_stack, _gauge,
-                             _gauge_signs, _match_block, _permutation_table, bilinear)
+from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, MAX_BISECT, AmbiguityRecord, Spectrum,
+                             _c_normalize_stack, _gauge, _gauge_signs, _match_block,
+                             _path_block, _permutation_table, bilinear)
 
 
 def _fix_gauge_oracle(v):
@@ -386,13 +386,13 @@ def test_gauge_matches_phase_increments_oracle(n, seed, k, step, tau_c):
 
 
 def test_block_matcher_memory_is_capped():
-    # At dim 7 a 64-step block has 64 x 5040 permutation totals, 2.6 MB.
-    # The row-gap matcher holds a few (64, 7, 7) cost arrays instead; 1 MiB
+    # At dim 7 an 83-step block has 83 x 5040 permutation totals, 3.3 MB.
+    # The row-gap matcher holds a few (83, 7, 7) cost arrays instead; 1 MiB
     # covers them, the 200 spectra and a solved block, but not those totals.
     rng = np.random.default_rng(3)
     family = _random_family(rng, 7)
     bound = 2**20
-    assert bound < SOLVE_BLOCK * math.factorial(7) * 8
+    assert bound < _path_block(7) * math.factorial(7) * 8
     spectrum_along(family, 0.1 + 0.2j, 0.4 - 0.1j, 200)  # warm caches
     tracemalloc.start()
     try:
