@@ -327,7 +327,9 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
                 merge_radius: float = DEFAULT_MERGE_RADIUS,
                 radius: float = DEFAULT_RADIUS,
                 cluster_factor: float = DEFAULT_CLUSTER_FACTOR,
-                tau_c: float = DEFAULT_TAU_C) -> GammaTrajectory:
+                tau_c: float = DEFAULT_TAU_C,
+                loop_radius: float = DEFAULT_LOOP_RADIUS,
+                loop_steps: int = DEFAULT_LOOP_STEPS) -> GammaTrajectory:
     """Track all degeneracies over a gamma interval and detect EP mergers.
 
     Roots at adjacent gamma samples are linked by nearest-location matching
@@ -338,7 +340,9 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
     from contour moments (see ``_merge_event``); the event is recorded if the
     pair's separation there is at most ``merge_radius``.  The samples are
     solved and classified in lockstep (``_classify_families``), each
-    sample's points those ``classify_all`` gives it alone.
+    sample's points those ``classify_all`` gives it alone with the same
+    ``tau_c``, ``radius``, ``cluster_factor``, ``loop_radius`` and
+    ``loop_steps``.
     """
     if steps < 2:
         raise PairdegError("gamma sweep needs at least 2 samples")
@@ -347,9 +351,8 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
     families = [ops.family(gamma) for gamma in gammas]
     if classify_points:
         solve = functools.partial(
-            _classify_families, tau_c=tau_c, radius=radius,
-            loop_radius=DEFAULT_LOOP_RADIUS, loop_steps=DEFAULT_LOOP_STEPS,
-            cluster_factor=cluster_factor)
+            _classify_families, tau_c=tau_c, radius=radius, loop_radius=loop_radius,
+            loop_steps=loop_steps, cluster_factor=cluster_factor)
     else:
         def solve(batch):
             return [[DegeneracyPoint(r, Kind.UNRESOLVED, np.nan, note="not classified")

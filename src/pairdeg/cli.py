@@ -240,6 +240,8 @@ def sweep(config_path, out_dir):
             radius=cfg.float("precision", "interp_radius"),
             cluster_factor=cfg.float("precision", "cluster_factor"),
             tau_c=cfg.float("precision", "tau_c"),
+            loop_radius=cfg.float("precision", "loop_radius"),
+            loop_steps=cfg.int("precision", "loop_steps"),
         )
         traj.to_csv(os.path.join(out_dir, "trajectory.csv"),
                     meta=cfg.meta_lines())

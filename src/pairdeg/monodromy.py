@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import LoopError
 from .model import as_family
-from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, STACK_BYTES, AmbiguityRecord,
-                      Spectrum, _eig_stack, _in_lockstep, _solve_path, _solve_paths,
-                      _transport, c_normalize, eigendecompose, match_states)
+from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, STACK_BYTES, Spectrum, _eig_stack,
+                      _in_lockstep, _solve_path, _solve_paths, _transport, c_normalize,
+                      eigendecompose, match_states)
 
 __all__ = ["LoopSpec", "LoopTrace", "trace_loop", "restore_count", "RestoreResult"]
 
@@ -47,6 +47,9 @@ class LoopSpec:
     orientation: int = 1
 
     def __post_init__(self):
+        if not (np.isfinite(self.center) and np.isfinite(self.radius)):
+            raise LoopError(f"loop center {self.center} and radius {self.radius} "
+                            "must be finite")
         if self.radius <= 0:
             raise LoopError(f"loop radius must be positive, got {self.radius}")
         if self.steps < MIN_STEPS:
@@ -154,99 +157,61 @@ class LoopTrace:
         }
 
 
-class _Turns:
-    """Eigenpairs transported around ``loop``, one turn at a time.
+def _snapped_phases(perm, theta, start, vectors) -> np.ndarray:
+    """A turn's real phases ``theta.real``, snapped to the endpoint holonomy
+    against the ``start`` vectors where ``perm`` is the identity."""
+    snapped = theta.real.copy()
+    if all(perm[j] == j for j in range(len(perm))):
+        for k in range(len(perm)):
+            ov = np.vdot(start[:, k], vectors[:, k])
+            norm = np.linalg.norm(start[:, k]) * np.linalg.norm(vectors[:, k])
+            if norm > 0 and abs(ov) > 0.2 * norm:
+                target = float(np.angle(ov))
+                snapped[k] = target + 2 * np.pi * np.round(
+                    (theta[k].real - target) / (2 * np.pi)
+                )
+    return snapped
 
-    ``start`` is the eigensystem at ``loop.point(phis[0])`` in canonical
-    order with ``LABEL_IM_TOL`` clustering, and ``blocks`` the rest of the
-    path, ``loop.point(phis[1:])``, solved as ``_solve_path`` yields it (see
-    ``solved``).  Iterating transports the path up to the end of the next
-    turn and yields the number of turns completed; ``perms[k - 1]`` is then
-    turn k's permutation.  With ``vectors`` the start and every accepted
-    state are c-normalized and sign-gauged, the phase increments are summed
-    into ``thetas``, and each turn's raw and holonomy-snapped phases go to
-    ``raw_loop`` and ``loop_re``.  Without, only eigenvalues are matched and
-    the rest is never computed.  ``eigenvalues`` and ``thetas`` have rows
-    for every turn of ``loop``; only those up to the end of the last turn
-    yielded are final.
+
+def _turns(family, loop: LoopSpec, tau_c):
+    """Eigenpairs and phases transported around ``loop``, one turn at a time.
+
+    The start is the eigensystem at ``loop.point(phis[0])`` in canonical
+    order with ``LABEL_IM_TOL`` clustering, c-normalized; the rest of the
+    path is solved one block at a time as it goes (``_solve_path``).  After
+    turn k it yields the ``LoopTrace`` of the first k turns: its arrays are
+    views of buffers that later turns only extend, and ``ambiguities`` is
+    the live record list.
     """
-
-    def __init__(self, family, loop: LoopSpec, phis, start, blocks, tau_c, vectors):
-        self.family, self.loop, self.tau_c, self.vectors = family, loop, tau_c, vectors
-        self.phis, self.blocks = phis, blocks
-        if vectors:
-            start = c_normalize(start, tau_c=tau_c)
-        self.start = start
-        self.eigenvalues = np.empty((len(phis), start.dim), dtype=complex)
-        self.eigenvalues[0] = start.eigenvalues
-        # Increments until a turn ends, then theta_i = theta_{i-1} +
-        # increment_i, added left to right.
-        self.thetas = None
-        if vectors:
-            self.thetas = np.zeros((len(phis), start.dim), dtype=complex)
-        self.records: list[AmbiguityRecord] = []
-        self.perms, self.loop_re, self.raw_loop = [], [], []
-
-    @classmethod
-    def solved(cls, family, loop: LoopSpec, tau_c, vectors):
-        """The turns of ``loop``, its path solved one block at a time as they go."""
-        phis, gs = _loop_path(loop)
-        start = eigendecompose(family.matrix(gs[0]), g=gs[0], im_tol=LABEL_IM_TOL)
-        return cls(family, loop, phis, start, _solve_path(family, gs[1:]), tau_c,
-                   vectors)
-
-    def __iter__(self):
-        steps, thetas = self.loop.steps, self.thetas
-        summed = 0  # thetas[:summed + 1] are final
-        i = 1  # path point of the block's first row
-        for E, V, _, _, increments in _transport(
-                self.family, self.start, self.phis, self.loop.point, self.blocks,
-                self.vectors, self.tau_c, self.vectors, self.records):
-            k = len(E)
-            self.eigenvalues[i:i + k] = E
-            if increments is not None:
-                thetas[i:i + k] = increments
-            for end in range(-(-i // steps) * steps, i + k, steps):
-                row = end - i
-                perm = match_states(E[row], self.start.eigenvalues).perm
-                self.perms.append(perm)
-                if self.vectors:
-                    thetas[summed:end + 1] = np.cumsum(thetas[summed:end + 1], axis=0)
-                    summed = end
-                    self._end_phases(perm, thetas[end], V[row])
-                yield len(self.perms)
-            i += k
-
-    def _end_phases(self, perm, theta, vectors):
-        """Record a turn's raw phases and its holonomy-snapped real phases."""
-        self.raw_loop.append(theta.copy())
-        snapped = theta.real.copy()
-        start = self.start.eigenvectors
-        if all(perm[j] == j for j in range(len(perm))):
-            for k in range(len(perm)):
-                ov = np.vdot(start[:, k], vectors[:, k])
-                norm = np.linalg.norm(start[:, k]) * np.linalg.norm(vectors[:, k])
-                if norm > 0 and abs(ov) > 0.2 * norm:
-                    target = float(np.angle(ov))
-                    snapped[k] = target + 2 * np.pi * np.round(
-                        (theta[k].real - target) / (2 * np.pi)
-                    )
-        self.loop_re.append(snapped)
-
-    def trace(self) -> LoopTrace:
-        """The turns completed so far, as a trace of that many turns."""
-        turns = len(self.perms)
-        rows = turns * self.loop.steps + 1
-        return LoopTrace(
-            spec=replace(self.loop, loops=turns),
-            phis=self.phis[:rows],
-            eigenvalues=self.eigenvalues[:rows],
-            thetas=self.thetas[:rows],
-            loop_permutations=self.perms,
-            loop_re_theta=np.array(self.loop_re),
-            raw_loop_theta=np.array(self.raw_loop),
-            ambiguities=self.records,
-        )
+    phis, gs = _loop_path(loop)
+    start = eigendecompose(family.matrix(gs[0]), g=gs[0], im_tol=LABEL_IM_TOL)
+    start = c_normalize(start, tau_c=tau_c)
+    eigenvalues = np.empty((len(phis), start.dim), dtype=complex)
+    eigenvalues[0] = start.eigenvalues
+    # Increments until a turn ends, then theta_i = theta_{i-1} + increment_i,
+    # added left to right.
+    thetas = np.zeros((len(phis), start.dim), dtype=complex)
+    records, perms, loop_re, raw_loop = [], [], [], []
+    steps, summed = loop.steps, 0  # thetas[:summed + 1] are final
+    i = 1  # path point of the block's first row
+    for E, V, _, _, increments in _transport(family, start, phis, loop.point,
+                                             _solve_path(family, gs[1:]), True, tau_c,
+                                             True, records):
+        k = len(E)
+        eigenvalues[i:i + k] = E
+        thetas[i:i + k] = increments
+        for end in range(-(-i // steps) * steps, i + k, steps):
+            row = end - i
+            perm = match_states(E[row], start.eigenvalues).perm
+            perms.append(perm)
+            thetas[summed:end + 1] = np.cumsum(thetas[summed:end + 1], axis=0)
+            summed = end
+            raw_loop.append(thetas[end].copy())
+            loop_re.append(_snapped_phases(perm, thetas[end], start.eigenvectors, V[row]))
+            yield LoopTrace(replace(loop, loops=len(perms)), phis[:end + 1],
+                            eigenvalues[:end + 1], thetas[:end + 1], list(perms),
+                            np.array(loop_re), np.array(raw_loop), records)
+        i += k
 
 
 def _loop_path(loop: LoopSpec):
@@ -281,18 +246,20 @@ def trace_loop(model_or_family, loop: LoopSpec, degeneracies=None,
     explicitly to avoid recomputation, or None to compute it here.
     """
     family = _checked_family(model_or_family, loop, degeneracies)
-    turns = _Turns.solved(family, loop, tau_c, vectors=True)
-    for _ in turns:
+    for trace in _turns(family, loop, tau_c):
         pass
-    return turns.trace()
+    return trace
 
 
 def _turn_permutations(loops) -> list:
     """``trace_loop(...).loop_permutations[0]`` of each (family, loop,
-    degeneracies) of ``loops``, from eigenvalues alone.
+    degeneracies) of ``loops``, from eigenvalues alone; every loop has one
+    turn, as ``atlas`` builds its verification loops.
 
-    Matching reads only eigenvalues, so the vectors are neither c-normalized
-    nor gauged and no phase is formed.  The loops go in groups whose paths
+    Each path goes through ``_transport`` without vectors, as the cuts of
+    ``continue_spectrum`` do: the vectors are neither c-normalized nor
+    gauged and no phase is formed, and the permutation matches the last
+    point's eigenvalues to the start's.  The loops go in groups whose paths
     fit in ``STACK_BYTES / 4`` of matrices: the start points of a group are
     solved in one stack, and their paths in another (``_solve_paths``).
     Each row is what ``trace_loop`` solves there, so each permutation is
@@ -320,10 +287,10 @@ def _first_turns(loops) -> list:
     perms = []
     for k, (family, (_, loop, _)) in enumerate(zip(families, loops)):
         start = Spectrum(complex(firsts[k]), E[k], V[k], b[k])
-        turns = _Turns(family, loop, paths[k][0], start, solved[k], DEFAULT_TAU_C,
-                       vectors=False)
-        next(iter(turns))
-        perms.append(turns.perms[0])
+        for last, *_ in _transport(family, start, paths[k][0], loop.point, solved[k],
+                                   False, DEFAULT_TAU_C, False, []):
+            pass
+        perms.append(match_states(last[-1], start.eigenvalues).perm)
     return perms
 
 
@@ -364,10 +331,8 @@ def restore_count(model_or_family, loop: LoopSpec, max_loops: int,
     """
     spec = LoopSpec(loop.center, loop.radius, loop.steps, max_loops, loop.orientation)
     family = _checked_family(model_or_family, spec, degeneracies)
-    turns = _Turns.solved(family, spec, DEFAULT_TAU_C, vectors=True)
-    periods = (None, None)
-    for _ in turns:
-        periods = _restore_periods(turns.perms, turns.loop_re)
+    for trace in _turns(family, spec, DEFAULT_TAU_C):
+        periods = _restore_periods(trace.loop_permutations, trace.loop_re_theta)
         if periods[1] is not None:
             break
-    return RestoreResult(*periods, turns.trace())
+    return RestoreResult(*periods, trace)

@@ -14,6 +14,7 @@ solves each model once per run); criteria 2, 3, 8 and 9 read none.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,9 +373,8 @@ def criterion_10(roots_of=find_degeneracies) -> CriterionResult:
 
     d0 = discriminant_at(family, 0.0, method="product")
     poly = discriminant_poly(family)
-    scale0 = sum(abs(c) * poly.radius ** k for k, c in enumerate(poly.coefficients))
     checks.append(("trivial degeneracy at g=0",
-                   abs(d0) == 0.0 and abs(poly(0.0)) <= 1e-8 * scale0,
+                   abs(d0) == 0.0 and abs(poly(0.0)) <= 1e-8 * poly.disc_norm,
                    f"|D(0)| = {abs(d0):.1e}, poly constant term small"))
     return _checks_result(10, "property suite", checks)
 
@@ -385,29 +385,13 @@ CRITERIA = [
 ]
 
 
-def _roots_once():
-    """``find_degeneracies`` that solves each model once, for one suite run.
-
-    Criteria that share a model share its root set.  The memo lives only as
-    long as the run that made it.
-    """
-    solved = {}
-
-    def roots_of(model):
-        if model not in solved:
-            solved[model] = find_degeneracies(model)
-        return solved[model]
-
-    return roots_of
-
-
 def run_all(echo=print) -> list:
     """Run every criterion, printing one pass/fail line per criterion.
 
     Each model's root set is solved once for the whole run and handed to
-    every criterion that reads it.
+    every criterion that reads it; the memo lives only as long as the run.
     """
-    roots_of = _roots_once()
+    roots_of = functools.lru_cache(maxsize=None)(find_degeneracies)
     results = []
     for crit in CRITERIA:
         result = crit(roots_of)

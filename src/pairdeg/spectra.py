@@ -352,13 +352,14 @@ def _solve_path(family, gs):
 
 
 def _solve_paths(paths) -> list:
-    """The blocks ``_solve_path`` yields for each (family, gs) path, in one stack.
+    """The ``_transport`` blocks of each (family, gs) path, solved in one stack.
 
     Every point of every path is solved in one stacked eigensolve, each row
-    bit for bit the one its matrix gives alone, and handed out as one list
-    of ``_path_block`` blocks per path.  If the stack fails a check, every
-    path is left to ``_solve_path``, so that an error surfaces where solving
-    that path alone raises it.
+    bit for bit the one its matrix gives alone, and handed out as one block
+    per path: ``_transport`` gives the same states whatever the blocks, so
+    this equals the ``_solve_path`` blocks.  If the stack fails a check,
+    every path is left to ``_solve_path``, so that an error surfaces where
+    solving that path alone raises it.
     """
     points = [g for _, gs in paths for g in gs]
     try:
@@ -366,14 +367,10 @@ def _solve_paths(paths) -> list:
     except EigensolverError:
         return [_solve_path(family, gs) for family, gs in paths]
     out, row = [], 0
-    for family, gs in paths:
-        blocks, size = [], _path_block(family.dim)
-        for lo in range(0, len(gs), size):
-            block = gs[lo:lo + size]
-            k = len(block)
-            blocks.append((block, E[row:row + k], V[row:row + k], b[row:row + k]))
-            row += k
-        out.append(blocks)
+    for _, gs in paths:
+        k = len(gs)
+        out.append([(gs, E[row:row + k], V[row:row + k], b[row:row + k])])
+        row += k
     return out
 
 

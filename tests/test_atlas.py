@@ -162,6 +162,26 @@ def test_sweep_gamma_builds_operators_once(model, monkeypatch):
     assert calls["build"] == 1
 
 
+def test_sweep_gamma_verification_loops_take_their_settings(model, monkeypatch):
+    # Each sample's points are those classify_all gives its family with the
+    # same loop radius and steps, and every verification loop has them.
+    loops = []
+    turn_permutations = pairdeg.atlas._turn_permutations
+
+    def recording(jobs):
+        loops.extend(loop for _, loop, _ in jobs)
+        return turn_permutations(jobs)
+
+    monkeypatch.setattr(pairdeg.atlas, "_turn_permutations", recording)
+    traj = sweep_gamma(model, -0.51, -0.49, steps=3, loop_radius=0.005, loop_steps=200)
+    assert len(loops) >= 3
+    assert all(loop.steps == 200 and loop.radius <= 0.005 for loop in loops)
+    ops = pairdeg.model.build_operator_matrices(model)
+    for gamma, pts in zip(traj.gammas, traj.points):
+        want = classify_all(ops.family(gamma), loop_radius=0.005, loop_steps=200)
+        assert repr([p.as_dict() for p in pts]) == repr([p.as_dict() for p in want])
+
+
 @pytest.fixture(scope="module")
 def default_sweep(model):
     """The README-default sweep: gamma from -0.6 to -0.4 in 21 samples."""

@@ -326,6 +326,33 @@ samples = 5
     assert lines[2].split(",")[0] == "gamma"
 
 
+def test_sweep_command_passes_loop_settings(tmp_path, runner, monkeypatch):
+    # [precision] loop_radius and loop_steps set the classification
+    # verification loops of a sweep, as they do for atlas.
+    loops = []
+    turn_permutations = pairdeg.atlas._turn_permutations
+
+    def recording(jobs):
+        loops.extend(loop for _, loop, _ in jobs)
+        return turn_permutations(jobs)
+
+    monkeypatch.setattr(pairdeg.atlas, "_turn_permutations", recording)
+    cfg = write_config(tmp_path, BASE_CONFIG + """
+[precision]
+loop_steps = 200
+loop_radius = 0.005
+
+[sweep]
+gamma_start = -0.51
+gamma_stop = -0.49
+samples = 3
+""")
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    assert loops
+    assert all(loop.steps == 200 and loop.radius <= 0.005 for loop in loops)
+
+
 def test_unknown_key_rejected(tmp_path, runner):
     cfg = write_config(tmp_path, BASE_CONFIG + "\n[atlas]\nbogus = 1\n")
     result = runner.invoke(main, ["atlas", "--config", cfg, "--out",

@@ -26,6 +26,12 @@ def test_loopspec_validation():
         LoopSpec(0j, 0.1, loops=0)
     with pytest.raises(LoopError):
         LoopSpec(0j, 0.1, orientation=2)
+    with pytest.raises(LoopError):
+        LoopSpec(0j, np.nan)
+    with pytest.raises(LoopError):
+        LoopSpec(0j, np.inf)
+    with pytest.raises(LoopError):
+        LoopSpec(complex(np.nan, 0.0), 0.01)
 
 
 def test_loop_enclosing_two_roots_rejected(model, roots):

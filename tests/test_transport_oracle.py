@@ -575,16 +575,21 @@ def test_turn_permutations_of_many_loops_match_trace_loop(model, model_049):
     # Loops around every root of two families, EP loops with a transposition
     # among them, and loops around no root, solved together in groups (a
     # group's starts are one stack and its paths another), each as
-    # trace_loop gives it alone.
+    # trace_loop gives it alone.  A path is handed to the transport as one
+    # block, so the loops longer than one of trace_loop's path blocks pin
+    # that against its blocked path.
     jobs = []
     for m in (model_049, model):
         family = m.family()
         roots = find_degeneracies(family)
-        for root in roots:
+        for k, root in enumerate(roots):
             others = min(abs(r.g0 - root.g0) for r in roots if r is not root)
             jobs.append((family, LoopSpec(root.g0, 0.3 * others, steps=64), roots))
             jobs.append((family, LoopSpec(root.g0 + 1.5 * others, 0.3 * others,
                                           steps=100), roots))
+            if k < 2:
+                jobs.append((family, LoopSpec(root.g0, 0.3 * others,
+                                              steps=_path_block(4) + 7), roots))
     want = [trace_loop(f, loop, degeneracies=roots).loop_permutations[0]
             for f, loop, roots in jobs]
     assert any(p != tuple(range(len(p))) for p in want)
