@@ -30,7 +30,7 @@ from .discriminant import (DEFAULT_CLUSTER_FACTOR, DEFAULT_RADIUS, DegeneracyRoo
                            _degeneracies, contour_moments, find_degeneracies)
 from .errors import PairdegError
 from .model import ModelSpec, as_family, build_operator_matrices
-from .monodromy import MIN_STEPS, LoopSpec, _turn_permutations
+from .monodromy import LoopSpec, _turn_permutations
 from .spectra import (DEFAULT_TAU_C, EPS, STACK_BYTES, _c_normalize_stack, _in_lockstep,
                       c_normalize, closest_pair, eigendecompose)
 
@@ -96,7 +96,7 @@ def _verification_loop(root, degeneracies, loop_radius, loop_steps) -> LoopSpec:
         if other is root or abs(other.g0 - root.g0) < 1e-12:
             continue
         radius = min(radius, CIRCLE_FRACTION * abs(other.g0 - root.g0))
-    return LoopSpec(root.g0, radius, steps=max(loop_steps, MIN_STEPS), loops=1)
+    return LoopSpec(root.g0, radius, steps=loop_steps, loops=1)
 
 
 def _classify_roots(jobs, tau_c, loop_radius, loop_steps) -> list:

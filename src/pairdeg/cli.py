@@ -28,7 +28,7 @@ from .atlas import (DEFAULT_LOOP_RADIUS, DEFAULT_LOOP_STEPS, DEFAULT_MERGE_RADIU
 from .discriminant import DEFAULT_CLUSTER_FACTOR, DEFAULT_RADIUS, discriminant_grid
 from .errors import ConfigError, PairdegError
 from .model import ModelSpec, enumerate_basis
-from .monodromy import LoopSpec, _restore_periods, trace_loop
+from .monodromy import MIN_STEPS, LoopSpec, _restore_periods, trace_loop
 from .observables import pairing_energy_cut
 from .spectra import DEFAULT_TAU_C, CutTable, spectrum_along
 
@@ -122,6 +122,18 @@ class RunConfig:
             return False
         raise ConfigError(f"[{section}] {key}: expected a boolean, got {v!r}")
 
+    def precision(self) -> dict:
+        """The [precision] values as the keywords of classify_all and sweep_gamma."""
+        values = {"tau_c": self.float("precision", "tau_c"),
+                  "radius": self.float("precision", "interp_radius"),
+                  "cluster_factor": self.float("precision", "cluster_factor"),
+                  "loop_radius": self.float("precision", "loop_radius"),
+                  "loop_steps": self.int("precision", "loop_steps")}
+        if values["loop_steps"] < MIN_STEPS:
+            raise ConfigError(f"[precision] loop_steps must be at least {MIN_STEPS}, "
+                              f"got {values['loop_steps']}")
+        return values
+
     def model(self) -> ModelSpec:
         from .errors import InvalidModelError
 
@@ -194,14 +206,7 @@ def atlas(config_path, out_dir):
         if n < 1:
             raise ConfigError("[atlas] heatmap_points must be at least 1")
         family = model.family()  # T, P and Q built once for both outputs
-        points = classify_all(
-            family,
-            tau_c=cfg.float("precision", "tau_c"),
-            radius=cfg.float("precision", "interp_radius"),
-            cluster_factor=cfg.float("precision", "cluster_factor"),
-            loop_radius=cfg.float("precision", "loop_radius"),
-            loop_steps=cfg.int("precision", "loop_steps"),
-        )
+        points = classify_all(family, **cfg.precision())
         points = [p for p in points
                   if window[0] <= p.g0.real <= window[1]
                   and window[2] <= p.g0.imag <= window[3]]
@@ -237,11 +242,7 @@ def sweep(config_path, out_dir):
             cfg.int("sweep", "samples"),
             classify_points=cfg.bool("sweep", "classify"),
             merge_radius=cfg.float("sweep", "merge_radius"),
-            radius=cfg.float("precision", "interp_radius"),
-            cluster_factor=cfg.float("precision", "cluster_factor"),
-            tau_c=cfg.float("precision", "tau_c"),
-            loop_radius=cfg.float("precision", "loop_radius"),
-            loop_steps=cfg.int("precision", "loop_steps"),
+            **cfg.precision(),
         )
         traj.to_csv(os.path.join(out_dir, "trajectory.csv"),
                     meta=cfg.meta_lines())

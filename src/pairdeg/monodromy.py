@@ -19,6 +19,7 @@ values.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -52,6 +53,9 @@ class LoopSpec:
                             "must be finite")
         if self.radius <= 0:
             raise LoopError(f"loop radius must be positive, got {self.radius}")
+        if not all(isinstance(v, numbers.Integral) for v in (self.steps, self.loops)):
+            raise LoopError(f"steps per loop and loops must be integers, got "
+                            f"{self.steps!r} and {self.loops!r}")
         if self.steps < MIN_STEPS:
             raise LoopError(f"need at least {MIN_STEPS} steps per loop, got {self.steps}")
         if self.loops < 1:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import FitRejectedError, SelfOrthogonalityError
 from .model import ModelSpec, build_operator_matrices
-from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, Spectrum, continue_spectrum,
-                      eigendecompose, semicircle)
+from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, continue_spectrum, eigendecompose,
+                      semicircle)
 
 __all__ = [
     "EigenbasisOperator",
@@ -45,24 +45,27 @@ LADDER_ARC_STEPS = 48
 LADDER_DESCENT_RATIO = 0.7
 
 
-def _raw_c_normalized(spectrum: Spectrum) -> np.ndarray:
-    """Divide every column by sqrt of its c-norm, with no coalescence guard."""
-    V = spectrum.eigenvectors.astype(complex).copy()
-    for k in range(V.shape[1]):
-        b = V[:, k] @ V[:, k]
-        if abs(b) < RAW_NORM_GUARD:
-            raise SelfOrthogonalityError(
-                f"eigenvector {k + 1} at g = {spectrum.g} is self-orthogonal "
-                f"(|b| = {abs(b):.2e}); evaluate at a larger distance delta "
-                f"from the degeneracy"
-            )
-        V[:, k] = V[:, k] / np.sqrt(b)
-    return V
+def _eigenbasis_operators(P: np.ndarray, spectra) -> tuple:
+    """Raw c-normalized vectors U and O = U^T (g P) U at every spectrum of a stack.
 
-
-def _operator_matrix(P: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    U = _raw_c_normalized(spectrum)
-    return U.T @ (spectrum.g * P) @ U
+    Both are (k, n, n), each row bit for bit the spectrum's own 2-D products.  No
+    coalescence guard: a c-norm below ``RAW_NORM_GUARD`` raises, naming the
+    first such spectrum and its first such column.
+    """
+    V = np.array([s.eigenvectors for s in spectra], dtype=complex)
+    cols = V.transpose(0, 2, 1)
+    b = (cols[..., None, :] @ cols[..., :, None])[..., 0, 0]
+    bad = np.abs(b) < RAW_NORM_GUARD
+    if bad.any():
+        r, k = np.argwhere(bad)[0]
+        raise SelfOrthogonalityError(
+            f"eigenvector {k + 1} at g = {spectra[r].g} is self-orthogonal "
+            f"(|b| = {abs(b[r, k]):.2e}); evaluate at a larger distance delta "
+            f"from the degeneracy"
+        )
+    U = V / np.sqrt(b)[:, None, :]
+    g = np.array([s.g for s in spectra], dtype=complex)
+    return U, U.transpose(0, 2, 1) @ (g[:, None, None] * P) @ U
 
 
 @dataclass
@@ -87,7 +90,7 @@ def operator_in_eigenbasis(model: ModelSpec, g: complex) -> EigenbasisOperator:
     g = complex(g)
     ops = build_operator_matrices(model)
     spec = eigendecompose(ops.family(model.gamma).matrix(g), g=g)
-    return EigenbasisOperator(g=g, matrix=_operator_matrix(ops.P, spec),
+    return EigenbasisOperator(g=g, matrix=_eigenbasis_operators(ops.P, [spec])[1][0],
                               eigenvalues=spec.eigenvalues)
 
 
@@ -144,8 +147,8 @@ def pairing_energy_cut(model: ModelSpec, start=None, stop=None, n: int = None,
         raise ValueError(f"pair {tuple(pair)}: needs two state labels in 1..{dim}")
     res = continue_spectrum(ops.family(model.gamma), points, want_vectors=True,
                             tau_c=tau_c)
-    diag = np.array([np.diag(_operator_matrix(ops.P, s)) for s in res.spectra])
-    return PairingCut(gs=np.array(points), diagonal=diag,
+    O = _eigenbasis_operators(ops.P, res.spectra)[1]
+    return PairingCut(gs=np.array(points), diagonal=O.diagonal(axis1=1, axis2=2).copy(),
                       energies=res.eigenvalues, pair=tuple(pair),
                       ambiguities=res.ambiguities)
 
@@ -324,12 +327,8 @@ def coefficient_extract(model: ModelSpec, g0: complex = None,
     samples = ladder_spectra(family, g0, deltas)
     dim = samples[0][1].dim
 
-    mats = []
-    ds = []
-    for d, spec in samples:
-        mats.append(_operator_matrix(ops.P, spec))
-        ds.append(d)
-    ds = np.array(ds)
+    ds = np.array([d for d, _ in samples])
+    mats = _eigenbasis_operators(ops.P, [spec for _, spec in samples])[1]
 
     lead = np.empty((dim, dim), dtype=complex)
     err = np.zeros((dim, dim))

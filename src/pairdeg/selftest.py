@@ -24,7 +24,7 @@ from .discriminant import (_discriminant_rows, _eigvals_along, _require_finite,
                            discriminant_at, discriminant_poly, find_degeneracies)
 from .model import ModelSpec, build_operator_matrices, hamiltonian_at
 from .monodromy import LoopSpec, restore_count, trace_loop
-from .observables import (_locate_pseudo_dp, _raw_c_normalized, coefficient_extract,
+from .observables import (_eigenbasis_operators, _locate_pseudo_dp, coefficient_extract,
                           fit_power_law, ladder_spectra, pairing_energy_cut)
 from .spectra import (DEFAULT_TAU_C, _c_normalize_stack, _eig_stack, branch_slopes,
                       continue_spectrum, eigendecompose)
@@ -232,15 +232,10 @@ def criterion_8(roots_of=find_degeneracies) -> CriterionResult:
     deltas = np.logspace(-4, -2, 9)
     ops = build_operator_matrices(model)
     samples = ladder_spectra(ops.family(model.gamma), PSEUDO_DP_G, deltas)
-    comp = []
-    o22 = []
-    for d, spec in samples:
-        U = _raw_c_normalized(spec)
-        comp.append(np.max(np.abs(U[:, 1])))
-        o22.append((U[:, 1] @ (spec.g * ops.P) @ U[:, 1]))
+    U, O = _eigenbasis_operators(ops.P, [spec for _, spec in samples])
     ds = np.array([d for d, _ in samples])
-    fit_u = fit_power_law(ds, np.array(comp))
-    fit_o = fit_power_law(ds, np.array(o22))
+    fit_u = fit_power_law(ds, np.abs(U[:, :, 1]).max(axis=1))
+    fit_o = fit_power_law(ds, O[:, 1, 1])
     checks = [
         ("u2 exponent", abs(fit_u.exponent + 0.5) <= 0.03,
          f"exponent = {fit_u.exponent:.4f} (-0.5 +- 0.03)"),

@@ -3,7 +3,7 @@ import pytest
 
 import pairdeg.atlas
 import pairdeg.model
-from pairdeg import (Kind, MatrixFamily, classify, classify_all,
+from pairdeg import (Kind, LoopError, MatrixFamily, classify, classify_all,
                      discriminant_poly, find_degeneracies,
                      pair_truncation_family, sweep_gamma)
 
@@ -180,6 +180,12 @@ def test_sweep_gamma_verification_loops_take_their_settings(model, monkeypatch):
     for gamma, pts in zip(traj.gammas, traj.points):
         want = classify_all(ops.family(gamma), loop_radius=0.005, loop_steps=200)
         assert repr([p.as_dict() for p in pts]) == repr([p.as_dict() for p in want])
+
+
+def test_verification_loop_steps_below_minimum_raise(model):
+    # loop_steps = 10 once ran 64-step loops without a word.
+    with pytest.raises(LoopError, match="need at least 64 steps per loop, got 10"):
+        classify_all(model, loop_steps=10)
 
 
 @pytest.fixture(scope="module")

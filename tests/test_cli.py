@@ -235,12 +235,15 @@ pair = {pair}
     ("encircle", "encircle", "center_re = 0\ncenter_im = 0.1\nsteps = 1e20",
      "steps: 1e+20 is too large"),
     ("sweep", "sweep", "samples = 1e20", "samples: 1e+20 is too large"),
+    ("atlas", "precision", "loop_steps = 10", "loop_steps must be at least 64, got 10"),
+    ("sweep", "precision", "loop_steps = 63", "loop_steps must be at least 64, got 63"),
 ], ids=["heatmap-negative", "heatmap-zero", "heatmap-huge", "cut-samples-huge",
-        "encircle-steps-huge", "sweep-samples-huge"])
+        "encircle-steps-huge", "sweep-samples-huge", "atlas-loop-steps-small",
+        "sweep-loop-steps-small"])
 def test_count_out_of_range_is_a_config_error(tmp_path, runner, command, section, keys,
                                               message):
-    # A negative or huge count once ended in a numpy traceback, and a zero
-    # heatmap wrote a header-only CSV.
+    # A negative or huge count once ended in a numpy traceback, a zero
+    # heatmap wrote a header-only CSV, and a small loop_steps ran 64 steps.
     cfg = write_config(tmp_path, BASE_CONFIG + f"\n[{section}]\n{keys}\n")
     result = runner.invoke(main, [command, "--config", cfg, "--out",
                                   str(tmp_path / "o")])

@@ -32,6 +32,11 @@ def test_loopspec_validation():
         LoopSpec(0j, np.inf)
     with pytest.raises(LoopError):
         LoopSpec(complex(np.nan, 0.0), 0.01)
+    # A non-integral count once reached np.linspace as a raw TypeError.
+    with pytest.raises(LoopError, match="must be integers"):
+        LoopSpec(0j, 0.001, steps=64.5)
+    with pytest.raises(LoopError, match="must be integers"):
+        LoopSpec(0j, 0.001, loops=1.5)
 
 
 def test_loop_enclosing_two_roots_rejected(model, roots):

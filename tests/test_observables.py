@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pairdeg.observables
-from pairdeg import (FitRejectedError, SelfOrthogonalityError,
-                     build_operator_matrices, coefficient_extract,
-                     fit_power_law, ladder_spectra, operator_in_eigenbasis,
-                     pairing_energy_cut)
-from pairdeg.observables import _raw_c_normalized
+from pairdeg import (FitRejectedError, MatrixFamily, SelfOrthogonalityError,
+                     build_operator_matrices, c_normalize, coefficient_extract,
+                     continue_spectrum, eigendecompose, fit_power_law, ladder_spectra,
+                     operator_in_eigenbasis, pairing_energy_cut)
+from pairdeg.observables import RAW_NORM_GUARD, _eigenbasis_operators
 
 
 def test_operator_symmetry(model):
@@ -44,7 +46,7 @@ def test_raw_normalization_guard():
     spec = Spectrum(g=0j, eigenvalues=np.array([1.0 + 0j, 2.0 + 0j]),
                     eigenvectors=V, self_orthogonality=np.zeros(2, complex))
     with pytest.raises(SelfOrthogonalityError):
-        _raw_c_normalized(spec)
+        _eigenbasis_operators(np.eye(2), [spec])
 
 
 def test_gauge_invariance_of_diagonal(model, pseudo_dp):
@@ -55,7 +57,7 @@ def test_gauge_invariance_of_diagonal(model, pseudo_dp):
     g = pseudo_dp + 1e-2
     spec = eigendecompose(model.family().matrix(g), g=g)
     P = build_operator_matrices(model).P
-    U = _raw_c_normalized(spec)
+    U = _eigenbasis_operators(P, [spec])[0][0]
     base = U.T @ (g * P) @ U
     rng = np.random.default_rng(21)
     for _ in range(16):
@@ -75,7 +77,7 @@ def test_completeness_at_regular_point(model):
     for _ in range(5):
         g = complex(rng.normal(), rng.normal()) * 0.3
         spec = eigendecompose(model.family().matrix(g), g=g)
-        U = _raw_c_normalized(spec)
+        U = _eigenbasis_operators(P, [spec])[0][0]
         np.testing.assert_allclose(U @ U.T, np.eye(4), atol=1e-8)
         total = np.trace(U.T @ (g * P) @ U)
         assert total == pytest.approx(g * np.trace(P), abs=1e-8)
@@ -202,8 +204,8 @@ def test_divergence_exponents(model, pseudo_dp):
     samples = ladder_spectra(model, pseudo_dp, deltas)
     P = build_operator_matrices(model).P
     comp, o22 = [], []
-    for d, spec in samples:
-        U = _raw_c_normalized(spec)
+    Us = _eigenbasis_operators(P, [spec for _, spec in samples])[0]
+    for U, (d, spec) in zip(Us, samples):
         comp.append(np.max(np.abs(U[:, 1])))
         o22.append(U[:, 1] @ (spec.g * P) @ U[:, 1])
     ds = np.array([d for d, _ in samples])
@@ -220,8 +222,8 @@ def test_o22_amplitude_lower_window(model, pseudo_dp):
     samples = ladder_spectra(model, pseudo_dp, deltas)
     P = build_operator_matrices(model).P
     o22 = []
-    for d, spec in samples:
-        U = _raw_c_normalized(spec)
+    Us = _eigenbasis_operators(P, [spec for _, spec in samples])[0]
+    for U, (d, spec) in zip(Us, samples):
         o22.append(U[:, 1] @ (spec.g * P) @ U[:, 1])
     ds = np.array([d for d, _ in samples])
     fit = fit_power_law(ds, np.array(o22))
@@ -233,8 +235,9 @@ def test_u2_third_component_subleading(model, pseudo_dp):
     # The merging pair's flat branch has a vanishing third basis component at
     # leading order; it grows like sqrt(delta) instead of diverging.
     samples = ladder_spectra(model, pseudo_dp, np.logspace(-4, -2, 7))
-    for d, spec in samples:
-        U = _raw_c_normalized(spec)
+    P = build_operator_matrices(model).P
+    Us = _eigenbasis_operators(P, [spec for _, spec in samples])[0]
+    for U in Us:
         assert np.abs(U[2, 1]) < 0.1 * np.min(np.abs(U[[0, 1, 3], 1]))
 
 
@@ -264,3 +267,105 @@ def test_coefficient_table_serialization(model):
     d = table.as_dict()
     assert d["a1_re"] == pytest.approx(1 / 16, abs=1e-4)
     assert "conjugacy_a5_a6" in d
+
+
+# The stacked kernel against the per-spectrum loop it replaced: U and O must
+# equal the loop's bytes, and the guard must name the same spectrum and column.
+def _raw_c_normalized_oracle(spectrum):
+    V = spectrum.eigenvectors.astype(complex).copy()
+    for k in range(V.shape[1]):
+        b = V[:, k] @ V[:, k]
+        if abs(b) < RAW_NORM_GUARD:
+            raise SelfOrthogonalityError(
+                f"eigenvector {k + 1} at g = {spectrum.g} is self-orthogonal "
+                f"(|b| = {abs(b):.2e}); evaluate at a larger distance delta "
+                f"from the degeneracy"
+            )
+        V[:, k] = V[:, k] / np.sqrt(b)
+    return V
+
+
+def _eigenbasis_operators_oracle(P, spectra):
+    Us = [_raw_c_normalized_oracle(s) for s in spectra]
+    return np.array(Us), np.array([U.T @ (s.g * P) @ U for U, s in zip(Us, spectra)])
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _assert_kernel_matches_oracle(P, spectra):
+    U, O = _eigenbasis_operators(P, spectra)
+    U_want, O_want = _eigenbasis_operators_oracle(P, spectra)
+    _assert_same_bytes(U, U_want)
+    _assert_same_bytes(O, O_want)
+    return U, O
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(2, 11), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+       normalized=st.booleans(), complex_p=st.booleans())
+def test_eigenbasis_operators_match_per_spectrum_loop(n, seed, k, normalized, complex_p):
+    # Random complex-symmetric families; LAPACK's vectors or c-normalized ones.
+    rng = np.random.default_rng(seed)
+    base = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+    P = rng.normal(size=(n, n))
+    if complex_p:
+        P = P + 1j * rng.normal(size=(n, n))
+    family = MatrixFamily(base, P + P.T)
+    gs = [complex(x, y) for x, y in rng.normal(size=(k, 2))]
+    spectra = [eigendecompose(family.matrix(g), g=g) for g in gs]
+    if normalized:
+        spectra = [c_normalize(s) for s in spectra]
+    _assert_kernel_matches_oracle(P + P.T, spectra)
+
+
+@pytest.mark.parametrize("deltas", [(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
+                                    tuple(np.logspace(-4, -2, 9))])
+def test_eigenbasis_operators_match_loop_on_ladders(model, pseudo_dp, deltas):
+    # The ladders of the coefficient table and of the divergence fits, with
+    # the fits' one-column forms of |u_2| and O_22.
+    ops = build_operator_matrices(model)
+    spectra = [s for _, s in ladder_spectra(ops.family(model.gamma), pseudo_dp, deltas)]
+    U, O = _assert_kernel_matches_oracle(ops.P, spectra)
+    comp, o22 = [], []
+    for s in spectra:
+        u = _raw_c_normalized_oracle(s)
+        comp.append(np.max(np.abs(u[:, 1])))
+        o22.append(u[:, 1] @ (s.g * ops.P) @ u[:, 1])
+    _assert_same_bytes(np.abs(U[:, :, 1]).max(axis=1), np.array(comp))
+    _assert_same_bytes(O[:, 1, 1], np.array(o22))
+
+
+def test_eigenbasis_operators_match_loop_on_cut(model, pseudo_dp):
+    # The pair-sum cut through the pseudo-DP, as the selftest samples it.
+    xs = np.geomspace(2e-5, 0.05, 18)
+    points = [complex(-x, pseudo_dp.imag) for x in xs[::-1]]
+    points += [complex(x, pseudo_dp.imag) for x in xs]
+    ops = build_operator_matrices(model)
+    spectra = continue_spectrum(ops.family(model.gamma), points).spectra
+    _assert_kernel_matches_oracle(ops.P, spectra)
+
+
+def test_eigenbasis_operators_name_first_self_orthogonal_column():
+    # Spectrum 2 has a self-orthogonal third column, spectrum 3 its first:
+    # the guard names spectrum 2's column as the per-spectrum loop did.
+    from pairdeg.spectra import Spectrum
+
+    null = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
+    vectors = [np.eye(3, dtype=complex), np.eye(3, dtype=complex),
+               np.eye(3, dtype=complex)]
+    vectors[1][:, 2] = null
+    vectors[2][:, 0] = null
+    spectra = [Spectrum(g=g, eigenvalues=np.arange(3, dtype=complex),
+                        eigenvectors=V, self_orthogonality=np.ones(3, complex))
+               for g, V in zip((0.5j, 0.25 + 0.5j, -0.75), vectors)]
+    message = r"eigenvector 3 at g = \(0\.25\+0\.5j\) is self-orthogonal \(\|b\| = "
+    with pytest.raises(SelfOrthogonalityError, match=message) as got:
+        _eigenbasis_operators(np.eye(3), spectra)
+    with pytest.raises(SelfOrthogonalityError) as want:
+        _eigenbasis_operators_oracle(np.eye(3), spectra)
+    assert str(got.value) == str(want.value)

@@ -151,7 +151,7 @@ def _classify_oracle(family, root, roots, tau_c=1e-6, loop_radius=0.01, loop_ste
             if other is root or abs(other.g0 - root.g0) < 1e-12:
                 continue
             radius = min(radius, 0.45 * abs(other.g0 - root.g0))
-        loop = LoopSpec(root.g0, radius, steps=max(loop_steps, 64), loops=1)
+        loop = LoopSpec(root.g0, radius, steps=loop_steps, loops=1)
         perm = trace_loop(family, loop, degeneracies=roots).loop_permutations[0]
         if not all(p == k for k, p in enumerate(perm)):
             return DegeneracyPoint(
