@@ -21,6 +21,7 @@ Kinds:
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,8 +32,8 @@ from .discriminant import (DEFAULT_CLUSTER_FACTOR, DEFAULT_RADIUS, DegeneracyRoo
 from .errors import PairdegError
 from .model import ModelSpec, as_family, build_operator_matrices
 from .monodromy import LoopSpec, _turn_permutations
-from .spectra import (DEFAULT_TAU_C, EPS, STACK_BYTES, _c_normalize_stack, _in_lockstep,
-                      c_normalize, closest_pair, eigendecompose)
+from .spectra import (DEFAULT_TAU_C, EPS, _c_normalize_stack, _in_stacks, c_normalize,
+                      closest_pair, eigendecompose)
 
 __all__ = [
     "Kind",
@@ -97,6 +98,12 @@ def _verification_loop(root, degeneracies, loop_radius, loop_steps) -> LoopSpec:
             continue
         radius = min(radius, CIRCLE_FRACTION * abs(other.g0 - root.g0))
     return LoopSpec(root.g0, radius, steps=loop_steps, loops=1)
+
+
+def _check_loop_settings(loop_radius, loop_steps) -> None:
+    """Raise the LoopError of ``LoopSpec`` for settings no verification loop
+    can take, so that the outcome does not depend on which roots are found."""
+    LoopSpec(0j, loop_radius, steps=loop_steps)
 
 
 def _classify_roots(jobs, tau_c, loop_radius, loop_steps) -> list:
@@ -177,6 +184,7 @@ def classify(model_or_family, root: DegeneracyRoot, degeneracies=None,
     cluster note.  The coalescence is read from the spectrum the root keeps,
     so ``root`` must come from ``find_degeneracies`` on this same family.
     """
+    _check_loop_settings(loop_radius, loop_steps)
     family = as_family(model_or_family)
     if degeneracies is None:
         degeneracies = find_degeneracies(family)
@@ -189,7 +197,12 @@ def classify_all(model_or_family, tau_c: float = DEFAULT_TAU_C,
                  loop_radius: float = DEFAULT_LOOP_RADIUS,
                  loop_steps: int = DEFAULT_LOOP_STEPS,
                  cluster_factor: float = DEFAULT_CLUSTER_FACTOR) -> list:
-    """find_degeneracies followed by classify on every root."""
+    """find_degeneracies followed by classify on every root.
+
+    Loop settings that no verification loop can take raise LoopError,
+    whatever roots are found.
+    """
+    _check_loop_settings(loop_radius, loop_steps)
     return _classify_families([as_family(model_or_family)], tau_c, radius, loop_radius,
                               loop_steps, cluster_factor)[0]
 
@@ -322,6 +335,15 @@ def _merge_event(family_at, g_lo, g_k, g_hi, center, radius, merge_radius):
                       int(round(np.log2(ratio))))
 
 
+def _gamma_grid(gamma_start, gamma_stop, steps) -> np.ndarray:
+    """The ``steps`` evenly spaced gamma samples of a sweep, at least two."""
+    if not isinstance(steps, numbers.Integral):
+        raise PairdegError(f"gamma sweep needs a whole number of samples, got {steps!r}")
+    if steps < 2:
+        raise PairdegError("gamma sweep needs at least 2 samples")
+    return np.linspace(gamma_start, gamma_stop, steps)
+
+
 def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
                 steps: int, classify_points: bool = True,
                 merge_radius: float = DEFAULT_MERGE_RADIUS,
@@ -344,9 +366,8 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
     ``tau_c``, ``radius``, ``cluster_factor``, ``loop_radius`` and
     ``loop_steps``.
     """
-    if steps < 2:
-        raise PairdegError("gamma sweep needs at least 2 samples")
-    gammas = np.linspace(gamma_start, gamma_stop, steps)
+    gammas = _gamma_grid(gamma_start, gamma_stop, steps)
+    _check_loop_settings(loop_radius, loop_steps)
     ops = build_operator_matrices(model)
     families = [ops.family(gamma) for gamma in gammas]
     if classify_points:
@@ -359,12 +380,10 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
                      for r in roots]
                     for roots in _degeneracies(batch, radius, cluster_factor)]
     # Samples go through in lockstep batches whose discriminant samples fit
-    # in one stack of STACK_BYTES: all 21 of the default reference sweep.
+    # in one stack: all 21 of the default reference sweep.
     n = ops.T.shape[0]
-    per_batch = max(1, STACK_BYTES // (16 * n * n * (n * (n - 1) + 1)))
     points = []
-    for lo in range(0, steps, per_batch):
-        batch = _in_lockstep(solve, families[lo:lo + per_batch])
+    for batch in _in_stacks(solve, families, n, n * (n - 1) + 1):
         for pts in batch:
             for p in pts:
                 p.root.spectrum = None  # classified; the sweep keeps every root set

@@ -24,11 +24,11 @@ import click
 from . import __version__
 from ._csvio import format_value, write_csv
 from .atlas import (DEFAULT_LOOP_RADIUS, DEFAULT_LOOP_STEPS, DEFAULT_MERGE_RADIUS,
-                    classify_all, sweep_gamma)
+                    _check_loop_settings, _gamma_grid, classify_all, sweep_gamma)
 from .discriminant import DEFAULT_CLUSTER_FACTOR, DEFAULT_RADIUS, discriminant_grid
 from .errors import ConfigError, PairdegError
 from .model import ModelSpec, enumerate_basis
-from .monodromy import MIN_STEPS, LoopSpec, _restore_periods, trace_loop
+from .monodromy import LoopSpec, _restore_periods, trace_loop
 from .observables import pairing_energy_cut
 from .spectra import DEFAULT_TAU_C, CutTable, spectrum_along
 
@@ -114,6 +114,12 @@ class RunConfig:
                 raise ConfigError(f"[{section}] {key}: {v:g} is too large")
         return [int(v) for v in vals]
 
+    def positive(self, section, key):
+        value = self.float(section, key)
+        if value <= 0:
+            raise ConfigError(f"[{section}] {key} must be positive, got {value:g}")
+        return value
+
     def bool(self, section, key):
         v = self._get(section, key).strip().lower()
         if v in ("true", "yes", "1", "on"):
@@ -124,14 +130,13 @@ class RunConfig:
 
     def precision(self) -> dict:
         """The [precision] values as the keywords of classify_all and sweep_gamma."""
-        values = {"tau_c": self.float("precision", "tau_c"),
-                  "radius": self.float("precision", "interp_radius"),
-                  "cluster_factor": self.float("precision", "cluster_factor"),
+        values = {"tau_c": self.positive("precision", "tau_c"),
+                  "radius": self.positive("precision", "interp_radius"),
+                  "cluster_factor": self.positive("precision", "cluster_factor"),
                   "loop_radius": self.float("precision", "loop_radius"),
                   "loop_steps": self.int("precision", "loop_steps")}
-        if values["loop_steps"] < MIN_STEPS:
-            raise ConfigError(f"[precision] loop_steps must be at least {MIN_STEPS}, "
-                              f"got {values['loop_steps']}")
+        _checked("precision", _check_loop_settings, values["loop_radius"],
+                 values["loop_steps"])
         return values
 
     def model(self) -> ModelSpec:
@@ -149,6 +154,15 @@ class RunConfig:
 
     def meta_dict(self):
         return {"config_sha256": self.sha256, "version": __version__}
+
+
+def _checked(section, build, *args, **kwargs):
+    """``build(*args, **kwargs)``: the library's own check of [section]'s
+    values, its PairdegError reported as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except PairdegError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _write_json(path, meta, payload):
@@ -194,7 +208,6 @@ def atlas(config_path, out_dir):
     def body():
         cfg = RunConfig(config_path)
         model = cfg.model()
-        os.makedirs(out_dir, exist_ok=True)
         window = cfg.floats("atlas", "window")
         if len(window) != 4:
             raise ConfigError("[atlas] window needs four numbers")
@@ -205,8 +218,10 @@ def atlas(config_path, out_dir):
         n = cfg.int("atlas", "heatmap_points")
         if n < 1:
             raise ConfigError("[atlas] heatmap_points must be at least 1")
+        settings = cfg.precision()
+        os.makedirs(out_dir, exist_ok=True)
         family = model.family()  # T, P and Q built once for both outputs
-        points = classify_all(family, **cfg.precision())
+        points = classify_all(family, **settings)
         points = [p for p in points
                   if window[0] <= p.g0.real <= window[1]
                   and window[2] <= p.g0.imag <= window[3]]
@@ -234,16 +249,14 @@ def sweep(config_path, out_dir):
     def body():
         cfg = RunConfig(config_path)
         model = cfg.model()
+        span = (cfg.float("sweep", "gamma_start"), cfg.float("sweep", "gamma_stop"),
+                cfg.int("sweep", "samples"))
+        _checked("sweep", _gamma_grid, *span)
+        settings = dict(classify_points=cfg.bool("sweep", "classify"),
+                        merge_radius=cfg.positive("sweep", "merge_radius"),
+                        **cfg.precision())
         os.makedirs(out_dir, exist_ok=True)
-        traj = sweep_gamma(
-            model,
-            cfg.float("sweep", "gamma_start"),
-            cfg.float("sweep", "gamma_stop"),
-            cfg.int("sweep", "samples"),
-            classify_points=cfg.bool("sweep", "classify"),
-            merge_radius=cfg.float("sweep", "merge_radius"),
-            **cfg.precision(),
-        )
+        traj = sweep_gamma(model, *span, **settings)
         traj.to_csv(os.path.join(out_dir, "trajectory.csv"),
                     meta=cfg.meta_lines())
         _write_json(os.path.join(out_dir, "events.json"), cfg.meta_dict(),
@@ -261,14 +274,15 @@ def encircle(config_path, out_dir):
     def body():
         cfg = RunConfig(config_path)
         model = cfg.model()
-        os.makedirs(out_dir, exist_ok=True)
         center = complex(cfg.float("encircle", "center_re"),
                          cfg.float("encircle", "center_im"))
-        loops = cfg.int("encircle", "loops")
-        loop = LoopSpec(center, cfg.float("encircle", "radius"),
-                        steps=cfg.int("encircle", "steps"), loops=loops)
+        loop = _checked("encircle", LoopSpec, center, cfg.float("encircle", "radius"),
+                        steps=cfg.int("encircle", "steps"),
+                        loops=cfg.int("encircle", "loops"))
+        tau_c = cfg.positive("precision", "tau_c")
+        os.makedirs(out_dir, exist_ok=True)
         # Every requested turn is written, not only those up to the periods.
-        trace = trace_loop(model, loop, tau_c=cfg.float("precision", "tau_c"))
+        trace = trace_loop(model, loop, tau_c=tau_c)
         trace.to_csv(os.path.join(out_dir, "phases.csv"), meta=cfg.meta_lines())
         eigenvalue_period, phase_period = _restore_periods(trace.loop_permutations,
                                                            trace.loop_re_theta)
@@ -310,7 +324,7 @@ def cut(config_path, out_dir):
             # One continuation with vectors serves both files: its
             # eigenvalues are those of a continuation without vectors.
             pcut = pairing_energy_cut(model, start, stop, n, pair=tuple(pair),
-                                      tau_c=cfg.float("precision", "tau_c"))
+                                      tau_c=cfg.positive("precision", "tau_c"))
             pcut.to_csv(os.path.join(out_dir, "pairing_cut.csv"),
                         meta=cfg.meta_lines())
             written.append("pairing_cut.csv")

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import EigensolverError, InterpolationError
 from .model import as_family
-from .spectra import (EPS, STACK_BYTES, Spectrum, _eig_stack, _in_lockstep, _lapack,
-                      closest_pair)
+from .spectra import EPS, Spectrum, _eig_stack, _in_stacks, _lapack, closest_pair
 
 __all__ = [
     "char_poly",
@@ -533,7 +532,7 @@ def _degeneracies(families, radius: float, cluster_factor: float) -> list:
     is what the family's matrix gives alone, so each root set is the one
     ``find_degeneracies`` gives for the family alone.  A stage raises the
     first error it meets, which may be a later family's than a loop over
-    the families would meet first (``spectra._in_lockstep`` restores that).
+    the families would meet first (``spectra._in_stacks`` restores that).
     """
     polys = _discriminant_polys(families, radius)
     cluster_sets = [_root_clusters(poly, cluster_factor) for poly in polys]
@@ -566,11 +565,10 @@ def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
 
     ``window`` is (re_min, re_max, im_min, im_max).  Returns the real and
     imaginary grid axes and an (n_im, n_re) array whose row i holds
-    |D(re + i*ims[i])| along the real axis.  Whole rows are solved together,
-    as many as fit in ``STACK_BYTES`` of matrices, in one stacked eigensolve
-    and one ``_discriminant_rows`` call.  A non-finite |D| raises
-    EigensolverError naming the first such g in row-major order: a stack
-    that fails a check is solved again row by row.
+    |D(re + i*ims[i])| along the real axis.  Whole rows are solved together
+    (``_in_stacks``), in one stacked eigensolve and one
+    ``_discriminant_rows`` call.  A non-finite |D| raises EigensolverError
+    naming the first such g in row-major order.
     """
     family = as_family(model_or_family)
     re_min, re_max, im_min, im_max = window
@@ -588,9 +586,8 @@ def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
         _require_finite(absD, gs)
         grid[rows] = absD.reshape(len(rows), n_re)
 
-    per_stack = max(1, STACK_BYTES // (16 * family.dim ** 2 * n_re))
-    for lo in range(0, n_im, per_stack):
-        _in_lockstep(fill, list(range(lo, min(lo + per_stack, n_im))))
+    for _ in _in_stacks(fill, range(n_im), family.dim, n_re):
+        pass
     return res, ims, grid
 
 

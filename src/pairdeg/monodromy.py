@@ -27,9 +27,8 @@ import numpy as np
 
 from .errors import LoopError
 from .model import as_family
-from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, STACK_BYTES, Spectrum, _eig_stack,
-                      _in_lockstep, _solve_path, _solve_paths, _transport, c_normalize,
-                      eigendecompose, match_states)
+from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, Spectrum, _eig_stack, _in_stacks,
+                      _solve_path, _transport, c_normalize, eigendecompose, match_states)
 
 __all__ = ["LoopSpec", "LoopTrace", "trace_loop", "restore_count", "RestoreResult"]
 
@@ -263,31 +262,36 @@ def _turn_permutations(loops) -> list:
     Each path goes through ``_transport`` without vectors, as the cuts of
     ``continue_spectrum`` do: the vectors are neither c-normalized nor
     gauged and no phase is formed, and the permutation matches the last
-    point's eigenvalues to the start's.  The loops go in groups whose paths
-    fit in ``STACK_BYTES / 4`` of matrices: the start points of a group are
-    solved in one stack, and their paths in another (``_solve_paths``).
+    point's eigenvalues to the start's.  The loops, of one dimension, go in
+    groups whose paths fit in one stack (``_in_stacks``, ``_first_turns``).
     Each row is what ``trace_loop`` solves there, so each permutation is
-    too.  An error is the one the first failing loop raises alone.
+    too, and an error is the one the first failing loop raises alone.
     """
-    perms, group, size = [], [], 0
-    for job in loops:
-        family, loop, _ = job
-        nbytes = loop.steps * loop.loops * 16 * as_family(family).dim ** 2
-        if group and size + nbytes > STACK_BYTES // 4:
-            perms += _in_lockstep(_first_turns, group)
-            group, size = [], 0
-        group.append(job)
-        size += nbytes
-    return perms + (_in_lockstep(_first_turns, group) if group else [])
+    if not loops:
+        return []
+    return [perm for perms in _in_stacks(
+        _first_turns, loops, as_family(loops[0][0]).dim,
+        lambda job: job[1].steps * job[1].loops, vectors=True) for perm in perms]
 
 
 def _first_turns(loops) -> list:
+    """``_turn_permutations`` of a group: the start points are solved in one
+    stack, and the paths in another, one block per path; a group of one
+    loop solves its path as ``trace_loop`` does (``_solve_path``)."""
     families = [_checked_family(f, loop, degeneracies) for f, loop, degeneracies in loops]
     paths = [_loop_path(loop) for _, loop, _ in loops]
     firsts = [gs[0] for _, gs in paths]
     E, V, b = _eig_stack(np.concatenate([f.matrices([g]) for f, g in zip(families, firsts)]),
                          firsts, LABEL_IM_TOL)
-    solved = _solve_paths([(f, gs[1:]) for f, (_, gs) in zip(families, paths)])
+    rests = [gs[1:] for _, gs in paths]
+    if len(loops) == 1:
+        solved = [_solve_path(families[0], rests[0])]
+    else:
+        stack = _eig_stack(np.concatenate([f.matrices(gs) for f, gs in zip(families, rests)]),
+                           [g for gs in rests for g in gs])
+        ends = np.cumsum([len(gs) for gs in rests])[:-1]
+        solved = [[(gs, *block)] for gs, *block in
+                  zip(rests, *(np.split(a, ends) for a in stack))]
     perms = []
     for k, (family, (_, loop, _)) in enumerate(zip(families, loops)):
         start = Spectrum(complex(firsts[k]), E[k], V[k], b[k])

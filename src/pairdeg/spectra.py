@@ -58,9 +58,8 @@ COINCIDENCE_TOL = 1e-9
 EXHAUSTIVE_MATCH_LIMIT = 7
 MAX_BISECT = 12
 EPS = np.finfo(float).eps
-# Matrix bytes per stack when many points of several grid rows, paths or
-# families are solved together: 256 KB, 1,024 points at dim 4, for
-# eigenvalues alone.  A full eigensystem holds its vectors and residuals
+# Matrix bytes per stack of ``_in_stacks``: 256 KB, 1,024 points at dim 4,
+# for eigenvalues alone.  A full eigensystem holds its vectors and residuals
 # too, several times the matrices, so its stacks take a quarter of that.
 # Larger stacks raised the peak size of the process and were no faster.
 STACK_BYTES = 1 << 18
@@ -323,74 +322,48 @@ def _eig_stack(H: np.ndarray, gs, im_tol: float = ORDER_IM_TOL):
     return eigenvalues, vectors, np.einsum("kij,kij->kj", vectors, vectors)
 
 
-def _path_block(dim: int) -> int:
-    """Path points per stacked eigensolve of ``_solve_path``: as many as fit
-    in ``STACK_BYTES / 4`` of matrices, 256 at dim 4 and 83 at dim 7."""
-    return max(1, STACK_BYTES // (64 * dim * dim))
+def _in_stacks(run, items, dim: int, matrices=1, vectors: bool = False):
+    """``run(group)`` for each group of consecutive ``items``, in order.
+
+    A group takes items while their matrices, ``matrices`` of dim x dim per
+    item (a number, or a function of the item), fit in ``STACK_BYTES``, a
+    quarter of that when eigenvectors are solved too; every group holds at
+    least one item.  ``run`` solves a group's items together, each result
+    what the item gives alone, so only which item's error surfaces can
+    depend on the grouping.  A group that raises a PairdegError is run again
+    one item at a time, in order, each result yielded as it comes: the
+    first failing item raises its own error once every item before it has
+    been yielded, and a failure of the stack alone is recovered.
+    """
+    budget = STACK_BYTES // 4 if vectors else STACK_BYTES
+    count = matrices if callable(matrices) else lambda item: matrices
+    groups, size = [], 0
+    for item in items:
+        nbytes = 16 * dim * dim * count(item)
+        if not groups or size + nbytes > budget:
+            groups.append([])
+            size = 0
+        groups[-1].append(item)
+        size += nbytes
+    for group in groups:
+        try:
+            out = [run(group)]
+        except PairdegError:
+            if len(group) == 1:
+                raise
+            out = (run([item]) for item in group)
+        yield from out
 
 
 def _solve_path(family, gs):
-    """Eigensystems at the couplings ``gs``, in order, solved ``_path_block`` at a time.
+    """Eigensystems at the couplings ``gs``, in order, in stacks (``_in_stacks``).
 
-    Yields ``(block, E, V, b)`` for each block of couplings solved as one
-    stack, with the arrays of ``_eig_stack``.  A block that fails a check is
-    solved again one point at a time and yielded one point at a time, so the
-    first failing coupling raises its own EigensolverError only once the
-    consumer has taken every row before it.
+    Yields ``(couplings, E, V, b)`` for each run of couplings solved as one
+    stack, with the arrays of ``_eig_stack``; a coupling that fails a check
+    raises its own EigensolverError once every row before it is yielded.
     """
-    size = _path_block(family.dim)
-    for lo in range(0, len(gs), size):
-        block = gs[lo:lo + size]
-        matrices = family.matrices(block)
-        try:
-            E, V, b = _eig_stack(matrices, block)
-        except EigensolverError:
-            for H, g in zip(matrices, block):
-                yield ([g], *_eig_stack(H[None], [g]))
-            continue
-        yield block, E, V, b
-
-
-def _solve_paths(paths) -> list:
-    """The ``_transport`` blocks of each (family, gs) path, solved in one stack.
-
-    Every point of every path is solved in one stacked eigensolve, each row
-    bit for bit the one its matrix gives alone, and handed out as one block
-    per path: ``_transport`` gives the same states whatever the blocks, so
-    this equals the ``_solve_path`` blocks.  If the stack fails a check,
-    every path is left to ``_solve_path``, so that an error surfaces where
-    solving that path alone raises it.
-    """
-    points = [g for _, gs in paths for g in gs]
-    try:
-        E, V, b = _eig_stack(np.concatenate([f.matrices(gs) for f, gs in paths]), points)
-    except EigensolverError:
-        return [_solve_path(family, gs) for family, gs in paths]
-    out, row = [], 0
-    for _, gs in paths:
-        k = len(gs)
-        out.append([(gs, E[row:row + k], V[row:row + k], b[row:row + k])])
-        row += k
-    return out
-
-
-def _in_lockstep(run, items):
-    """``run(items)``, raising the error the first failing item raises alone.
-
-    ``run`` takes a list of independent items and solves them together, each
-    result what the item gives alone; only which item's error surfaces
-    depends on the grouping.  So on a PairdegError the items are run one at
-    a time, in order, and the first one that fails raises its own error, as
-    a loop over the items would.
-    """
-    try:
-        return run(items)
-    except PairdegError:
-        if len(items) < 2:
-            raise
-        for item in items:
-            run([item])
-        raise
+    return _in_stacks(lambda block: (block, *_eig_stack(family.matrices(block), block)),
+                      gs, family.dim, vectors=True)
 
 
 def _orthogonalize_clusters(e: np.ndarray, V: np.ndarray, tau_c: float) -> None:

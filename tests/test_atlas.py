@@ -6,6 +6,7 @@ import pairdeg.model
 from pairdeg import (Kind, LoopError, MatrixFamily, classify, classify_all,
                      discriminant_poly, find_degeneracies,
                      pair_truncation_family, sweep_gamma)
+from pairdeg.errors import PairdegError
 
 
 def block_diagonal_family():
@@ -186,6 +187,45 @@ def test_verification_loop_steps_below_minimum_raise(model):
     # loop_steps = 10 once ran 64-step loops without a word.
     with pytest.raises(LoopError, match="need at least 64 steps per loop, got 10"):
         classify_all(model, loop_steps=10)
+
+
+TWO_LEVELS = MatrixFamily(np.diag([0.0, 1.0]), [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"loop_steps": 10}, "need at least 64 steps per loop, got 10"),
+    ({"loop_steps": 10.5}, "must be integers"),
+    ({"loop_radius": 0.0}, "loop radius must be positive, got 0.0"),
+    ({"loop_radius": -0.01}, "loop radius must be positive, got -0.01"),
+], ids=["steps-small", "steps-fractional", "radius-zero", "radius-negative"])
+def test_loop_settings_are_checked_on_entry(model, monkeypatch, settings, message):
+    # The two-level family has two EPs and no multiplicity-2 root, so no
+    # verification loop is built: these settings once passed unnoticed.
+    assert [p.kind for p in classify_all(TWO_LEVELS)] == [Kind.EP, Kind.EP]
+    root = find_degeneracies(TWO_LEVELS)[0]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a matrix")
+
+    monkeypatch.setattr(np.linalg, "eig", no_solve)
+    monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+    for call in (lambda: classify_all(TWO_LEVELS, **settings),
+                 lambda: classify(TWO_LEVELS, root, degeneracies=[root], **settings),
+                 lambda: sweep_gamma(model, -0.6, -0.4, 21, **settings),
+                 lambda: sweep_gamma(model, -0.6, -0.4, 21, classify_points=False,
+                                     **settings)):
+        with pytest.raises(LoopError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("steps, message", [
+    (2.5, "gamma sweep needs a whole number of samples, got 2.5"),
+    (1, "gamma sweep needs at least 2 samples"),
+])
+def test_sweep_sample_count_is_checked(model, steps, message):
+    # 2.5 samples once reached np.linspace as a raw TypeError.
+    with pytest.raises(PairdegError, match=f"^{message}$"):
+        sweep_gamma(model, -0.6, -0.4, steps)
 
 
 @pytest.fixture(scope="module")

@@ -235,15 +235,36 @@ pair = {pair}
     ("encircle", "encircle", "center_re = 0\ncenter_im = 0.1\nsteps = 1e20",
      "steps: 1e+20 is too large"),
     ("sweep", "sweep", "samples = 1e20", "samples: 1e+20 is too large"),
-    ("atlas", "precision", "loop_steps = 10", "loop_steps must be at least 64, got 10"),
-    ("sweep", "precision", "loop_steps = 63", "loop_steps must be at least 64, got 63"),
+    ("atlas", "precision", "loop_steps = 10", "need at least 64 steps per loop, got 10"),
+    ("sweep", "precision", "loop_steps = 63", "need at least 64 steps per loop, got 63"),
+    ("atlas", "precision", "tau_c = -1", "tau_c must be positive, got -1"),
+    ("atlas", "precision", "cluster_factor = -1", "cluster_factor must be positive, got -1"),
+    ("atlas", "precision", "interp_radius = 0", "interp_radius must be positive, got 0"),
+    ("atlas", "precision", "loop_radius = -0.01", "loop radius must be positive, got -0.01"),
+    ("sweep", "precision", "tau_c = 0", "tau_c must be positive, got 0"),
+    ("sweep", "sweep", "merge_radius = -1", "merge_radius must be positive, got -1"),
+    ("encircle", "encircle", "center_re = 0\ncenter_im = 0.1\nsteps = 63",
+     "need at least 64 steps per loop, got 63"),
+    ("encircle", "encircle", "center_re = 0\ncenter_im = 0.1\nloops = 0",
+     "need at least one loop"),
+    ("encircle", "encircle", "center_re = 0\ncenter_im = 0.1\nradius = 0",
+     "loop radius must be positive, got 0.0"),
+    ("encircle", "encircle", "center_re = 0\ncenter_im = 0.1\nradius = -0.01",
+     "loop radius must be positive, got -0.01"),
+    ("sweep", "sweep", "samples = 1", "gamma sweep needs at least 2 samples"),
 ], ids=["heatmap-negative", "heatmap-zero", "heatmap-huge", "cut-samples-huge",
         "encircle-steps-huge", "sweep-samples-huge", "atlas-loop-steps-small",
-        "sweep-loop-steps-small"])
+        "sweep-loop-steps-small", "atlas-tau-c-negative", "atlas-cluster-factor-negative",
+        "atlas-interp-radius-zero", "atlas-loop-radius-negative", "sweep-tau-c-zero",
+        "sweep-merge-radius-negative", "encircle-steps-small", "encircle-loops-zero",
+        "encircle-radius-zero", "encircle-radius-negative", "sweep-samples-one"])
 def test_count_out_of_range_is_a_config_error(tmp_path, runner, command, section, keys,
                                               message):
     # A negative or huge count once ended in a numpy traceback, a zero
     # heatmap wrote a header-only CSV, and a small loop_steps ran 64 steps.
+    # A non-positive tolerance or radius once ran to a wrong answer (tau_c =
+    # -1: every EP UNRESOLVED; merge_radius = -1: no event), and a loop or
+    # sample count the library rejects exited 1.
     cfg = write_config(tmp_path, BASE_CONFIG + f"\n[{section}]\n{keys}\n")
     result = runner.invoke(main, [command, "--config", cfg, "--out",
                                   str(tmp_path / "o")])

@@ -27,7 +27,7 @@ from pairdeg.discriminant import (DegeneracyRoot, _discriminant_rows, _gap_newto
                                   poly_derivative)
 from pairdeg.errors import PairdegError
 from pairdeg.model import as_family, build_operator_matrices
-from pairdeg.spectra import _in_lockstep, closest_pair
+from pairdeg.spectra import _in_stacks, closest_pair
 
 oracle_settings = settings(derandomize=True, max_examples=25, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -357,14 +357,24 @@ def _per_sample_oracle(oracle, families):
     return _outcome(lambda: [oracle(f) for f in families])
 
 
+def _in_sweep_batches(run, families):
+    """``run`` over the families in the batches of ``sweep_gamma``, flattened."""
+    n = families[0].dim
+    return [out for batch in _in_stacks(run, families, n, n * (n - 1) + 1)
+            for out in batch]
+
+
 def _assert_lockstep_matches_per_sample_oracle(families):
     # Roots: g0, residual, min_gap, pair and types through repr; the kept
     # spectrum is the eigensystem the root's matrix gives alone.
     find = functools.partial(disc._degeneracies, radius=0.5, cluster_factor=1e-4)
     want = _per_sample_oracle(_find_degeneracies_oracle, families)
-    assert _outcome(_in_lockstep, find, families) == want
+    assert _outcome(_in_sweep_batches, find, families) == want
     if isinstance(want, str):
-        for family, roots in zip(families, _in_lockstep(find, families)):
+        # A success is also what every family gives in one stack, with no
+        # replay to mask a failure that only the stack raises.
+        assert _outcome(find, families) == want
+        for family, roots in zip(families, _in_sweep_batches(find, families)):
             for r in roots:
                 spec = eigendecompose(family.matrix(r.g0), g=r.g0)
                 assert r.spectrum.g == spec.g
@@ -374,8 +384,10 @@ def _assert_lockstep_matches_per_sample_oracle(families):
     classify_families = functools.partial(
         _classify_families, tau_c=1e-6, radius=0.5, loop_radius=0.01, loop_steps=64,
         cluster_factor=1e-4)
-    assert (_outcome(_in_lockstep, classify_families, families)
-            == _per_sample_oracle(_classify_all_oracle, families))
+    want = _per_sample_oracle(_classify_all_oracle, families)
+    assert _outcome(_in_sweep_batches, classify_families, families) == want
+    if isinstance(want, str):
+        assert _outcome(classify_families, families) == want
 
 
 @settings(derandomize=True, max_examples=15, deadline=None,

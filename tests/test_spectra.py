@@ -12,13 +12,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pairdeg.atlas
 import pairdeg.spectra
-from pairdeg import (EigensolverError, LoopSpec, MatrixFamily, branch_slopes,
+from pairdeg import (EigensolverError, LoopSpec, MatrixFamily, ModelSpec, branch_slopes,
                      c_normalize, canonical_order, continue_spectrum,
-                     eigendecompose, find_degeneracies, hamiltonian_at,
-                     match_states, spectrum_along, trace_loop)
-from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, Matching, _eig_stack, _path_block,
-                             bilinear, closest_pair, semicircle)
+                     discriminant_grid, eigendecompose, find_degeneracies,
+                     hamiltonian_at, match_states, spectrum_along, sweep_gamma,
+                     trace_loop)
+from pairdeg.monodromy import _turn_permutations
+from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, Matching, _eig_stack, bilinear,
+                             closest_pair, semicircle)
 
 
 def random_complex_symmetric(rng, n=4):
@@ -667,7 +670,7 @@ def test_stacked_lapack_failure_falls_back(model, pseudo_dp, monkeypatch):
     roots = find_degeneracies(model)
     pdp = min(roots, key=lambda r: abs(r.g0 - pseudo_dp))
     loop = LoopSpec(pdp.g0, 0.01, steps=64, loops=2)
-    points = np.linspace(-0.3 + 0.2j, 0.1 - 0.25j, 2 * _path_block(model.family().dim) + 7)
+    points = np.linspace(-0.3 + 0.2j, 0.1 - 0.25j, 2 * 256 + 7)  # 256-point blocks
     runs = []
     for broken in (False, True):
         if broken:
@@ -689,6 +692,183 @@ def test_stacked_lapack_failure_falls_back(model, pseudo_dp, monkeypatch):
     for name in ("eigenvalues", "thetas", "loop_re_theta"):
         _assert_same_bytes(getattr(trace, name), getattr(trace_fb, name))
     assert trace.loop_permutations == trace_fb.loop_permutations
+
+
+def _run_recorded(groups, bad=(), bad_in_stack=()):
+    """A ``run`` for ``_in_stacks`` of named items, recording every group.
+
+    An item of ``bad`` fails wherever it is run; a group of several items
+    fails if it holds one of ``bad_in_stack``, naming its last bad item (a
+    stacked solve may meet any of them first).
+    """
+    def run(group):
+        groups.append(list(group))
+        failing = [item for item in group if item in bad
+                   or (len(group) > 1 and item in bad_in_stack)]
+        if failing:
+            raise EigensolverError(f"item {failing[-1]} failed")
+        return [f"solved {item}" for item in group]
+    return run
+
+
+def test_in_stacks_groups_greedily():
+    # Dim 1: 16 bytes a matrix, 16,384 matrices in STACK_BYTES.  The first
+    # group lands on the budget exactly; an item above it goes alone.
+    sizes = {"a": 10000, "b": 6000, "c": 384, "d": 1, "e": 20000, "f": 5}
+    groups = []
+    out = list(pairdeg.spectra._in_stacks(_run_recorded(groups), list(sizes), 1,
+                                          sizes.get))
+    assert groups == [["a", "b", "c"], ["d"], ["e"], ["f"]]
+    assert out == [[f"solved {item}" for item in group] for group in groups]
+    # With vectors a quarter of that: 4,096 matrices.
+    groups.clear()
+    list(pairdeg.spectra._in_stacks(_run_recorded(groups), list(sizes), 1,
+                                    sizes.get, vectors=True))
+    assert groups == [["a"], ["b"], ["c", "d"], ["e"], ["f"]]
+    # A number of matrices per item: 300 dim-4 matrices are 76,800 bytes.
+    groups.clear()
+    list(pairdeg.spectra._in_stacks(_run_recorded(groups), range(8), 4, 300))
+    assert groups == [[0, 1, 2], [3, 4, 5], [6, 7]]
+    assert list(pairdeg.spectra._in_stacks(_run_recorded(groups), [], 4)) == []
+
+
+def test_in_stacks_replays_a_failed_stack_one_item_at_a_time():
+    # "b" fails only in a stack: its group is replayed item by item, in
+    # order, each result yielded as it comes, and nothing is lost.
+    groups = []
+    stacks = pairdeg.spectra._in_stacks(_run_recorded(groups, bad_in_stack="b"),
+                                        "abcd", 1, 5000)
+    assert next(stacks) == ["solved a"]
+    assert groups == [["a", "b", "c"], ["a"]]
+    assert list(stacks) == [["solved b"], ["solved c"], ["solved d"]]
+    assert groups == [["a", "b", "c"], ["a"], ["b"], ["c"], ["d"]]
+
+
+def test_in_stacks_raises_the_first_failing_items_error():
+    # "b" and "c" fail alone too: the stack names "c", the replay "b", once
+    # "a" has been yielded, and "c" is not run again.
+    groups = []
+    stacks = pairdeg.spectra._in_stacks(_run_recorded(groups, bad="bc"), "abcd", 1, 5000)
+    assert next(stacks) == ["solved a"]
+    with pytest.raises(EigensolverError, match="^item b failed$"):
+        next(stacks)
+    assert groups == [["a", "b", "c"], ["a"], ["b"]]
+    # A group of one that fails is not run again; other errors pass through.
+    groups.clear()
+    with pytest.raises(EigensolverError, match="^item e failed$"):
+        list(pairdeg.spectra._in_stacks(_run_recorded(groups, bad="e"), "e", 1))
+    assert groups == [["e"]]
+
+    def broken(group):
+        groups.append(group)
+        raise ValueError("not a solver failure")
+
+    groups.clear()
+    with pytest.raises(ValueError):
+        list(pairdeg.spectra._in_stacks(broken, "ab", 1))
+    assert groups == [["a", "b"]]
+
+
+def _stack_sizes(monkeypatch):
+    """The size of every stack that ``_eig_stack`` hands to LAPACK, in order."""
+    sizes = []
+    lapack = pairdeg.spectra._lapack
+
+    def recorded(solve, H, gs, returned):
+        sizes.append(len(H))
+        return lapack(solve, H, gs, returned)
+
+    monkeypatch.setattr(pairdeg.spectra, "_lapack", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("omegas, pairs, block", [((2, 6, 2), 2, 256), ((6, 2, 6), 3, 83)],
+                         ids=["dim4", "dim7"])
+def test_path_blocks_hold_a_quarter_stack(monkeypatch, omegas, pairs, block):
+    # 64 KB of matrices per block of a continuation: 256 points at dim 4,
+    # 83 at dim 7.  The start is solved alone.
+    family = ModelSpec.from_arrays([0.0, 1.0, 2.0], omegas, pairs, -0.5).family()
+    sizes = _stack_sizes(monkeypatch)
+    spectrum_along(family, 0.1 + 0.2j, 0.4 - 0.1j, 2 * block + 8)
+    assert sizes == [1, block, block, 7]
+
+
+def test_loop_groups_hold_a_quarter_stack(model, monkeypatch):
+    # Four 64-step loops at dim 4 fill 64 KB of path matrices exactly: their
+    # starts are one stack and their paths another.  A fifth goes alone, its
+    # path solved as trace_loop solves it.
+    family = model.family()
+    roots = find_degeneracies(family)
+    assert len(roots) >= 5
+    jobs = []
+    for root in roots[:5]:
+        others = min(abs(r.g0 - root.g0) for r in roots if r is not root)
+        jobs.append((family, LoopSpec(root.g0, 0.3 * others, steps=64), roots))
+    sizes = _stack_sizes(monkeypatch)
+    perms = _turn_permutations(jobs)
+    assert sizes == [4, 256, 1, 64]
+    assert len(perms) == 5
+
+
+def test_a_long_loop_alone_is_solved_in_path_blocks(model, monkeypatch):
+    # A group of one loop solves its path as trace_loop does, in blocks of
+    # 256 points at dim 4, so a 300-step loop takes two.
+    family = model.family()
+    roots = find_degeneracies(family)
+    others = min(abs(r.g0 - roots[0].g0) for r in roots[1:])
+    loop = LoopSpec(roots[0].g0, 0.3 * others, steps=300)
+    sizes = _stack_sizes(monkeypatch)
+    assert len(_turn_permutations([(family, loop, roots)])) == 1
+    assert sizes == [1, 256, 44]
+
+
+def test_sweep_batches_fill_a_stack(monkeypatch):
+    # 256 KB of discriminant samples per batch: 43 dim-7 matrices a sample,
+    # so 7 samples.
+    batches = []
+    degeneracies = pairdeg.atlas._degeneracies
+
+    def recorded(families, radius, cluster_factor):
+        batches.append(len(families))
+        return degeneracies(families, radius, cluster_factor)
+
+    monkeypatch.setattr(pairdeg.atlas, "_degeneracies", recorded)
+    model = ModelSpec.from_arrays([0.0, 1.0, 2.0], [6, 2, 6], 3, -0.5)
+    sweep_gamma(model, -0.52, -0.48, 9, classify_points=False)
+    assert batches == [7, 2]
+
+
+def _eigvals_failing_above(monkeypatch, limit):
+    """Make ``np.linalg.eigvals`` fail on every stack of more than ``limit``."""
+    eigvals = np.linalg.eigvals
+
+    def failing(H):
+        if np.ndim(H) == 3 and len(H) > limit:
+            raise np.linalg.LinAlgError("stack failed")
+        return eigvals(H)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+
+
+def test_stack_only_failure_leaves_the_sweep_unchanged(model, monkeypatch):
+    # The 21 samples of the default sweep share a batch of 273 discriminant
+    # samples; each sample alone solves far fewer than 40 at once.
+    want = sweep_gamma(model, -0.6, -0.4, 21)
+    _eigvals_failing_above(monkeypatch, 40)
+    got = sweep_gamma(model, -0.6, -0.4, 21)
+    assert repr(got.as_dict()) == repr(want.as_dict())
+    assert repr(got.points) == repr(want.points)
+    assert got.link_ambiguities == want.link_ambiguities
+
+
+def test_stack_only_failure_leaves_the_heatmap_unchanged(model, monkeypatch):
+    # Ten rows of 101 per stack; each row alone is 101 matrices.
+    window = (-0.3, 0.3, -0.3, 0.3)
+    want = discriminant_grid(model, window, 101, 101)
+    _eigvals_failing_above(monkeypatch, 101)
+    got = discriminant_grid(model, window, 101, 101)
+    for a, b in zip(got, want):
+        _assert_same_bytes(a, b)
 
 
 def _split_threshold(n):

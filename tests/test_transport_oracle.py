@@ -28,7 +28,7 @@ from pairdeg.errors import MatchingAmbiguityError
 from pairdeg.monodromy import _restore_periods, _turn_permutations
 from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, MAX_BISECT, AmbiguityRecord, Spectrum,
                              _c_normalize_stack, _gauge, _gauge_signs, _match_block,
-                             _path_block, _permutation_table, bilinear)
+                             _permutation_table, bilinear)
 
 
 def _fix_gauge_oracle(v):
@@ -392,7 +392,7 @@ def test_block_matcher_memory_is_capped():
     rng = np.random.default_rng(3)
     family = _random_family(rng, 7)
     bound = 2**20
-    assert bound < _path_block(7) * math.factorial(7) * 8
+    assert bound < 83 * math.factorial(7) * 8
     spectrum_along(family, 0.1 + 0.2j, 0.4 - 0.1j, 200)  # warm caches
     tracemalloc.start()
     try:
@@ -589,7 +589,7 @@ def test_turn_permutations_of_many_loops_match_trace_loop(model, model_049):
                                           steps=100), roots))
             if k < 2:
                 jobs.append((family, LoopSpec(root.g0, 0.3 * others,
-                                              steps=_path_block(4) + 7), roots))
+                                              steps=256 + 7), roots))
     want = [trace_loop(f, loop, degeneracies=roots).loop_permutations[0]
             for f, loop, roots in jobs]
     assert any(p != tuple(range(len(p))) for p in want)

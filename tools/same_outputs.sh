@@ -4,7 +4,8 @@
 # Usage: tools/same_outputs.sh BASE      (BASE: any git revision, e.g. HEAD~1)
 #
 # Runs perfbench/run.py on the reference and midsize workloads at seeds 0
-# and 26, 2 s each, once in a temporary git worktree of BASE and once in
+# and 26, 2 s each, once in a copy of BASE's committed files (unpacked with
+# `git archive`, so that nothing is written under .git) and once in
 # this checkout (its working tree, uncommitted changes included).  Each side
 # also runs `pairdeg sweep` on the configs tools/wide_sweep_*.ini of this
 # checkout (gamma in [-2, 1], 61 samples, on the reference model and on L5,
@@ -16,20 +17,17 @@
 # equal the all-CPU tree the same way (skipped with a note where taskset is
 # missing).  Exits non-zero on any difference, and otherwise ends with the
 # line delta of src/ against BASE.  Both .perfbench_out/ trees are
-# rewritten; the worktree and the one-CPU tree are removed on exit, and are
-# made under $TMPDIR (default /tmp).
+# rewritten; the copy of BASE and the one-CPU tree are removed on exit, and
+# are made under $TMPDIR (default /tmp).
 set -eu
 
 base=${1:?usage: tools/same_outputs.sh BASE}
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$work/base" 2>/dev/null || true
-    rm -rf "$work"
-}
-trap cleanup EXIT INT TERM
+trap 'rm -rf "$work"' EXIT INT TERM
 
-git -C "$root" worktree add --quiet --detach "$work/base" "$base"
+mkdir "$work/base"
+git -C "$root" archive "$base" | tar -x -C "$work/base"
 for side in base checkout; do
     dir=$root
     [ "$side" = base ] && dir=$work/base
