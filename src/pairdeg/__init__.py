@@ -13,10 +13,10 @@ from .atlas import (DegeneracyPoint, GammaTrajectory, Kind, MergeEvent,
 from .discriminant import (DegeneracyRoot, DiscriminantPoly, char_poly,
                            discriminant_at, discriminant_grid,
                            discriminant_poly, find_degeneracies)
-from .errors import (ConfigError, EigensolverError, FitRejectedError,
+from .errors import (ConfigError, CutError, EigensolverError, FitRejectedError,
                      InterpolationError, InvalidModelError, LoopError,
                      MatchingAmbiguityError, PairdegError,
-                     SelfOrthogonalityError)
+                     SelfOrthogonalityError, VanishingDiscriminantError)
 from .model import (LevelSpec, MatrixFamily, ModelSpec, OperatorMatrices,
                     build_operator_matrices, enumerate_basis, hamiltonian_at)
 from .monodromy import LoopSpec, LoopTrace, RestoreResult, restore_count, trace_loop
@@ -47,5 +47,6 @@ __all__ = [
     "coefficient_extract", "ladder_spectra",
     "PairdegError", "InvalidModelError", "EigensolverError",
     "MatchingAmbiguityError", "InterpolationError", "LoopError",
-    "SelfOrthogonalityError", "FitRejectedError", "ConfigError",
+    "SelfOrthogonalityError", "FitRejectedError", "ConfigError", "CutError",
+    "VanishingDiscriminantError",
 ]

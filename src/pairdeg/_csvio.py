@@ -11,24 +11,20 @@ CHUNK_ROWS = 256
 
 
 def format_value(x) -> str:
+    """A float, numpy's included, as the ``repr`` of the Python float; else ``str``."""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
 def _chunk(column, lo: int, hi: int):
-    """The '%' conversion and the values of rows lo:hi of one column.
-
-    The values of a float64 array are numpy scalars, which ``format_value``
-    writes as ``repr``, i.e. ``np.float64(x)`` around the ``repr`` of the
-    equal Python float; ``tolist`` gives those floats.  Any other column is
-    written value by value as ``format_value`` writes it.
-    """
+    """The '%' conversion and the values of rows lo:hi of one column, as
+    ``format_value`` writes them."""
     part = column[lo:hi]
-    if isinstance(part, np.ndarray) and part.dtype == np.float64:
-        return "np.float64(%r)", part.tolist()
+    if isinstance(part, np.ndarray):
+        part = part.tolist()
     if all(isinstance(x, float) for x in part):
-        return "%r", part
+        return "%r", list(map(float, part))
     return "%s", [format_value(x) for x in part]
 
 

@@ -252,7 +252,7 @@ class GammaTrajectory:
     def to_csv(self, path, meta=()):
         from ._csvio import write_csv
 
-        rows = [[float(gamma), p.g0.real, p.g0.imag, p.kind.value, p.root.multiplicity]
+        rows = [[gamma, p.g0.real, p.g0.imag, p.kind.value, p.root.multiplicity]
                 for gamma, pts in zip(self.gammas, self.points) for p in pts]
         write_csv(path, ["gamma", "g_re", "g_im", "kind", "multiplicity"],
                   list(zip(*rows)), meta=meta)

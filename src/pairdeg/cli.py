@@ -29,8 +29,8 @@ from .discriminant import DEFAULT_CLUSTER_FACTOR, DEFAULT_RADIUS, discriminant_g
 from .errors import ConfigError, PairdegError
 from .model import ModelSpec, enumerate_basis
 from .monodromy import LoopSpec, _restore_periods, trace_loop
-from .observables import pairing_energy_cut
-from .spectra import DEFAULT_TAU_C, CutTable, spectrum_along
+from .observables import _pair_labels, pairing_energy_cut
+from .spectra import DEFAULT_TAU_C, CutTable, _segment, spectrum_along
 
 # Every key of every section with its default, None where there is none.
 # The library's defaults are spelled by repr, which reads back as the same
@@ -308,23 +308,21 @@ def cut(config_path, out_dir):
     def body():
         cfg = RunConfig(config_path)
         model = cfg.model()
-        os.makedirs(out_dir, exist_ok=True)
         start = complex(cfg.float("cut", "start_re"), cfg.float("cut", "start_im"))
         stop = complex(cfg.float("cut", "stop_re"), cfg.float("cut", "stop_im"))
         n = cfg.int("cut", "samples")
-        if n < 2:
-            raise ConfigError("[cut] samples must be at least 2")
+        _checked("cut", _segment, start, stop, n)
+        tau_c = cfg.positive("precision", "tau_c")
+        pairing = cfg.bool("cut", "pairing")
+        if pairing:
+            pair = _checked("cut", _pair_labels, cfg.ints("cut", "pair"),
+                            len(enumerate_basis(model)))
+        os.makedirs(out_dir, exist_ok=True)
         written = ["spectrum_cut.csv"]
-        if cfg.bool("cut", "pairing"):
-            pair = cfg.ints("cut", "pair")
-            dim = len(enumerate_basis(model))
-            if len(pair) != 2 or not all(1 <= k <= dim for k in pair):
-                raise ConfigError(f"[cut] pair {', '.join(map(str, pair))}: "
-                                  f"needs two state labels in 1..{dim}")
+        if pairing:
             # One continuation with vectors serves both files: its
             # eigenvalues are those of a continuation without vectors.
-            pcut = pairing_energy_cut(model, start, stop, n, pair=tuple(pair),
-                                      tau_c=cfg.positive("precision", "tau_c"))
+            pcut = pairing_energy_cut(model, start, stop, n, pair=pair, tau_c=tau_c)
             pcut.to_csv(os.path.join(out_dir, "pairing_cut.csv"),
                         meta=cfg.meta_lines())
             written.append("pairing_cut.csv")

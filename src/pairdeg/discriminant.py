@@ -22,9 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EigensolverError, InterpolationError
+from .errors import EigensolverError, InterpolationError, VanishingDiscriminantError
 from .model import as_family
-from .spectra import EPS, Spectrum, _eig_stack, _in_stacks, _lapack, closest_pair
+from .spectra import (EPS, ORDER_IM_TOL, Spectrum, _canonical_orders, _eig_stack,
+                      _in_stacks, _lapack, closest_pair)
 
 __all__ = [
     "char_poly",
@@ -42,6 +43,11 @@ DEFAULT_RADIUS = 0.5
 DEFAULT_CLUSTER_FACTOR = 1e-4
 HOLDOUT_TOL = 1e-6
 HOLDOUT_POINTS = 8
+# A closest pair within this share of ||H||_F at every interpolation node is
+# degenerate at every g.  Rounding splits such a pair by ~1e-15, or by
+# ~sqrt(eps) if defective; at gamma = -1, -1/2, 0 and 1 the dim-4 reference
+# and the L5-L7 models keep some node's closest pair over 1e-2 apart.
+PERMANENT_GAP = 1e-6
 MOMENT_POINTS = 64
 
 
@@ -209,9 +215,37 @@ def discriminant_poly(model_or_family,
     Samples the squared-gap product at M+1 equispaced points on |g| = radius
     and inverts by FFT.  The reconstruction is validated at held-out
     pseudo-random points inside the circle; failure retries a schedule of
-    larger and smaller radii before giving up.
+    larger and smaller radii before giving up.  A discriminant that vanishes
+    identically raises VanishingDiscriminantError, naming a pair.
     """
     return _discriminant_polys([as_family(model_or_family)], radius)[0]
+
+
+def _nodes(dim: int, r0) -> np.ndarray:
+    """The n(n-1) + 1 equispaced interpolation nodes on |g| = r0."""
+    Ns = dim * (dim - 1) + 1
+    return r0 * np.exp(2j * np.pi * np.arange(Ns) / Ns)
+
+
+def _permanent_pair(family, radius):
+    """The 1-based labels of the closest pair at g = radius, in canonical
+    order, if at every node on |g| = radius the closest pair is within
+    ``PERMANENT_GAP * ||H||_F``; else None.  Only the largest gap over the
+    nodes decides, as one node may sit on a root.
+    """
+    nodes = _nodes(family.dim, radius)
+    H = family.matrices(nodes)
+    E = _lapack(np.linalg.eigvals, H, nodes, "eigenvalues")
+    rows = np.arange(len(E))
+    E = E[rows[:, None], _canonical_orders(E, ORDER_IM_TOL)]
+    i, j = closest_pair(E)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(H, axis=(1, 2))
+    # Written so that a NaN gap or an overflowed norm keeps the pair apart.
+    near = np.abs(E[rows, i] - E[rows, j]) <= PERMANENT_GAP * norms
+    if not (near.all() and np.isfinite(norms).all()):
+        return None
+    return int(i[0]) + 1, int(j[0]) + 1
 
 
 def _reconstruct(families, r0) -> list:
@@ -222,9 +256,8 @@ def _reconstruct(families, r0) -> list:
     a DiscriminantPoly per family with its worst hold-out residual (inf for
     a NaN), or None where D or its coefficients overflow.
     """
-    n = families[0].dim
-    Ns = n * (n - 1) + 1
-    nodes = r0 * np.exp(2j * np.pi * np.arange(Ns) / Ns)
+    nodes = _nodes(families[0].dim, r0)
+    Ns = len(nodes)
     samples = _discriminant_rows(_eigvals_at([(f, nodes) for f in families]))
     polys = []
     for family, row in zip(families, samples.reshape(len(families), Ns)):
@@ -283,6 +316,12 @@ def _discriminant_polys(families, radius: float) -> list:
         if polys[k] is not None and polys[k].holdout_residual <= HOLDOUT_TOL:
             continue
         residuals = [p.holdout_residual for p in tried if p is not None]
+        pair = _permanent_pair(family, radius) if residuals else None
+        if pair is not None:
+            raise VanishingDiscriminantError(
+                f"discriminant vanishes identically: a pair of states is degenerate "
+                f"at every node of |g| = {radius!r} (states {pair[0]} and {pair[1]} "
+                f"at g = {radius!r})", pair)
         if not residuals:
             raise InterpolationError(
                 f"discriminant reconstruction at radius {radius!r}: D(g) or its "
@@ -604,9 +643,8 @@ def contour_moments(model_or_family, center: complex, radius: float):
     family = as_family(model_or_family)
     w = radius * np.exp(2j * np.pi * np.arange(MOMENT_POINTS) / MOMENT_POINTS)
     gs = complex(center) + w
-    E, U, _ = _eig_stack(family.matrices(gs), gs)
-    slopes = (np.einsum("kji,jl,kli->ki", U, family.linear, U)
-              / np.einsum("kji,kji->ki", U, U))
+    E, U, b = _eig_stack(family.matrices(gs), gs)
+    slopes = np.einsum("kji,jl,kli->ki", U, family.linear, U) / b
     i, j = np.triu_indices(family.dim, 1)
     log_derivative = 2 * ((slopes[:, i] - slopes[:, j])
                           / (E[:, i] - E[:, j])).sum(axis=1)

@@ -27,12 +27,24 @@ class InterpolationError(PairdegError):
     """Discriminant-polynomial reconstruction failed its hold-out validation."""
 
 
+class VanishingDiscriminantError(PairdegError):
+    """The discriminant vanishes identically: two states are degenerate at every g."""
+
+    def __init__(self, message, pair):
+        super().__init__(message)
+        self.pair = pair
+
+
 class LoopError(PairdegError):
     """A monodromy loop is invalid (encloses several roots, grazes one, ...)."""
 
 
 class SelfOrthogonalityError(PairdegError):
     """An eigenvector is too close to self-orthogonal for the requested operation."""
+
+
+class CutError(PairdegError, ValueError):
+    """A cut has fewer than two samples, or a pair label outside 1..dim."""
 
 
 class FitRejectedError(PairdegError):

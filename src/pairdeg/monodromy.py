@@ -140,7 +140,7 @@ class LoopTrace:
         for m in range(self.dim):
             names += [f"theta{m + 1}_re", f"theta{m + 1}_im",
                       f"E{m + 1}_re", f"E{m + 1}_im"]
-        columns = [self.phis.tolist()]
+        columns = [self.phis]
         for m in range(self.dim):
             th, E = self.thetas[:, m], self.eigenvalues[:, m]
             columns += [th.real, th.imag, E.real, E.imag]

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitRejectedError, SelfOrthogonalityError
+from .errors import CutError, FitRejectedError, SelfOrthogonalityError
 from .model import ModelSpec, build_operator_matrices
-from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, continue_spectrum, eigendecompose,
-                      semicircle)
+from .spectra import (DEFAULT_TAU_C, LABEL_IM_TOL, _segment, continue_spectrum,
+                      eigendecompose, semicircle)
 
 __all__ = [
     "EigenbasisOperator",
@@ -121,9 +121,17 @@ class PairingCut:
         names += [f"ReO_{m + 1}{m + 1}" for m in range(self.dim)]
         names.append(f"ReO_{i}{i}+ReO_{j}{j}")
         columns = [self.gs.real, self.gs.imag]
-        columns += [self.diagonal[:, m].real.tolist() for m in range(self.dim)]
-        columns.append(self.pair_sum.real.tolist())
+        columns += [self.diagonal[:, m].real for m in range(self.dim)]
+        columns.append(self.pair_sum.real)
         write_csv(path, names, columns, meta=meta)
+
+
+def _pair_labels(pair, dim: int) -> tuple:
+    """``pair`` as a tuple, if it holds two state labels in 1..dim."""
+    if len(pair) != 2 or not all(1 <= k <= dim for k in pair):
+        raise CutError(f"pair {', '.join(map(str, pair))}: "
+                       f"needs two state labels in 1..{dim}")
+    return tuple(pair)
 
 
 def pairing_energy_cut(model: ModelSpec, start=None, stop=None, n: int = None,
@@ -139,17 +147,15 @@ def pairing_energy_cut(model: ModelSpec, start=None, stop=None, n: int = None,
     if points is None:
         if start is None or stop is None or n is None:
             raise ValueError("need either points or (start, stop, n)")
-        points = np.linspace(complex(start), complex(stop), n)
+        points = _segment(start, stop, n)
     points = [complex(p) for p in points]
     ops = build_operator_matrices(model)
-    dim = len(ops.T)
-    if len(pair) != 2 or not all(1 <= k <= dim for k in pair):
-        raise ValueError(f"pair {tuple(pair)}: needs two state labels in 1..{dim}")
+    pair = _pair_labels(pair, len(ops.T))
     res = continue_spectrum(ops.family(model.gamma), points, want_vectors=True,
                             tau_c=tau_c)
     O = _eigenbasis_operators(ops.P, res.spectra)[1]
     return PairingCut(gs=np.array(points), diagonal=O.diagonal(axis1=1, axis2=2).copy(),
-                      energies=res.eigenvalues, pair=tuple(pair),
+                      energies=res.eigenvalues, pair=pair,
                       ambiguities=res.ambiguities)
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EigensolverError, MatchingAmbiguityError, PairdegError
+from .errors import CutError, EigensolverError, MatchingAmbiguityError, PairdegError
 from .model import as_family
 
 __all__ = [
@@ -843,11 +843,16 @@ class CutTable:
         write_csv(path, names, columns, meta=meta)
 
 
+def _segment(start, stop, n: int) -> np.ndarray:
+    """The ``n`` evenly spaced samples of a straight cut, at least two."""
+    if n < 2:
+        raise CutError("samples must be at least 2")
+    return np.linspace(complex(start), complex(stop), n)
+
+
 def spectrum_along(model_or_family, start, stop, n: int) -> CutTable:
     """Sample a straight segment in the coupling plane with stable labels."""
-    if n < 2:
-        raise ValueError("need at least two samples along a cut")
-    points = np.linspace(complex(start), complex(stop), n)
+    points = _segment(start, stop, n)
     res = continue_spectrum(model_or_family, points, want_vectors=False)
     return CutTable(gs=points, energies=res.eigenvalues,
                     ambiguities=res.ambiguities)

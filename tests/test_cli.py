@@ -226,6 +226,27 @@ pair = {pair}
     assert calls == []
 
 
+@pytest.mark.parametrize("keys, message", [
+    ("samples = 1", "[cut] samples must be at least 2"),
+    ("pair = 2", "[cut] pair 2: needs two state labels in 1..4"),
+    ("pair = 2, 9", "[cut] pair 2, 9: needs two state labels in 1..4"),
+    ("pairing = false\n[precision]\ntau_c = -1",
+     "[precision] tau_c must be positive, got -1"),
+])
+def test_cut_settings_are_checked_before_out_is_made(tmp_path, runner, keys, message):
+    # samples = 1 once exited 2 after creating an empty --out directory, and
+    # with pairing = false a negative tau_c was never read.
+    cfg = write_config(tmp_path, BASE_CONFIG + "[cut]\nstart_re = -0.05\n"
+                       f"start_im = 0.1\nstop_re = 0.05\nstop_im = 0.1\n{keys}\n")
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["cut", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"config error: {message}\n"
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, section, keys, message", [
     ("atlas", "atlas", "heatmap_points = -1", "heatmap_points must be at least 1"),
     ("atlas", "atlas", "heatmap_points = 0", "heatmap_points must be at least 1"),

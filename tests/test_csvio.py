@@ -83,6 +83,13 @@ def test_writer_matches_row_wise_oracle(tmp_path, data, rows, kinds, meta):
         lambda p: _write_csv_oracle(p, names, zip(*columns), meta=meta))
 
 
+def test_numpy_floats_are_plain_numbers(tmp_path):
+    assert format_value(np.float64(0.1)) == "0.1"
+    write_csv(tmp_path / "x.csv", ["a", "b", "c"],
+              [np.array([0.1, -0.0]), [np.float64(1e16), 2.5], [np.float64(np.nan), 3]])
+    assert (tmp_path / "x.csv").read_text() == "a,b,c\n0.1,1e+16,nan\n-0.0,2.5,3\n"
+
+
 def test_writer_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [3.0]])

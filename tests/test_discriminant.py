@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -8,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pairdeg.discriminant as disc
-from pairdeg import (EigensolverError, ModelSpec, char_poly, discriminant_at,
-                     discriminant_grid, discriminant_poly, find_degeneracies,
-                     hamiltonian_at)
+from pairdeg import (EigensolverError, InterpolationError, ModelSpec,
+                     VanishingDiscriminantError, char_poly, discriminant_at,
+                     discriminant_grid, discriminant_poly, eigendecompose,
+                     find_degeneracies, hamiltonian_at)
 from pairdeg.discriminant import (_closest_gap_squared, _eigvals_along,
                                   _gcd_degree, _polish_clusters, _root_clusters,
                                   contour_moments, poly_eval)
@@ -438,6 +440,36 @@ def test_discriminant_poly_values_match_pointwise_oracle(n, seed):
         if poly is not None and r0 == poly.radius:
             break
     _assert_same_bytes(seen, want)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -0.5, 0.0, 1.0])
+def test_identically_vanishing_discriminant_names_its_pair(gamma):
+    # eps 0..3, omegas 2, 2, 2, 2 (2 pairs, dim 6) has a symmetry-protected
+    # crossing at every g.  Its reconstruction fails the hold-out at every
+    # radius, which once raised an InterpolationError (best residual 16.2).
+    model = ModelSpec.from_arrays([0, 1, 2, 3], [2, 2, 2, 2], 2, gamma)
+    with pytest.raises(VanishingDiscriminantError,
+                       match=r"^discriminant vanishes identically: a pair of states is "
+                             r"degenerate at every node of \|g\| = 0\.5 \(states "
+                             r"\d and \d at g = 0\.5\)$") as info:
+        find_degeneracies(model)
+    assert not isinstance(info.value, InterpolationError)
+    i, j = info.value.pair
+    assert f"(states {i} and {j} at g = 0.5)" in str(info.value)
+    H = hamiltonian_at(model, 0.5)
+    E = eigendecompose(H, g=0.5).eigenvalues
+    assert abs(E[i - 1] - E[j - 1]) <= 1e-14 * np.linalg.norm(H)
+
+
+def test_a_root_on_one_node_is_no_permanent_pair():
+    # At L5, gamma = -1/2, one node of |g| = 0.5 sits on a root, where the
+    # closest gap is 2e-16 ||H||_F; the largest gap over the nodes is 8e-2.
+    family = ModelSpec.from_arrays([0, 1, 2], [2, 4, 4], 2, -0.5).family()
+    gaps = [min(abs(a - b) for a, b in itertools.combinations(np.linalg.eigvals(H), 2))
+            / np.linalg.norm(H) for H in family.matrices(disc._nodes(family.dim, 0.5))]
+    assert min(gaps) <= disc.PERMANENT_GAP < max(gaps)
+    assert disc._permanent_pair(family, 0.5) is None
+    assert len(find_degeneracies(family)) > 0
 
 
 @pytest.mark.parametrize("radius", [1e200, 1e30, 1e-200])

@@ -2,9 +2,8 @@
 
 The files in ``tests/golden/`` were written by the CLI from
 ``tests/golden/reference.ini``.  A refactor must reproduce them: numbers to
-1e-12 relative (a CSV cell ``np.float64(x)`` reads as ``x``), every other
-token exactly.  Regenerate them only for a change that is meant to move
-outputs, from the repository root:
+1e-12 relative, every other token exactly.  Regenerate them only for a
+change that is meant to move outputs, from the repository root:
 
     for c in atlas sweep encircle cut; do
         PYTHONPATH=src python -m pairdeg.cli $c \\
@@ -17,7 +16,6 @@ import hashlib
 import json
 import math
 import pathlib
-import re
 
 import pytest
 from click.testing import CliRunner
@@ -34,14 +32,11 @@ OUTPUTS = {
     "cut": ("spectrum_cut.csv", "pairing_cut.csv"),
 }
 
-_NP_FLOAT = re.compile(r"np\.float64\((.*)\)")
-
 
 def _cell_number(token):
     """The float a CSV cell spells, or None if it is not a number."""
-    m = _NP_FLOAT.fullmatch(token)
     try:
-        return float(m.group(1) if m else token)
+        return float(token)
     except ValueError:
         return None
 
@@ -136,6 +131,16 @@ def test_output_matches_golden(outputs, name):
     assert diff_output(name, (outputs / name).read_text()) is None
 
 
+@pytest.mark.parametrize("name", [n for names in OUTPUTS.values() for n in names
+                                  if n.endswith(".csv")])
+def test_csv_cells_are_plain(outputs, name):
+    # numpy 2 once wrote float64 scalars as np.float64(x), which a CSV
+    # reader takes as text.
+    lines = (outputs / name).read_text().splitlines()
+    cells = [c for line in lines if not line.startswith("#") for c in line.split(",")]
+    assert not [c for c in cells if "np." in c]
+
+
 def test_written_defaults_match_omitted_ones(tmp_path):
     # The README's [precision] defaults and merge_radius, written out, give
     # the bytes of the golden config, which omits them, but for its hash.
@@ -167,14 +172,19 @@ def test_comparator_names_first_divergence():
     text = (GOLDEN / "phases.csv").read_text()
     lines = text.splitlines()
     cells = lines[5].split(",")
-    value = float(_NP_FLOAT.fullmatch(cells[3]).group(1))
-    cells[3] = f"np.float64({value * (1 + 1e-10)!r})"
+    value = float(cells[3])
+    cells[3] = repr(value * (1 + 1e-10))
     moved = "\n".join(lines[:5] + [",".join(cells)] + lines[6:]) + "\n"
     assert diff_output("phases.csv", moved).startswith(
         "phases.csv: row 6, field E1_re:")
     cells[3] = repr(value * (1 + 1e-14))
     nudged = "\n".join(lines[:5] + [",".join(cells)] + lines[6:]) + "\n"
     assert diff_output("phases.csv", nudged) is None
+    # numpy's scalar repr of the same number is not a plain number.
+    cells[3] = f"np.float64({value!r})"
+    wrapped = "\n".join(lines[:5] + [",".join(cells)] + lines[6:]) + "\n"
+    assert diff_output("phases.csv", wrapped).startswith(
+        "phases.csv: row 6, field E1_re:")
 
     doc = json.loads((GOLDEN / "events.json").read_text())
     doc["points"][1][0]["kind"] = "DP"

@@ -4,10 +4,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pairdeg.observables
-from pairdeg import (FitRejectedError, MatrixFamily, SelfOrthogonalityError,
-                     build_operator_matrices, c_normalize, coefficient_extract,
-                     continue_spectrum, eigendecompose, fit_power_law, ladder_spectra,
-                     operator_in_eigenbasis, pairing_energy_cut)
+from pairdeg import (CutError, FitRejectedError, MatrixFamily, PairdegError,
+                     SelfOrthogonalityError, build_operator_matrices, c_normalize,
+                     coefficient_extract, continue_spectrum, eigendecompose,
+                     fit_power_law, ladder_spectra, operator_in_eigenbasis,
+                     pairing_energy_cut, spectrum_along)
 from pairdeg.observables import RAW_NORM_GUARD, _eigenbasis_operators
 
 
@@ -117,6 +118,13 @@ def test_pairing_cut_rejects_labels_out_of_range(model, pseudo_dp, monkeypatch, 
     monkeypatch.setattr(pairdeg.observables, "continue_spectrum", never)
     with pytest.raises(ValueError, match=r"needs two state labels in 1\.\.4"):
         pairing_energy_cut(model, pseudo_dp - 0.05, pseudo_dp - 0.01, 9, pair=pair)
+
+
+@pytest.mark.parametrize("cut", [spectrum_along, pairing_energy_cut])
+def test_cut_with_one_sample_raises_cut_error(model, pseudo_dp, cut):
+    with pytest.raises(CutError, match="^samples must be at least 2$") as info:
+        cut(model, pseudo_dp - 0.05, pseudo_dp - 0.01, 1)
+    assert isinstance(info.value, PairdegError) and isinstance(info.value, ValueError)
 
 
 @pytest.fixture

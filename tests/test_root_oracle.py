@@ -425,7 +425,8 @@ def test_lockstep_sweep_with_a_non_finite_sample_raises_as_oracle(model, bad):
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_lockstep_raises_the_first_failing_samples_error(order):
     # D of eps 0..3, omegas 2, 2, 2, 2 (2 pairs) vanishes identically, so its
-    # reconstruction fails the hold-out at every radius; the NaN sample fails
+    # reconstruction fails the hold-out at every radius and names the
+    # permanently degenerate pair; the NaN sample fails
     # at its first solve.  Solved together, the NaN sample raises first, but
     # a loop over the samples meets the one that comes first.
     family = ModelSpec.from_arrays([0, 1, 2, 3], [2, 2, 2, 2], 2, -0.5).family()
@@ -433,7 +434,7 @@ def test_lockstep_raises_the_first_failing_samples_error(order):
     linear[0, 1] = linear[1, 0] = np.nan
     families = [[family, MatrixFamily(family.base, linear)][k] for k in order]
     want = _per_sample_oracle(_classify_all_oracle, families)
-    assert want[0] == ("InterpolationError", "EigensolverError")[order[0]]
+    assert want[0] == ("VanishingDiscriminantError", "EigensolverError")[order[0]]
     _assert_lockstep_matches_per_sample_oracle(families)
 
 
