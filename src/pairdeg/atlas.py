@@ -426,10 +426,11 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
         others = sorted(abs(r.g0 - center) for r in root_sets[k])
         others = others[1 if dists[k] == 0.0 else 2:]
         circle = CIRCLE_FRACTION * min(others, default=radius)
-        event = _merge_event(
-            ops.family, float(gammas[max(k - 1, 0)]), float(gammas[k]),
-            float(gammas[min(k + 1, len(gammas) - 1)]), center, circle,
-            merge_radius)
+        # The neighbours in ascending order, whichever way the sweep runs.
+        g_lo, g_hi = sorted((float(gammas[max(k - 1, 0)]),
+                             float(gammas[min(k + 1, len(gammas) - 1)])))
+        event = _merge_event(ops.family, g_lo, float(gammas[k]), g_hi, center, circle,
+                             merge_radius)
         if event is not None:
             events.append(event)
     return GammaTrajectory(gammas=gammas, points=points, events=events,

@@ -215,6 +215,9 @@ def atlas(config_path, out_dir):
         if not all(math.isfinite(x) for x in spans):
             raise ConfigError(f"[atlas] window {', '.join(map(str, window))} "
                               "has a non-finite span or sample grid")
+        if window[0] > window[1] or window[2] > window[3]:
+            raise ConfigError(f"[atlas] window {', '.join(map(str, window))} is reversed: "
+                              "needs re_min <= re_max and im_min <= im_max")
         n = cfg.int("atlas", "heatmap_points")
         if n < 1:
             raise ConfigError("[atlas] heatmap_points must be at least 1")

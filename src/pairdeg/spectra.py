@@ -19,9 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-import queue
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -63,17 +60,6 @@ EPS = np.finfo(float).eps
 # too, several times the matrices, so its stacks take a quarter of that.
 # Larger stacks raised the peak size of the process and were no faster.
 STACK_BYTES = 1 << 18
-# CPUs this process may run on, read once.  A stack of at least SPLIT_WORK
-# (matrices x n^3) is solved in one part per CPU at once; under
-# ``taskset -c 0`` every stack is one part.  On 2 CPUs, halves of an ``eig``
-# stack beat one call from about 24 matrices at dim 4 and 8 at dim 6; halves
-# of an ``eigvals`` stack run at once only from about 250 matrices at dim 4,
-# since numpy keeps the GIL through small ``eigvals`` loops (the caller then
-# mostly takes both halves itself).  Thresholds of 1,024 to 4,096 timed
-# alike end to end; 8,192 lost the 64-matrix stacks.
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-    os.cpu_count() or 1)
-SPLIT_WORK = 2048
 
 
 def bilinear(u: np.ndarray, v: np.ndarray) -> complex:
@@ -183,94 +169,23 @@ def eigendecompose(H: np.ndarray, g: complex = None,
     return Spectrum(complex(g) if g is not None else 0j, E[0], V[0], b[0])
 
 
-def _take_parts(solve, parts: list, pending, done) -> None:
-    """Solve parts of a split stack, taking their indices from ``pending``
-    until none is left, and put ``(index, result, exception)`` in ``done``."""
-    while True:
-        try:
-            i = pending.get_nowait()
-        except queue.Empty:
-            return
-        try:
-            done.put((i, solve(parts[i]), None))
-        except BaseException as exc:  # raised by the caller once every part is back
-            done.put((i, None, exc))
-
-
-def _work(tasks) -> None:
-    while True:
-        _take_parts(*tasks.get())
-
-
-# The worker threads of split solves and the queue that feeds them, started
-# at the first split.  A forked child has none of its parent's threads.
-_tasks = queue.SimpleQueue()
-_workers = []
-
-
-def _forget_workers() -> None:
-    global _tasks
-    _tasks = queue.SimpleQueue()
-    _workers.clear()
-
-
-os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _solve_in_parts(solve, H: np.ndarray):
-    """``solve(H)``, with a big (k, n, n) stack cut into one part per CPU.
-
-    The parts are contiguous, and each is solved once, by the calling
-    thread or by a worker thread, whichever takes it first: so the caller
-    waits only for parts that a worker has begun, never for a worker that
-    is slow to wake.  The results are joined in order.  numpy releases the
-    GIL while LAPACK solves the matrices of a stack one by one, so the parts
-    run at once and every row is bit for bit the one a single call gives.
-    An exception of any part is raised here once every part has finished,
-    the first part's first.
-    """
-    k, n = H.shape[:2]
-    count = min(CPUS, k) if k * n ** 3 >= SPLIT_WORK else 1
-    if count == 1:
-        return solve(H)
-    tasks = _tasks
-    while len(_workers) < count - 1:
-        _workers.append(threading.Thread(target=_work, args=(tasks,), daemon=True))
-        _workers[-1].start()
-    parts = [H[k * i // count:k * (i + 1) // count] for i in range(count)]
-    pending, done = queue.SimpleQueue(), queue.SimpleQueue()
-    for i in range(count):
-        pending.put(i)
-    for _ in range(count - 1):
-        tasks.put((solve, parts, pending, done))
-    _take_parts(solve, parts, pending, done)
-    solved = sorted((done.get() for _ in range(count)), key=lambda got: got[0])
-    for _, _, exc in solved:
-        if exc is not None:
-            raise exc
-    results = [out for _, out, _ in solved]
-    if isinstance(results[0], tuple):
-        return tuple(np.concatenate(column) for column in zip(*results))
-    return np.concatenate(results)
-
-
 def _lapack(solve, H: np.ndarray, gs, returned: str):
     """``solve(H)`` on a (k, n, n) stack, under the one policy for LAPACK failures.
 
     ``solve`` is ``np.linalg.eig`` or ``eigvals``, looked up by the caller at
-    call time so that a wrapper installed on numpy is seen; a big stack is
-    solved in parts on every CPU (``_solve_in_parts``).  EigensolverError
-    is raised for a non-finite matrix and for non-finite results (an
-    overflow inside the solver; the message calls them ``returned``), naming
-    the first such coupling of ``gs``, and for a solver that does not
-    converge, naming g when the stack holds one matrix.
+    call time so that a wrapper installed on numpy is seen, and called once
+    per stack, on the calling thread.  EigensolverError is raised for a
+    non-finite matrix and for non-finite results (an overflow inside the
+    solver; the message calls them ``returned``), naming the first such
+    coupling of ``gs``, and for a solver that does not converge, naming g
+    when the stack holds one matrix.
     """
     finite = np.isfinite(H).all(axis=(1, 2))
     if not finite.all():
         raise EigensolverError("matrix has non-finite entries",
                                g=gs[int(np.argmin(finite))])
     try:
-        out = _solve_in_parts(solve, H)
+        out = solve(H)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}",
                                g=gs[0] if len(H) == 1 else None) from exc

@@ -259,6 +259,15 @@ def test_order_three_contact_independent_of_sampling(model, default_sweep):
     assert a.distance <= 1e-4 and b.distance <= 1e-4
 
 
+def test_descending_sweep_reports_the_same_events(model, default_sweep):
+    # The same range run from -0.4 down to -0.6 brackets each fusion between
+    # the same two neighbours, so both events come out bit for bit, in
+    # descending gamma.
+    down = sweep_gamma(model, -0.4, -0.6, steps=21, classify_points=True)
+    assert len(default_sweep.events) == 2
+    assert repr(down.events[::-1]) == repr(default_sweep.events)
+
+
 @pytest.mark.parametrize("start, stop", [(-0.6, -0.59), (-0.49, -0.48)])
 def test_near_miss_brackets_give_no_event(model, start, stop):
     # Edge brackets of the reference sweeps where the closest pair comes

@@ -273,26 +273,31 @@ def test_cut_settings_are_checked_before_out_is_made(tmp_path, runner, keys, mes
     ("encircle", "encircle", "center_re = 0\ncenter_im = 0.1\nradius = -0.01",
      "loop radius must be positive, got -0.01"),
     ("sweep", "sweep", "samples = 1", "gamma sweep needs at least 2 samples"),
+    ("atlas", "atlas", "window = 0.3, -0.3, -0.3, 0.3",
+     "window 0.3, -0.3, -0.3, 0.3 is reversed: needs re_min <= re_max and im_min <= im_max"),
 ], ids=["heatmap-negative", "heatmap-zero", "heatmap-huge", "cut-samples-huge",
         "encircle-steps-huge", "sweep-samples-huge", "atlas-loop-steps-small",
         "sweep-loop-steps-small", "atlas-tau-c-negative", "atlas-cluster-factor-negative",
         "atlas-interp-radius-zero", "atlas-loop-radius-negative", "sweep-tau-c-zero",
         "sweep-merge-radius-negative", "encircle-steps-small", "encircle-loops-zero",
-        "encircle-radius-zero", "encircle-radius-negative", "sweep-samples-one"])
+        "encircle-radius-zero", "encircle-radius-negative", "sweep-samples-one",
+        "atlas-window-reversed"])
 def test_count_out_of_range_is_a_config_error(tmp_path, runner, command, section, keys,
                                               message):
     # A negative or huge count once ended in a numpy traceback, a zero
     # heatmap wrote a header-only CSV, and a small loop_steps ran 64 steps.
     # A non-positive tolerance or radius once ran to a wrong answer (tau_c =
     # -1: every EP UNRESOLVED; merge_radius = -1: no event), and a loop or
-    # sample count the library rejects exited 1.
+    # sample count the library rejects exited 1.  A reversed atlas window
+    # once wrote "0 degeneracies".
     cfg = write_config(tmp_path, BASE_CONFIG + f"\n[{section}]\n{keys}\n")
-    result = runner.invoke(main, [command, "--config", cfg, "--out",
-                                  str(tmp_path / "o")])
+    out = tmp_path / "o"
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == f"config error: [{section}] {message}\n"
     assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, config, message", [

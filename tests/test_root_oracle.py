@@ -460,8 +460,7 @@ def test_sweep_solves_each_stage_in_one_stack(model, monkeypatch):
         return wrapper
 
     # The merge events' contour moments solve stacks too: count only the
-    # root solves.  A stack is counted where it is handed to LAPACK, not per
-    # ``np.linalg`` call, since a big stack is solved in one part per CPU.
+    # root solves.  A stack is counted where it is handed to LAPACK.
     lapack = disc._lapack
 
     def counted_stacks(solve, H, gs, returned):

@@ -1,11 +1,6 @@
 import itertools
 import math
-import os
-import signal
-import sys
 import threading
-import time
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +10,7 @@ from hypothesis import strategies as st
 import pairdeg.atlas
 import pairdeg.spectra
 from pairdeg import (EigensolverError, LoopSpec, MatrixFamily, ModelSpec, branch_slopes,
-                     c_normalize, canonical_order, continue_spectrum,
+                     c_normalize, canonical_order, classify_all, continue_spectrum,
                      discriminant_grid, eigendecompose, find_degeneracies,
                      hamiltonian_at, match_states, spectrum_along, sweep_gamma,
                      trace_loop)
@@ -602,7 +597,7 @@ def test_spectrum_along_overflow_names_first_bad_point(model, stop, n):
     assert info.value.g == first
 
 
-def test_overflowed_eigenpairs_are_rejected(model):
+def test_overflowed_eigenpairs_are_rejected(model, monkeypatch):
     # H(1e307) is finite, but the largest eigenvalue, about 2.7e308, is not;
     # the Frobenius scale is inf too, so only the finite check catches it.
     H = model.family().matrix(1e307)
@@ -614,6 +609,18 @@ def test_overflowed_eigenpairs_are_rejected(model):
     with pytest.raises(EigensolverError, match="non-finite") as info:
         _eig_stack(stack, [0.1, 1e307])
     assert info.value.g == 1e307
+    # A solver that does not converge names g on one matrix; a stack of
+    # several raises with g None, since LAPACK does not say which failed.
+    def no_convergence(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    with pytest.raises(EigensolverError, match="did not converge") as info:
+        eigendecompose(stack[0], g=0.1)
+    assert info.value.g == 0.1
+    with pytest.raises(EigensolverError, match="did not converge") as info:
+        _eig_stack(stack, [0.1, 1e307])
+    assert info.value.g is None
 
 
 @pytest.mark.parametrize("g, with_base", [(1e160, True), (1e-170, False)])
@@ -871,188 +878,19 @@ def test_stack_only_failure_leaves_the_heatmap_unchanged(model, monkeypatch):
         _assert_same_bytes(a, b)
 
 
-def _split_threshold(n):
-    """Fewest matrices of dim n that ``_lapack`` solves in parts."""
-    return -(-pairdeg.spectra.SPLIT_WORK // n ** 3)
-
-
-def _parts_of(solve, sizes):
-    """``solve``, recording the size of every stack it is handed."""
-    def recorded(H):
-        sizes.append(len(H))
-        return solve(H)
-    return recorded
-
-
-def _finishes(fn, seconds=60):
-    """``fn()``, run on a thread that must finish within ``seconds``."""
-    out = {}
-
-    def run():
-        try:
-            out["value"] = fn()
-        except Exception as exc:  # raised again on the test's thread
-            out["error"] = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive()
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
-
-
-@pytest.mark.parametrize("name", ["eig", "eigvals"])
-@pytest.mark.parametrize("n", range(2, 8))
-def test_split_stacks_are_byte_identical(name, n, monkeypatch):
-    # Rows solved in 1, 2 or 3 parts are the rows of one call, byte for byte.
-    rng = np.random.default_rng(n)
-    threshold = _split_threshold(n)
-    for k in (1, threshold - 1, threshold, 1000):
-        H = np.array([random_complex_symmetric(rng, n) for _ in range(k)])
-        gs = list(range(k))
-        runs = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(pairdeg.spectra, "CPUS", cpus)
-            sizes = []
-            out = pairdeg.spectra._lapack(_parts_of(getattr(np.linalg, name), sizes),
-                                          H, gs, "values")
-            runs.append(out if isinstance(out, tuple) else (out,))
-            assert len(sizes) == (min(cpus, k) if k >= threshold else 1)
-            assert sum(sizes) == k
-        for run in runs[1:]:
-            for got, want in zip(run, runs[0]):
-                _assert_same_bytes(got, want)
-
-
-def test_split_stack_errors_match_the_unsplit_ones(model, monkeypatch):
-    # A non-finite matrix, or an overflow inside the solver, in a later part
-    # raises what the whole stack raises unsplit, naming the same g.
-    family = model.family()
-    k = 3 * _split_threshold(4)
-    gs = [0.1 + 0.01j * t for t in range(k)]
-    for g_bad, want in ((np.inf, "non-finite entries"), (1e307, "non-finite eigenpairs")):
-        gs_bad = gs[:-2] + [g_bad] + gs[-1:]
-        errors = []
-        for cpus in (1, 3):
-            monkeypatch.setattr(pairdeg.spectra, "CPUS", cpus)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0 in H
-                H = family.matrices(gs_bad)
-            with pytest.raises(EigensolverError, match=want) as info:
-                _eig_stack(H, gs_bad)
-            errors.append((str(info.value), info.value.g))
-        assert errors[0] == errors[1]
-        assert errors[0][1] == g_bad
-
-
-def test_worker_failure_is_raised_and_workers_stay_usable(monkeypatch):
-    # A LinAlgError in a part solved on a worker thread raises the same
-    # EigensolverError as an unsplit stack, and the next split call still
-    # has a worker solve a part.
-    monkeypatch.setattr(pairdeg.spectra, "CPUS", 2)
-    rng = np.random.default_rng(5)
-    k = 2 * _split_threshold(4)
-    H = np.array([random_complex_symmetric(rng) for _ in range(k)])
-    eigvals = np.linalg.eigvals
-
-    def on_a_worker(fails):
-        """A solve whose caller holds its first part until a worker has
-        taken the other one, which raises if ``fails``."""
-        caller, started, workers = threading.current_thread(), threading.Event(), []
-
-        def solve(A):
-            if threading.current_thread() is caller:
-                assert started.wait(30)
-                return eigvals(A)
-            workers.append(threading.current_thread())
-            started.set()
-            if fails:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigvals(A)
-
-        out = pairdeg.spectra._lapack(solve, H, list(range(k)), "eigenvalues")
-        return out, workers
-
-    with pytest.raises(EigensolverError, match="did not converge") as info:
-        _finishes(lambda: on_a_worker(fails=True))
-    assert info.value.g is None
-    out, workers = _finishes(lambda: on_a_worker(fails=False))
-    assert len(workers) == 1
-    _assert_same_bytes(out, eigvals(H))
-
-
-def test_concurrent_split_solves_keep_their_rows(monkeypatch):
-    # Three callers split stacks on four workers at once, with thread
-    # switches forced often: every call gets its own rows, in order.
-    monkeypatch.setattr(pairdeg.spectra, "CPUS", 5)
-    rng = np.random.default_rng(8)
-    stacks = [np.array([random_complex_symmetric(rng) for _ in range(64)]) for _ in range(3)]
-    wants = [np.linalg.eig(H) for H in stacks]
-    mismatches, calls = [], []
-
-    def caller(j):
-        for _ in range(20):
-            w, v = pairdeg.spectra._lapack(np.linalg.eig, stacks[j], list(range(64)),
-                                           "eigenpairs")
-            if w.tobytes() != wants[j][0].tobytes() or v.tobytes() != wants[j][1].tobytes():
-                mismatches.append(j)
-            calls.append(j)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=caller, args=(j,), daemon=True) for j in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert mismatches == [] and len(calls) == 60
-
-
-def test_one_cpu_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(pairdeg.spectra, "CPUS", 1)
+def test_one_cpu_starts_no_thread(model):
+    # A 4,000-matrix stack is one solve call, on the calling thread, and a
+    # reference classification starts no thread of its own.
     rng = np.random.default_rng(6)
-    H = np.array([random_complex_symmetric(rng) for _ in range(1000)])
+    H = np.array([random_complex_symmetric(rng) for _ in range(4000)])
     threads = threading.active_count()
-    solvers = set()
+    calls = []
 
     def solve(A):
-        solvers.add(threading.current_thread())
-        return np.linalg.eig(A)
+        calls.append((threading.current_thread(), len(A)))
+        return np.linalg.eigvals(A)
 
-    pairdeg.spectra._lapack(solve, H, list(range(1000)), "eigenpairs")
+    pairdeg.spectra._lapack(solve, H, list(range(4000)), "eigenvalues")
+    assert calls == [(threading.current_thread(), 4000)]
+    classify_all(model)
     assert threading.active_count() == threads
-    assert solvers == {threading.current_thread()}
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_splits_on_its_own_workers(monkeypatch):
-    # The parent's workers do not exist in a forked child, which starts its own.
-    monkeypatch.setattr(pairdeg.spectra, "CPUS", 2)
-    rng = np.random.default_rng(7)
-    H = np.array([random_complex_symmetric(rng) for _ in range(100)])
-    want = pairdeg.spectra._lapack(np.linalg.eigvals, H, list(range(100)), "eigenvalues")
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            got = pairdeg.spectra._lapack(np.linalg.eigvals, H, list(range(100)),
-                                          "eigenvalues")
-            status = 0 if got.tobytes() == want.tobytes() else 2
-        finally:
-            os._exit(status)
-    for _ in range(600):
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        time.sleep(0.1)
-    else:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("forked child did not finish its split solve")
-    assert os.waitstatus_to_exitcode(status) == 0

@@ -12,10 +12,10 @@
 # whose discriminant retries its radius), writing into its .perfbench_out/.
 # Then compares the two .perfbench_out/ trees with diff -r, leaving out the
 # timing spans (spans.json).  Last, this checkout runs reference and midsize
-# at seed 0 once more under `taskset -c 0`, so that every stacked
-# eigensolve is one part on one CPU, into a tree of its own, which must
-# equal the all-CPU tree the same way (skipped with a note where taskset is
-# missing).  Exits non-zero on any difference, and otherwise ends with the
+# at seed 0 once more under `taskset -c 0`, into a tree of its own, which
+# must equal the all-CPU tree the same way: no output may depend on the
+# number of CPUs, through OpenBLAS's own threads included (skipped with a
+# note where taskset is missing).  Exits non-zero on any difference, and otherwise ends with the
 # line delta of src/ against BASE.  Both .perfbench_out/ trees are
 # rewritten; the copy of BASE and the one-CPU tree are removed on exit, and
 # are made under $TMPDIR (default /tmp).
