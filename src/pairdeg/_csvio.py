@@ -22,9 +22,13 @@ def _chunk(column, lo: int, hi: int):
     ``format_value`` writes them."""
     part = column[lo:hi]
     if isinstance(part, np.ndarray):
+        if part.dtype == np.float64:
+            return "%r", part.tolist()  # Python floats already
         part = part.tolist()
     if all(isinstance(x, float) for x in part):
         return "%r", list(map(float, part))
+    if all(type(x) is str for x in part):
+        return "%s", part
     return "%s", [format_value(x) for x in part]
 
 

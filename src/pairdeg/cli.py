@@ -169,8 +169,7 @@ def _write_json(path, meta, payload):
     doc = {"meta": meta}
     doc.update(payload)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _run(body):
@@ -238,7 +237,7 @@ def atlas(config_path, out_dir):
         im_tokens = [format_value(y) for y in ims.tolist()]
         write_csv(os.path.join(out_dir, "heatmap.csv"), ["g_re", "g_im", "abs_D"],
                   [re_tokens * len(ims), [t for t in im_tokens for _ in re_tokens],
-                   grid.ravel().tolist()], meta=cfg.meta_lines())
+                   grid.ravel()], meta=cfg.meta_lines())
         click.echo(f"{len(points)} degeneracies -> degeneracies.json, heatmap.csv")
 
     _run(body)

@@ -70,9 +70,19 @@ def char_poly(H: np.ndarray) -> np.ndarray:
 
 
 def poly_eval(coeffs: np.ndarray, x: complex) -> complex:
-    """Horner evaluation; ``coeffs`` ascending."""
-    v = 0.0 + 0.0j
-    for a in coeffs[::-1]:
+    """Horner evaluation; ``coeffs`` ascending.  Returns a numpy complex."""
+    return np.complex128(_horner(np.asarray(coeffs).tolist(), complex(x)))
+
+
+def _horner(coeffs: list, x: complex) -> complex:
+    """Horner on Python numbers, ``coeffs`` ascending.
+
+    Python's complex ``v * x + a`` rounds as numpy's complex scalars do, at
+    a fraction of their cost; their division does not (see
+    ``_newton_polish``).
+    """
+    v = 0j
+    for a in reversed(coeffs):
         v = v * x + a
     return v
 
@@ -365,16 +375,20 @@ class DegeneracyRoot:
 
 
 def _newton_polish(coeffs, roots):
-    dcoeffs = poly_derivative(coeffs)
+    c = np.asarray(coeffs).tolist()
+    dc = poly_derivative(coeffs).tolist()
     roots = np.array(roots, dtype=complex)
     converged = np.zeros(len(roots), dtype=bool)
     for k in range(len(roots)):
         r = roots[k]
         for _ in range(60):
-            d = poly_eval(dcoeffs, r)
+            x = complex(r)
+            d = _horner(dc, x)
             if d == 0:
                 break
-            step = poly_eval(coeffs, r) / d
+            # Divided as numpy scalars: Python's complex division rounds
+            # differently.
+            step = np.complex128(_horner(c, x)) / d
             r = r - step
             if abs(step) <= 8 * EPS * max(1.0, abs(r)):
                 converged[k] = True

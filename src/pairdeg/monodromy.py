@@ -218,10 +218,11 @@ def _turns(family, loop: LoopSpec, tau_c):
 
 
 def _loop_path(loop: LoopSpec):
-    """The sample angles of ``loop`` and the couplings ``loop.point`` gives there."""
+    """The sample angles of ``loop`` and, as one array, the couplings that
+    ``loop.point`` gives there, bit for bit."""
     phis = loop.orientation * np.linspace(0.0, 2 * np.pi * loop.loops,
                                           loop.steps * loop.loops + 1)
-    return phis, [loop.point(t) for t in phis]
+    return phis, loop.center + loop.radius * np.exp(1j * phis)
 
 
 def _checked_family(model_or_family, loop, degeneracies):

@@ -273,12 +273,44 @@ def _in_stacks(run, items, dim: int, matrices=1, vectors: bool = False):
 def _solve_path(family, gs):
     """Eigensystems at the couplings ``gs``, in order, in stacks (``_in_stacks``).
 
-    Yields ``(couplings, E, V, b)`` for each run of couplings solved as one
+    Yields ``(couplings, E, V, b)`` for each run of path points taken as one
     stack, with the arrays of ``_eig_stack``; a coupling that fails a check
     raises its own EigensolverError once every row before it is yielded.
+
+    Each distinct coupling is solved once, at its first occurrence: loops
+    and round trips come back to couplings bit for bit, and the same matrix
+    gives the same eigensystem.  Couplings are keyed by their bits, so -0.0
+    and 0.0 stay apart.  A row is kept, as a copy, until the last point
+    that reuses it, and a block of repeats only makes no LAPACK call.
     """
-    return _in_stacks(lambda block: (block, *_eig_stack(family.matrices(block), block)),
-                      gs, family.dim, vectors=True)
+    words = np.asarray(gs, dtype=complex).view(np.int64).tolist()
+    keys = list(zip(words[::2], words[1::2]))
+    last = {key: i for i, key in enumerate(keys)}
+    kept = {}  # key -> (e, v, b) of a solved coupling that a later point reuses
+
+    def run(block):
+        first = {}  # key -> the point of the block where it is solved
+        for i in block:
+            if keys[i] not in kept:
+                first.setdefault(keys[i], i)
+        couplings = [gs[i] for i in first.values()]
+        E, V, b = (_eig_stack(family.matrices(couplings), couplings) if couplings
+                   else ((), (), ()))
+        if len(couplings) < len(block):  # repeats: gather the rows in path order
+            solved = dict(zip(first, zip(E, V, b)))
+            rows = [solved[keys[i]] if keys[i] in solved else kept[keys[i]]
+                    for i in block]
+            E, V, b = (np.array(part) for part in zip(*rows))
+        for i in block:
+            if last[keys[i]] == i:
+                kept.pop(keys[i], None)
+        for key, i in first.items():
+            if last[key] > block[-1]:
+                r = i - block[0]
+                kept[key] = E[r].copy(), V[r].copy(), b[r].copy()
+        return [gs[i] for i in block], E, V, b
+
+    return _in_stacks(run, range(len(gs)), family.dim, vectors=True)
 
 
 def _orthogonalize_clusters(e: np.ndarray, V: np.ndarray, tau_c: float) -> None:

@@ -90,6 +90,28 @@ def test_numpy_floats_are_plain_numbers(tmp_path):
     assert (tmp_path / "x.csv").read_text() == "a,b,c\n0.1,1e+16,nan\n-0.0,2.5,3\n"
 
 
+@pytest.mark.parametrize("kind", ["float64 array", "float64 real view", "float list",
+                                  "str list", "str array"])
+def test_fast_columns_match_cell_by_cell_formatting(tmp_path, kind):
+    # Each column that skips format_value writes what format_value writes
+    # cell by cell, across a chunk boundary.
+    rng = np.random.default_rng(4)
+    rows = CHUNK_ROWS + 17
+    values = rng.normal(size=rows) * 10.0 ** rng.integers(-320, 300, size=rows)
+    values[:len(SPECIAL)] = SPECIAL
+    column = {
+        "float64 array": lambda: values,
+        "float64 real view": lambda: values.astype(complex).real,
+        "float list": lambda: values.tolist(),
+        "str list": lambda: [format_value(x) for x in values.tolist()],
+        "str array": lambda: np.array([f"x{x!r}%s" for x in values.tolist()]),
+    }[kind]()
+    _assert_same_file(
+        tmp_path,
+        lambda p: write_csv(p, ["a", "b"], [column, column]),
+        lambda p: _write_csv_oracle(p, ["a", "b"], zip(column, column)))
+
+
 def test_writer_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [3.0]])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import re
 import warnings
 
@@ -14,8 +15,9 @@ from pairdeg import (EigensolverError, InterpolationError, ModelSpec,
                      discriminant_grid, discriminant_poly, eigendecompose,
                      find_degeneracies, hamiltonian_at)
 from pairdeg.discriminant import (_closest_gap_squared, _eigvals_along,
-                                  _gcd_degree, _polish_clusters, _root_clusters,
-                                  contour_moments, poly_eval)
+                                  _gcd_degree, _newton_polish, _polish_clusters,
+                                  _root_clusters, contour_moments, poly_derivative,
+                                  poly_eval)
 from pairdeg.model import MatrixFamily
 
 
@@ -190,6 +192,66 @@ def test_poly_eval_horner():
     coeffs = np.array([1.0, 2.0, 3.0])  # 1 + 2x + 3x^2
     assert poly_eval(coeffs, 2.0) == pytest.approx(17.0)
     assert poly_eval(coeffs, 1j) == pytest.approx(-2 + 2j)
+
+
+def _poly_eval_numpy(coeffs, x):
+    """Horner on numpy complex scalars throughout."""
+    v, x = np.complex128(0), np.complex128(x)
+    for a in np.asarray(coeffs, dtype=complex)[::-1]:
+        v = v * x + a
+    return v
+
+
+def _newton_polish_numpy(coeffs, roots, divide=operator.truediv):
+    """``_newton_polish`` on numpy complex scalars throughout, each step
+    ``divide(p(r), p'(r))``."""
+    dcoeffs = poly_derivative(coeffs)
+    roots = np.array(roots, dtype=complex)
+    converged = np.zeros(len(roots), dtype=bool)
+    for k in range(len(roots)):
+        r = roots[k]
+        for _ in range(60):
+            d = _poly_eval_numpy(dcoeffs, r)
+            if d == 0:
+                break
+            step = divide(_poly_eval_numpy(coeffs, r), d)
+            r = r - step
+            if abs(step) <= 8 * np.finfo(float).eps * max(1.0, abs(r)):
+                converged[k] = True
+                break
+        roots[k] = r
+    return roots, converged
+
+
+def test_horner_on_python_complex_matches_numpy_scalars():
+    # Python's complex multiply and add round as numpy's complex scalars do,
+    # so the Horner loop gives the same bits.  Their divisions do not: the
+    # Newton step divides as numpy scalars, and Python's division would move
+    # some of the polished roots below.
+    rng = np.random.default_rng(0)
+    moved = 0
+    for _ in range(16):
+        for degree in (12, 20, 42, 110):
+            coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+            for x in 1.3 * np.exp(2j * np.pi * rng.random(8)) * rng.random(8):
+                want = _poly_eval_numpy(coeffs, x)
+                for arg in (x, complex(x)):
+                    got = poly_eval(coeffs, arg)
+                    assert type(got) is np.complex128
+                    assert got.tobytes() == want.tobytes()
+            assert poly_eval(np.abs(coeffs), 1.1).tobytes() == \
+                _poly_eval_numpy(np.abs(coeffs), 1.1).tobytes()
+            roots = np.roots(coeffs[::-1])
+            roots = roots + 1e-3 * (rng.normal(size=degree) + 1j * rng.normal(size=degree))
+            want, want_conv = _newton_polish_numpy(coeffs, roots)
+            for start in (roots, roots.tolist()):
+                got, conv = _newton_polish(coeffs, start)
+                assert got.tobytes() == want.tobytes()
+                np.testing.assert_array_equal(conv, want_conv)
+            python, _ = _newton_polish_numpy(
+                coeffs, roots, lambda p, d: np.complex128(complex(p) / complex(d)))
+            moved += int((python != want).sum())
+    assert moved > 0
 
 
 def _shifted_reference(c):

@@ -8,7 +8,8 @@ permutation-table block matcher that the row-gap certificate replaced.
 Every array must match byte for byte.  The loops that compute less than
 ``trace_loop`` -- the eigenvalue-only verification loop and
 ``restore_count``, which stops at the phase period -- are held to the full
-trace.
+trace, and paths that revisit couplings, which solve each once, to the
+oracles that solve every point.
 """
 
 import dataclasses
@@ -21,14 +22,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pairdeg.spectra
-from pairdeg import (LoopSpec, MatrixFamily, c_normalize, continue_spectrum,
+from pairdeg import (LoopSpec, MatrixFamily, ModelSpec, c_normalize, continue_spectrum,
                      eigendecompose, find_degeneracies, match_states, restore_count,
                      spectrum_along, trace_loop)
-from pairdeg.errors import MatchingAmbiguityError
-from pairdeg.monodromy import _restore_periods, _turn_permutations
-from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, MAX_BISECT, AmbiguityRecord, Spectrum,
-                             _c_normalize_stack, _gauge, _gauge_signs, _match_block,
-                             _permutation_table, bilinear)
+from pairdeg.errors import EigensolverError, MatchingAmbiguityError
+from pairdeg.monodromy import _loop_path, _restore_periods, _turn_permutations
+from pairdeg.spectra import (MATCH_AMBIGUITY_TOL, MAX_BISECT, STACK_BYTES, AmbiguityRecord,
+                             Spectrum, _c_normalize_stack, _gauge, _gauge_signs,
+                             _match_block, _permutation_table, _solve_path, bilinear)
 
 
 def _fix_gauge_oracle(v):
@@ -729,3 +730,156 @@ def test_bisected_cut_step_matches_oracle(model, pseudo_dp, monkeypatch, count, 
     for a, b in zip(got.spectra, want):
         _assert_same_spectrum(a, b)
     assert got.ambiguities == records
+
+
+def _record_eig(monkeypatch):
+    """Record every matrix that reaches ``np.linalg.eig``, as (k, n, n) stacks."""
+    eig = np.linalg.eig
+    stacks = []
+
+    def recorded(H):
+        assert len(H) > 0
+        stacks.append(np.array(H))
+        return eig(H)
+
+    monkeypatch.setattr(np.linalg, "eig", recorded)
+    return stacks
+
+
+def _distinct(gs) -> int:
+    """The number of distinct couplings of ``gs``, by their bits."""
+    words = np.asarray(gs, dtype=complex).view(np.int64).reshape(-1, 2)
+    return len(set(map(tuple, words.tolist())))
+
+
+def _assert_each_solved_once(stacks, family, gs):
+    """The recorded stacks are the start point's own solve, then H(g) for
+    each distinct g of the path ``gs``, once each."""
+    assert len(stacks[0]) == 1
+    keys = [H.tobytes() for stack in stacks[1:] for H in stack]
+    assert len(keys) == len(set(keys)) == _distinct(gs)
+    assert set(keys) == {H.tobytes() for H in family.matrices(gs)}
+
+
+L6_EP = complex(0.06302036302547563, -0.047235926406500366)
+
+
+@pytest.fixture(scope="module")
+def l6():
+    family = ModelSpec.from_arrays([0.0, 1.0, 2.0], [4, 2, 6], 3, -0.5).family()
+    return family, find_degeneracies(family)
+
+
+def test_four_turn_loop_solves_each_distinct_coupling_once(l6, monkeypatch):
+    # Later turns of the loop around L6's exceptional point come back to 383
+    # of its 1,024 path couplings bit for bit, and reuse their solves.
+    family, roots = l6
+    loop = LoopSpec(L6_EP, 0.01, steps=256, loops=4)
+    _, gs = _loop_path(loop)
+    assert _distinct(gs[1:]) == 641
+    stacks = _record_eig(monkeypatch)
+    trace = trace_loop(family, loop, degeneracies=roots)
+    monkeypatch.undo()
+    _assert_each_solved_once(stacks, family, gs[1:])
+    assert _restore_periods(trace.loop_permutations, trace.loop_re_theta) == (2, 4)
+    _assert_loop_matches_oracle(family, loop, roots)
+
+
+def test_round_trip_cuts_solve_each_distinct_coupling_once(model, monkeypatch):
+    # The selftest's round trips: 12 points out and back, 22 path points
+    # after the start and 12 distinct couplings.
+    rng = np.random.default_rng(5)
+    family = model.family()
+    for _ in range(3):
+        a = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.05, 0.4))
+        b = a + complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+        pts = list(np.linspace(a, b, 12))
+        path = pts + pts[::-1][1:]
+        assert _distinct(path[1:]) == 12
+        stacks = _record_eig(monkeypatch)
+        continue_spectrum(family, path, want_vectors=False)
+        monkeypatch.undo()
+        _assert_each_solved_once(stacks, family, path[1:])
+        for want_vectors in (False, True):
+            _assert_cut_matches_oracle(family, path, want_vectors)
+
+
+def test_stacks_of_repeats_make_no_lapack_call(monkeypatch):
+    # Dim 4 takes 256 path points a stack.  A 40-point cut run out and back
+    # 7 times has 585 path points after the start, in stacks of 256, 256 and
+    # 73: every stack after the first only repeats couplings.
+    family = _random_family(np.random.default_rng(8), 4)
+    seg = list(np.linspace(0.1 + 0.2j, 0.15 + 0.1j, 40))
+    path = seg + (seg[::-1][1:] + seg[1:]) * 7
+    assert STACK_BYTES // 4 // (16 * 4 * 4) == 256
+    assert [len(gs) for gs, *_ in _solve_path(family, path[1:])] == [256, 256, 73]
+    stacks = _record_eig(monkeypatch)
+    continue_spectrum(family, path)
+    monkeypatch.undo()
+    assert len(stacks) == 2  # the start, then the first stack
+    _assert_each_solved_once(stacks, family, path[1:])
+    for want_vectors in (False, True):
+        _assert_cut_matches_oracle(family, path, want_vectors)
+
+
+def test_signed_zero_couplings_are_solved_apart(monkeypatch):
+    # 0.0 and -0.0 compare equal, but H(0) and H(-0) differ in a zero's sign.
+    family = MatrixFamily(np.diag([-0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    zero, minus_zero = 0j, complex(-0.0, 0.0)
+    assert family.matrix(zero).tobytes() != family.matrix(minus_zero).tobytes()
+    path = [0.5 + 0j, zero, minus_zero, zero, minus_zero, 0.5 + 0j]
+    stacks = _record_eig(monkeypatch)
+    continue_spectrum(family, path)
+    monkeypatch.undo()
+    _assert_each_solved_once(stacks, family, path[1:])
+    _assert_cut_matches_oracle(family, path)
+
+
+def test_revisited_failing_coupling_raises_at_its_first_occurrence(monkeypatch):
+    # LAPACK fails on any stack holding H(bad).  bad first comes at point
+    # 320, in the second stack of 256, among repeats of the first stack; the
+    # path comes back to it at 470 and, in the third stack, at 570.  The
+    # second stack is replayed point by point, its points before bad are
+    # yielded as each solves alone, and bad raises its own error.
+    family = _random_family(np.random.default_rng(9), 4)
+    good = list(np.linspace(0.1 + 0.1j, 0.3 - 0.1j, 300))
+    bad = good[220]
+    path = good[:200] + good[100:200] + good[200:] + good[150:] + good[200:250]
+    assert [k for k, g in enumerate(path) if g == bad] == [320, 470, 570]
+    bad_matrix = family.matrix(bad)
+    eig = np.linalg.eig
+
+    def failing(H):
+        if (H == bad_matrix).all(axis=(1, 2)).any():
+            raise np.linalg.LinAlgError("forced")
+        return eig(H)
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    rows = []
+    with pytest.raises(EigensolverError, match="did not converge") as err:
+        for _, E, V, _ in _solve_path(family, path):
+            rows.extend(zip(E, V))
+    assert err.value.g == bad
+    assert len(rows) == 320
+    for g, (e, v) in zip(path, rows):
+        want = eigendecompose(family.matrix(g), g=g)
+        _assert_same_bytes(e, want.eigenvalues)
+        _assert_same_bytes(v, want.eigenvectors)
+
+
+def test_restore_count_stops_solving_at_the_phase_period(l6, monkeypatch):
+    # Six turns allowed, the phase period is 4: no stack after the one that
+    # ends turn 4 is solved, although later turns repeat earlier couplings.
+    family, roots = l6
+    loop = LoopSpec(L6_EP, 0.01, steps=256)
+    stacks = _record_eig(monkeypatch)
+    res = restore_count(family, loop, 6, degeneracies=roots)
+    monkeypatch.undo()
+    assert (res.eigenvalue_period, res.phase_period) == (2, 4)
+    assert len(res.trace.loop_permutations) == 4
+    per_stack = STACK_BYTES // 4 // (16 * 6 * 6)
+    solved = -(-4 * loop.steps // per_stack) * per_stack
+    _, gs = _loop_path(dataclasses.replace(loop, loops=6))
+    assert solved < len(gs) - 1
+    assert sum(map(len, stacks)) == 1 + _distinct(gs[1:1 + solved])
+    _assert_restore_is_prefix(family, loop, 6, roots)

@@ -9,7 +9,9 @@
 # this checkout (its working tree, uncommitted changes included).  Each side
 # also runs `pairdeg sweep` on the configs tools/wide_sweep_*.ini of this
 # checkout (gamma in [-2, 1], 61 samples, on the reference model and on L5,
-# whose discriminant retries its radius), writing into its .perfbench_out/.
+# whose discriminant retries its radius) and `pairdeg encircle` on
+# tools/long_loop_*.ini (six turns around the L7 exceptional point, whose
+# later stacks repeat earlier couplings), writing into its .perfbench_out/.
 # Then compares the two .perfbench_out/ trees with diff -r, leaving out the
 # timing spans (spans.json).  Last, this checkout runs reference and midsize
 # at seed 0 once more under `taskset -c 0`, into a tree of its own, which
@@ -43,12 +45,16 @@ for side in base checkout; do
             echo "$side $workload seed $seed: $(tail -n 1 "$work/run.log" | cut -c 1-45)"
         done
     done
-    for config in "$root"/tools/wide_sweep_*.ini; do
+    for config in "$root"/tools/wide_sweep_*.ini "$root"/tools/long_loop_*.ini; do
+        case $(basename "$config") in
+            wide_sweep_*) command=sweep ;;
+            *) command=encircle ;;
+        esac
         out=$dir/.perfbench_out/$(basename "$config" .ini)
-        if ! (cd "$dir" && PYTHONPATH=src python3 -m pairdeg.cli sweep \
+        if ! (cd "$dir" && PYTHONPATH=src python3 -m pairdeg.cli "$command" \
                 --config "$config" --out "$out" > "$work/run.log" 2>&1); then
             cat "$work/run.log"
-            echo "pairdeg sweep failed: $config in $dir" >&2
+            echo "pairdeg $command failed: $config in $dir" >&2
             exit 1
         fi
         echo "$side $(basename "$config"): $(cat "$work/run.log")"
@@ -56,7 +62,7 @@ for side in base checkout; do
 done
 diff -r -x spans.json "$work/base/.perfbench_out" "$root/.perfbench_out"
 echo "same outputs: $base and this checkout, reference and midsize at seeds 0 and 26," \
-    "and the wide sweeps"
+    "the wide sweeps and the long loop"
 if command -v taskset > /dev/null 2>&1; then
     mv "$root/.perfbench_out" "$work/all-cpus"
     for workload in reference midsize; do
