@@ -21,6 +21,7 @@ Kinds:
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -82,7 +83,8 @@ class DegeneracyPoint:
     def as_dict(self) -> dict:
         d = self.root.as_dict()
         d["kind"] = self.kind.value
-        d["coalescence"] = self.coalescence
+        # JSON has no NaN: an unclassified point's coalescence is null.
+        d["coalescence"] = None if math.isnan(self.coalescence) else self.coalescence
         if self.monodromy_permutation is not None:
             d["monodromy_permutation"] = [p + 1 for p in self.monodromy_permutation]
         if self.note:

@@ -62,7 +62,8 @@ class LoopSpec:
         if self.orientation not in (1, -1):
             raise LoopError("orientation must be +1 or -1")
 
-    def point(self, phi: float) -> complex:
+    def point(self, phi):
+        """The coupling at angle ``phi``, or an array of them at an array of angles."""
         return self.center + self.radius * np.exp(1j * phi)
 
 
@@ -218,11 +219,10 @@ def _turns(family, loop: LoopSpec, tau_c):
 
 
 def _loop_path(loop: LoopSpec):
-    """The sample angles of ``loop`` and, as one array, the couplings that
-    ``loop.point`` gives there, bit for bit."""
+    """The sample angles of ``loop`` and, as one array, its couplings there."""
     phis = loop.orientation * np.linspace(0.0, 2 * np.pi * loop.loops,
                                           loop.steps * loop.loops + 1)
-    return phis, loop.center + loop.radius * np.exp(1j * phis)
+    return phis, loop.point(phis)
 
 
 def _checked_family(model_or_family, loop, degeneracies):
@@ -264,15 +264,16 @@ def _turn_permutations(loops) -> list:
     ``continue_spectrum`` do: the vectors are neither c-normalized nor
     gauged and no phase is formed, and the permutation matches the last
     point's eigenvalues to the start's.  The loops, of one dimension, go in
-    groups whose paths fit in one stack (``_in_stacks``, ``_first_turns``).
-    Each row is what ``trace_loop`` solves there, so each permutation is
-    too, and an error is the one the first failing loop raises alone.
+    groups whose paths fit in one stack, sized by the longest loop
+    (``_in_stacks``, ``_first_turns``).  Each row is what ``trace_loop``
+    solves there, so each permutation is too, and an error is the one the
+    first failing loop raises alone.
     """
     if not loops:
         return []
-    return [perm for perms in _in_stacks(
-        _first_turns, loops, as_family(loops[0][0]).dim,
-        lambda job: job[1].steps * job[1].loops, vectors=True) for perm in perms]
+    longest = max(loop.steps * loop.loops for _, loop, _ in loops)
+    return [perm for perms in _in_stacks(_first_turns, loops, as_family(loops[0][0]).dim,
+                                         longest, vectors=True) for perm in perms]
 
 
 def _first_turns(loops) -> list:

@@ -237,30 +237,24 @@ def _eig_stack(H: np.ndarray, gs, im_tol: float = ORDER_IM_TOL):
     return eigenvalues, vectors, np.einsum("kij,kij->kj", vectors, vectors)
 
 
-def _in_stacks(run, items, dim: int, matrices=1, vectors: bool = False):
+def _in_stacks(run, items, dim: int, matrices: int = 1, vectors: bool = False):
     """``run(group)`` for each group of consecutive ``items``, in order.
 
-    A group takes items while their matrices, ``matrices`` of dim x dim per
-    item (a number, or a function of the item), fit in ``STACK_BYTES``, a
-    quarter of that when eigenvectors are solved too; every group holds at
-    least one item.  ``run`` solves a group's items together, each result
-    what the item gives alone, so only which item's error surfaces can
-    depend on the grouping.  A group that raises a PairdegError is run again
-    one item at a time, in order, each result yielded as it comes: the
-    first failing item raises its own error once every item before it has
-    been yielded, and a failure of the stack alone is recovered.
+    Each group is a slice of ``items``: as many as fit their matrices,
+    ``matrices`` of dim x dim per item, in ``STACK_BYTES`` (a quarter of
+    that when eigenvectors are solved too), and at least one; only the last
+    group can hold fewer.  ``run`` solves a group's items
+    together, each result what the item gives alone, so only which item's
+    error surfaces can depend on the grouping.  A group that raises a
+    PairdegError is run again one item at a time, in order, each result
+    yielded as it comes: the first failing item raises its own error once
+    every item before it has been yielded, and a failure of the stack alone
+    is recovered.
     """
     budget = STACK_BYTES // 4 if vectors else STACK_BYTES
-    count = matrices if callable(matrices) else lambda item: matrices
-    groups, size = [], 0
-    for item in items:
-        nbytes = 16 * dim * dim * count(item)
-        if not groups or size + nbytes > budget:
-            groups.append([])
-            size = 0
-        groups[-1].append(item)
-        size += nbytes
-    for group in groups:
+    size = max(1, budget // (16 * dim * dim * matrices))
+    for i in range(0, len(items), size):
+        group = items[i:i + size]
         try:
             out = [run(group)]
         except PairdegError:

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import pairdeg.atlas
+import pairdeg.cli
 import pairdeg.model
 import pairdeg.observables
 import pairdeg.spectra
@@ -31,6 +32,15 @@ def write_config(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def load_json(path):
+    """The document at ``path``, which must hold no NaN, Infinity or -Infinity."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def test_atlas_end_to_end(tmp_path, runner):
     cfg = write_config(tmp_path, BASE_CONFIG + """
 [atlas]
@@ -40,7 +50,7 @@ heatmap_points = 21
     out = tmp_path / "out"
     result = runner.invoke(main, ["atlas", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 0, result.output
-    doc = json.loads((out / "degeneracies.json").read_text())
+    doc = load_json(out / "degeneracies.json")
     assert doc["meta"]["version"]
     points = doc["degeneracies"]
     target = 1 / (4 * np.sqrt(2))
@@ -351,12 +361,45 @@ loops = 2
     out = tmp_path / "out"
     result = runner.invoke(main, ["encircle", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 0, result.output
-    doc = json.loads((out / "encircle_summary.json").read_text())
+    doc = load_json(out / "encircle_summary.json")
     assert doc["eigenvalue_period"] == 1
     assert doc["phase_period"] == 2
     assert doc["permutations"] == ["identity", "identity"]
     lines = (out / "phases.csv").read_text().splitlines()
     assert len(lines) == 3 + 2 * 128 + 1
+
+
+def test_encircle_uses_the_precision_settings(tmp_path, runner, monkeypatch):
+    # The reference scaled by 10 moves every degeneracy from g to 10*g, and
+    # its [precision] interp_radius with it.  At the default radius the
+    # loop around the pseudo-DP would enclose two split roots.
+    calls = []
+    find_degeneracies = pairdeg.cli.find_degeneracies
+
+    def recording(family, **kwargs):
+        calls.append(kwargs)
+        return find_degeneracies(family, **kwargs)
+
+    monkeypatch.setattr(pairdeg.cli, "find_degeneracies", recording)
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("0, 1, 2", "0, 10, 20") + """
+[encircle]
+center_re = 0.0
+center_im = -1.7677669529663687
+radius = 0.1
+steps = 256
+loops = 2
+
+[precision]
+interp_radius = 5.0
+cluster_factor = 2e-4
+""")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["encircle", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert calls == [{"radius": 5.0, "cluster_factor": 2e-4}]
+    doc = load_json(out / "encircle_summary.json")
+    assert (doc["eigenvalue_period"], doc["phase_period"]) == (1, 2)
+    assert doc["restored"] is True
 
 
 def test_sweep_command(tmp_path, runner):
@@ -369,11 +412,27 @@ samples = 5
     out = tmp_path / "out"
     result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 0, result.output
-    doc = json.loads((out / "events.json").read_text())
+    doc = load_json(out / "events.json")
     assert len(doc["events"]) >= 1
     assert abs(doc["events"][0]["gamma"] + 0.5) <= 1e-3
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[2].split(",")[0] == "gamma"
+
+
+def test_unclassified_sweep_writes_null_coalescence(tmp_path, runner):
+    cfg = write_config(tmp_path, BASE_CONFIG + """
+[sweep]
+gamma_start = -0.52
+gamma_stop = -0.48
+samples = 3
+classify = false
+""")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    points = [p for pts in load_json(out / "events.json")["points"] for p in pts]
+    assert points
+    assert all(p["kind"] == "UNRESOLVED" and p["coalescence"] is None for p in points)
 
 
 def test_sweep_command_passes_loop_settings(tmp_path, runner, monkeypatch):
@@ -453,6 +512,6 @@ def test_selftest_subcommand(tmp_path, runner):
     result = runner.invoke(main, ["selftest", "--out", str(tmp_path / "st")])
     assert result.exit_code == 0, result.output
     assert result.output.count("[PASS]") == 10
-    doc = json.loads((tmp_path / "st" / "selftest.json").read_text())
+    doc = load_json(tmp_path / "st" / "selftest.json")
     assert len(doc["results"]) == 10
     assert all(r["passed"] for r in doc["results"])

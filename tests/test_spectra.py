@@ -719,23 +719,19 @@ def _run_recorded(groups, bad=(), bad_in_stack=()):
 
 
 def test_in_stacks_groups_greedily():
-    # Dim 1: 16 bytes a matrix, 16,384 matrices in STACK_BYTES.  The first
-    # group lands on the budget exactly; an item above it goes alone.
-    sizes = {"a": 10000, "b": 6000, "c": 384, "d": 1, "e": 20000, "f": 5}
+    # 300 dim-4 matrices are 76,800 bytes: three items fit in STACK_BYTES.
     groups = []
-    out = list(pairdeg.spectra._in_stacks(_run_recorded(groups), list(sizes), 1,
-                                          sizes.get))
-    assert groups == [["a", "b", "c"], ["d"], ["e"], ["f"]]
-    assert out == [[f"solved {item}" for item in group] for group in groups]
-    # With vectors a quarter of that: 4,096 matrices.
-    groups.clear()
-    list(pairdeg.spectra._in_stacks(_run_recorded(groups), list(sizes), 1,
-                                    sizes.get, vectors=True))
-    assert groups == [["a"], ["b"], ["c", "d"], ["e"], ["f"]]
-    # A number of matrices per item: 300 dim-4 matrices are 76,800 bytes.
-    groups.clear()
-    list(pairdeg.spectra._in_stacks(_run_recorded(groups), range(8), 4, 300))
+    out = list(pairdeg.spectra._in_stacks(_run_recorded(groups), range(8), 4, 300))
     assert groups == [[0, 1, 2], [3, 4, 5], [6, 7]]
+    assert out == [[f"solved {item}" for item in group] for group in groups]
+    # Dim 1: 16 bytes a matrix, so four items of 4,096 land on the budget exactly.
+    groups.clear()
+    list(pairdeg.spectra._in_stacks(_run_recorded(groups), "abcde", 1, 4096))
+    assert groups == [["a", "b", "c", "d"], ["e"]]
+    # With vectors a quarter of that: an item above the budget goes alone.
+    groups.clear()
+    list(pairdeg.spectra._in_stacks(_run_recorded(groups), range(3), 4, 300, vectors=True))
+    assert groups == [[0], [1], [2]]
     assert list(pairdeg.spectra._in_stacks(_run_recorded(groups), [], 4)) == []
 
 
@@ -767,7 +763,7 @@ def test_in_stacks_raises_the_first_failing_items_error():
     assert groups == [["e"]]
 
     def broken(group):
-        groups.append(group)
+        groups.append(list(group))
         raise ValueError("not a solver failure")
 
     groups.clear()
