@@ -108,22 +108,18 @@ def _check_loop_settings(loop_radius, loop_steps) -> None:
     LoopSpec(0j, loop_radius, steps=loop_steps)
 
 
-def _classify_roots(jobs, tau_c, loop_radius, loop_steps) -> list:
+def _classify_roots(jobs, E, V, tau_c, loop_radius, loop_steps) -> list:
     """``classify`` of each (family, root, degeneracies) of ``jobs``, in lockstep.
 
-    The coalescence of every root is read from one stacked c-normalisation
-    of the spectra the roots keep (a root built without one is solved
-    here), and the verification loops of every multiplicity-2 root are
-    solved in shared stacks (``_turn_permutations``).  Every row is what the
-    root gives alone, so every point is too.
+    Row k of ``E`` and ``V`` holds the eigenvalues and eigenvectors of the
+    k-th job's H(g0).  The coalescence of every root is read from one
+    stacked c-normalisation of them, and the verification loops of every
+    multiplicity-2 root are solved in shared stacks (``_turn_permutations``).
+    Every row is what the root gives alone, so every point is too.
     """
-    spectra = [root.spectrum if root.spectrum is not None
-               else eigendecompose(family.matrix(root.g0), g=root.g0)
-               for family, root, _ in jobs]
-    if not spectra:
+    if not jobs:
         return []
-    _, B, _ = _c_normalize_stack(np.array([s.eigenvalues for s in spectra]),
-                                 np.array([s.eigenvectors for s in spectra]), tau_c)
+    _, B, _ = _c_normalize_stack(E, V, tau_c)
     perms = iter(_turn_permutations([
         (family, _verification_loop(root, roots, loop_radius, loop_steps), roots)
         for family, root, roots in jobs if root.multiplicity == 2]))
@@ -183,15 +179,16 @@ def classify(model_or_family, root: DegeneracyRoot, degeneracies=None,
     For multiplicity-2 roots a small encircling loop verifies that the
     eigenvalues do not permute; an exchange there means the root is really a
     pair of unresolved exceptional points and is reported UNRESOLVED with a
-    cluster note.  The coalescence is read from the spectrum the root keeps,
-    so ``root`` must come from ``find_degeneracies`` on this same family.
+    cluster note.  The coalescence is read from the eigenvectors of the
+    family's matrix at ``root.g0``.
     """
     _check_loop_settings(loop_radius, loop_steps)
     family = as_family(model_or_family)
     if degeneracies is None:
         degeneracies = find_degeneracies(family)
-    return _classify_roots([(family, root, degeneracies)], tau_c, loop_radius,
-                           loop_steps)[0]
+    spec = eigendecompose(family.matrix(root.g0), g=root.g0)
+    return _classify_roots([(family, root, degeneracies)], spec.eigenvalues[None],
+                           spec.eigenvectors[None], tau_c, loop_radius, loop_steps)[0]
 
 
 def classify_all(model_or_family, tau_c: float = DEFAULT_TAU_C,
@@ -216,10 +213,10 @@ def _classify_families(families, tau_c, radius, loop_radius, loop_steps,
     The roots of all families are found together (``_degeneracies``) and
     classified together (``_classify_roots``).
     """
-    root_sets = _degeneracies(families, radius, cluster_factor)
+    root_sets, E, V = _degeneracies(families, radius, cluster_factor)
     points = iter(_classify_roots(
         [(family, root, roots) for family, roots in zip(families, root_sets)
-         for root in roots], tau_c, loop_radius, loop_steps))
+         for root in roots], E, V, tau_c, loop_radius, loop_steps))
     return [[next(points) for _ in roots] for roots in root_sets]
 
 
@@ -380,16 +377,12 @@ def sweep_gamma(model: ModelSpec, gamma_start: float, gamma_stop: float,
         def solve(batch):
             return [[DegeneracyPoint(r, Kind.UNRESOLVED, np.nan, note="not classified")
                      for r in roots]
-                    for roots in _degeneracies(batch, radius, cluster_factor)]
+                    for roots in _degeneracies(batch, radius, cluster_factor)[0]]
     # Samples go through in lockstep batches whose discriminant samples fit
     # in one stack: all 21 of the default reference sweep.
     n = ops.T.shape[0]
-    points = []
-    for batch in _in_stacks(solve, families, n, n * (n - 1) + 1):
-        for pts in batch:
-            for p in pts:
-                p.root.spectrum = None  # classified; the sweep keeps every root set
-        points += batch
+    points = [pts for batch in _in_stacks(solve, families, n, n * (n - 1) + 1)
+              for pts in batch]
     root_sets = [[p.root for p in pts] for pts in points]
 
     # Record ambiguous nearest-root links between adjacent samples.

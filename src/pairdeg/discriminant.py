@@ -17,15 +17,15 @@ polynomial with its derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EigensolverError, InterpolationError, VanishingDiscriminantError
 from .model import as_family
-from .spectra import (EPS, ORDER_IM_TOL, Spectrum, _canonical_orders, _eig_stack,
-                      _in_stacks, _lapack, closest_pair)
+from .spectra import (EPS, ORDER_IM_TOL, _canonical_orders, _eig_stack, _in_stacks,
+                      _lapack, closest_pair)
 
 __all__ = [
     "char_poly",
@@ -147,17 +147,12 @@ def _require_finite(values: np.ndarray, gs) -> None:
                                g=gs[int(np.argmin(finite))])
 
 
-def _eigvals_along(family, gs) -> np.ndarray:
-    """Eigenvalues of H(g) for each g of ``gs``, one row per point.
+def _eigvals_at(groups) -> np.ndarray:
+    """Eigenvalues of H(g) at the points of (family, gs) groups, one row per point.
 
     One stacked ``eigvals`` call, checked by ``spectra._lapack``; its rows
     are bitwise equal to solving each ``family.matrix(g)`` on its own.
     """
-    return _lapack(np.linalg.eigvals, family.matrices(gs), gs, "eigenvalues")
-
-
-def _eigvals_at(groups) -> np.ndarray:
-    """``_eigvals_along`` for the points of several (family, gs) groups, in one call."""
     gs = [g for _, part in groups for g in part]
     H = np.concatenate([family.matrices(part) for family, part in groups])
     return _lapack(np.linalg.eigvals, H, gs, "eigenvalues")
@@ -173,7 +168,7 @@ def discriminant_at(model_or_family, g: complex, method: str = "product") -> com
     family = as_family(model_or_family)
     if method == "product":
         gs = [complex(g)]
-        d = _discriminant_rows(_eigvals_along(family, gs))
+        d = _discriminant_rows(_eigvals_at([(family, gs)]))
         _require_finite(d, gs)
         return complex(d[0])
     if method == "resultant":
@@ -351,9 +346,6 @@ class DegeneracyRoot:
     ``involved_pair`` holds the 1-based labels (canonical order at g0) of the
     two closest eigenvalues; ``residual`` is |D(g0)| under the reconstructed
     polynomial and ``min_gap`` the closest eigenvalue distance found at g0.
-    ``spectrum`` is the eigendecomposition of H(g0) of the family the root
-    was found on, kept so that classification need not solve it again; it
-    is not part of the root's value (``as_dict``, ``repr``, ``==``).
     """
 
     g0: complex
@@ -362,7 +354,6 @@ class DegeneracyRoot:
     involved_pair: tuple
     min_gap: float
     converged: bool = True
-    spectrum: Spectrum = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -571,12 +562,13 @@ def find_degeneracies(model_or_family, radius: float = DEFAULT_RADIUS,
     ``cluster_factor * radius`` (see ``_root_clusters``).  Each cluster is
     then polished once, by the step its multiplicity calls for (see
     ``_polish_clusters``), and the polished roots are solved in one stacked
-    eigendecomposition, whose spectra the roots keep.
+    eigendecomposition for their closest pairs.  The roots come sorted by
+    (imaginary, real) part.
     """
-    return _degeneracies([as_family(model_or_family)], radius, cluster_factor)[0]
+    return _degeneracies([as_family(model_or_family)], radius, cluster_factor)[0][0]
 
 
-def _degeneracies(families, radius: float, cluster_factor: float) -> list:
+def _degeneracies(families, radius: float, cluster_factor: float) -> tuple:
     """``find_degeneracies`` of each of the same-dimension ``families``, in lockstep.
 
     Each stage serves every family with one stacked solve: the discriminant
@@ -586,31 +578,36 @@ def _degeneracies(families, radius: float, cluster_factor: float) -> list:
     ``find_degeneracies`` gives for the family alone.  A stage raises the
     first error it meets, which may be a later family's than a loop over
     the families would meet first (``spectra._in_stacks`` restores that).
+
+    Returns the root sets and the eigenvalues and eigenvectors of H(g0) of
+    every root, one row per root in the order of the root sets, which
+    classification reads (``atlas._classify_roots``).
     """
     polys = _discriminant_polys(families, radius)
     cluster_sets = [_root_clusters(poly, cluster_factor) for poly in polys]
     gs = _polish_clusters(families, polys, cluster_sets, cluster_factor)
-    groups = [(family, row) for family, row in zip(families, gs) if row]
-    if not groups:
-        return [[] for _ in families]
-    E, V, B = _eig_stack(np.concatenate([f.matrices(row) for f, row in groups]),
-                         [g for _, row in groups for g in row])
+    # Root order: a stable sort of each family's roots by (imag, real).
+    found = [sorted(zip(row, clusters), key=lambda rc: (rc[0].imag, rc[0].real))
+             for row, clusters in zip(gs, cluster_sets)]
+    H = [f.matrices([g0 for g0, _ in roots]) for f, roots in zip(families, found) if roots]
+    if not H:
+        n = families[0].dim
+        return ([[] for _ in families], np.empty((0, n), complex),
+                np.empty((0, n, n), complex))
+    E, V, _ = _eig_stack(np.concatenate(H), [g0 for roots in found for g0, _ in roots])
     I, J = closest_pair(E)
-    solved = zip(E, V, B, I.tolist(), J.tolist())
+    solved = zip(E, I.tolist(), J.tolist())
     root_sets = []
-    for row, poly, clusters in zip(gs, polys, cluster_sets):
-        roots = [DegeneracyRoot(
+    for roots, poly in zip(found, polys):
+        root_sets.append([DegeneracyRoot(
             g0=g0,
             multiplicity=cluster.multiplicity,
             residual=abs(poly(g0)),
             involved_pair=(i + 1, j + 1),
             min_gap=float(abs(e[i] - e[j])),
             converged=cluster.converged,
-            spectrum=Spectrum(complex(g0), e, v, b),
-        ) for g0, cluster, (e, v, b, i, j) in zip(row, clusters, solved)]
-        roots.sort(key=lambda r: (r.g0.imag, r.g0.real))
-        root_sets.append(roots)
-    return root_sets
+        ) for (g0, cluster), (e, i, j) in zip(roots, solved)])
+    return root_sets, E, V
 
 
 def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
@@ -633,7 +630,7 @@ def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
         gs = np.empty((len(rows), n_re), dtype=complex)
         gs.real, gs.imag = res, ims[rows, None]
         gs = gs.ravel()
-        D = _discriminant_rows(_eigvals_along(family, gs))
+        D = _discriminant_rows(_eigvals_at([(family, gs)]))
         with np.errstate(over="ignore"):
             absD = np.hypot(D.real, D.imag)
         _require_finite(absD, gs)

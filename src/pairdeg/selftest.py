@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import Kind, classify, sweep_gamma
-from .discriminant import (_discriminant_rows, _eigvals_along, _require_finite,
+from .discriminant import (_discriminant_rows, _eigvals_at, _require_finite,
                            discriminant_at, discriminant_poly, find_degeneracies)
 from .model import ModelSpec, build_operator_matrices, hamiltonian_at
 from .monodromy import LoopSpec, restore_count, trace_loop
@@ -295,7 +295,7 @@ def criterion_10(roots_of=find_degeneracies) -> CriterionResult:
 
     # Each identity is checked on one stack of points, in the rng's order.
     gs = [complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)) for _ in range(100)]
-    products = _discriminant_rows(_eigvals_along(family, gs))
+    products = _discriminant_rows(_eigvals_at([(family, gs)]))
     _require_finite(products, gs)
     worst = 0.0
     for g, d1 in zip(gs, products.tolist()):

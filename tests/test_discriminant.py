@@ -14,7 +14,7 @@ from pairdeg import (EigensolverError, InterpolationError, ModelSpec,
                      VanishingDiscriminantError, char_poly, discriminant_at,
                      discriminant_grid, discriminant_poly, eigendecompose,
                      find_degeneracies, hamiltonian_at)
-from pairdeg.discriminant import (_closest_gap_squared, _eigvals_along,
+from pairdeg.discriminant import (_closest_gap_squared, _eigvals_at,
                                   _gcd_degree, _newton_polish, _polish_clusters,
                                   _root_clusters, contour_moments, poly_derivative,
                                   poly_eval)
@@ -335,7 +335,7 @@ def test_overflowed_eigenvalues_are_an_eigensolver_error(model, g):
     # H(g) is finite, but eigvals overflows inside LAPACK.
     assert np.isfinite(model.family().matrix(g)).all()
     with pytest.raises(EigensolverError, match="non-finite eigenvalues") as info:
-        _eigvals_along(model.family(), [0.1, g])
+        _eigvals_at([(model.family(), [0.1, g])])
     assert info.value.g == g
     with pytest.raises(EigensolverError, match="non-finite") as info:
         discriminant_at(model, g)
@@ -426,7 +426,7 @@ def test_closest_gap_squared_returns_numpy_scalars(model, pseudo_dp):
     # _gap_newton's scalar arithmetic rounds differently on Python complex.
     # At g = 0 the reference spectrum has exact ties.
     gs = [pseudo_dp, 0.1j, 0.0]
-    gaps = _closest_gap_squared(_eigvals_along(model.family(), gs))
+    gaps = _closest_gap_squared(_eigvals_at([(model.family(), gs)]))
     assert [type(d) for d in gaps] == [np.complex128] * 3
     _assert_same_bytes(gaps, [_closest_gap_squared_oracle(model.family(), g)
                               for g in gs])
@@ -450,14 +450,14 @@ def test_stacked_evaluator_oracle(n, k, seed):
     rng = np.random.default_rng(seed)
     family = _random_family(rng, n)
     gs = [complex(*rng.normal(size=2)) for _ in range(k)]
-    rows = _eigvals_along(family, gs)
+    rows = _eigvals_at([(family, gs)])
     for g, e in zip(gs, rows):
         _assert_same_bytes(e, np.linalg.eigvals(family.matrix(g)))
         _assert_same_bytes(discriminant_at(family, g),
                            _pointwise_discriminant(family, g))
     h = 1e-6 * max(1.0, abs(gs[0]))
     probes = [gs[0], gs[0] + h, gs[0] - h]
-    _assert_same_bytes(_closest_gap_squared(_eigvals_along(family, probes)),
+    _assert_same_bytes(_closest_gap_squared(_eigvals_at([(family, probes)])),
                        [_closest_gap_squared_oracle(family, g) for g in probes])
 
 

@@ -87,7 +87,7 @@ def _gap_newton_oracle(family, g0, step_bound, max_iter=12):
     h = 1e-6 * max(1.0, abs(g))
     for _ in range(max_iter):
         d0, d_plus, d_minus = disc._closest_gap_squared(
-            disc._eigvals_along(family, [g, g + h, g - h]))
+            disc._eigvals_at([(family, [g, g + h, g - h])]))
         der = (d_plus - d_minus) / (2 * h)
         if der == 0:
             break
@@ -294,7 +294,23 @@ def test_lockstep_newton_matches_single_root_runs(n, seed, bound, jitter):
                               for s in starts])
 
 
+def _roots_and_eigensystems(family):
+    [roots], E, V = disc._degeneracies([family], 0.5, 1e-4)
+    return roots, E, V
+
+
+def _assert_solved_alone(jobs, E, V):
+    """Row k of E and V is the eigensystem of the k-th (family, root) alone."""
+    assert len(E) == len(V) == len(jobs)
+    for (family, r), e, v in zip(jobs, E, V):
+        spec = eigendecompose(family.matrix(r.g0), g=r.g0)
+        _assert_same_bytes(e, spec.eigenvalues)
+        _assert_same_bytes(v, spec.eigenvectors)
+
+
 def test_root_set_costs_one_stacked_eigensolve(model, monkeypatch):
+    # The eigensystems handed to classification are what each root's matrix
+    # gives alone.
     family = model.family()
     eig = np.linalg.eig
     stacks = []
@@ -304,36 +320,47 @@ def test_root_set_costs_one_stacked_eigensolve(model, monkeypatch):
         return eig(H)
 
     monkeypatch.setattr(np.linalg, "eig", counted)
-    roots = find_degeneracies(family)
+    roots, E, V = _roots_and_eigensystems(family)
     assert stacks == [len(roots)]
-    assert all(r.spectrum is not None and r.spectrum.g == complex(r.g0) for r in roots)
+    assert roots == find_degeneracies(family)
+    _assert_solved_alone([(family, r) for r in roots], E, V)
 
 
 def test_pair_coalescence_solves_nothing(model_049, monkeypatch):
-    # Simple roots need no loop, so classifying them reads only the spectra
-    # the roots keep.
+    # Simple roots need no loop, so classifying them reads only the
+    # eigensystems that root finding solved.
     family = model_049.family()
-    roots = find_degeneracies(family)
-    simple = [r for r in roots if r.multiplicity == 1]
-    want = [repr(_classify_oracle(family, r, roots)) for r in simple]
+    roots, E, V = _roots_and_eigensystems(family)
+    simple = [k for k, r in enumerate(roots) if r.multiplicity == 1]
+    want = [repr(_classify_oracle(family, roots[k], roots)) for k in simple]
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a matrix")
 
     monkeypatch.setattr(np.linalg, "eig", no_solve)
     monkeypatch.setattr(np.linalg, "eigvals", no_solve)
-    got = _classify_roots([(family, r, roots) for r in simple], 1e-6, 0.01, 64)
+    got = _classify_roots([(family, roots[k], roots) for k in simple], E[simple],
+                          V[simple], 1e-6, 0.01, 64)
     assert [repr(p) for p in got] == want
 
 
-def test_kept_spectrum_is_not_part_of_the_root(model):
+def test_classify_reads_the_family_it_is_given(model, model_049, pseudo_dp):
+    # The gamma = -1/2 roots classified on the gamma = -0.49 model: each
+    # comes out as the same root rebuilt from its fields, and as a solve on
+    # that model gives.  The pseudo-DPs of gamma = -1/2 at +-0.1768i are
+    # plain level crossings there.
     roots = find_degeneracies(model)
     bare = [DegeneracyRoot(r.g0, r.multiplicity, r.residual, r.involved_pair,
                            r.min_gap, r.converged) for r in roots]
     assert roots == bare
-    assert repr(roots) == repr(bare)
-    assert [r.as_dict() for r in roots] == [r.as_dict() for r in bare]
-    # A root built without a spectrum is solved when classified.
+    family, others = model_049.family(), find_degeneracies(model_049)
+    got = [classify(family, r, degeneracies=others) for r in roots]
+    assert ([p.as_dict() for p in got]
+            == [classify(family, r, degeneracies=others).as_dict() for r in bare]
+            == [_classify_oracle(family, r, others).as_dict() for r in roots])
+    doubles = [p for p in got if min(abs(p.g0 - pseudo_dp), abs(p.g0 + pseudo_dp)) < 1e-8]
+    assert [(p.root.multiplicity, p.kind) for p in doubles] == [(2, Kind.DP)] * 2
+    # On the family they were found on, bare roots classify like found ones.
     family = model.family()
     assert ([classify(family, r, degeneracies=bare).as_dict() for r in bare]
             == [classify(family, r, degeneracies=roots).as_dict() for r in roots])
@@ -365,21 +392,20 @@ def _in_sweep_batches(run, families):
 
 
 def _assert_lockstep_matches_per_sample_oracle(families):
-    # Roots: g0, residual, min_gap, pair and types through repr; the kept
-    # spectrum is the eigensystem the root's matrix gives alone.
-    find = functools.partial(disc._degeneracies, radius=0.5, cluster_factor=1e-4)
+    # Roots: g0, residual, min_gap, pair and types through repr; the
+    # eigensystems beside them are what each root's matrix gives alone.
+    def find(batch):
+        return disc._degeneracies(batch, 0.5, 1e-4)[0]
+
     want = _per_sample_oracle(_find_degeneracies_oracle, families)
     assert _outcome(_in_sweep_batches, find, families) == want
     if isinstance(want, str):
         # A success is also what every family gives in one stack, with no
         # replay to mask a failure that only the stack raises.
         assert _outcome(find, families) == want
-        for family, roots in zip(families, _in_sweep_batches(find, families)):
-            for r in roots:
-                spec = eigendecompose(family.matrix(r.g0), g=r.g0)
-                assert r.spectrum.g == spec.g
-                for name in ("eigenvalues", "eigenvectors", "self_orthogonality"):
-                    _assert_same_bytes(getattr(r.spectrum, name), getattr(spec, name))
+        root_sets, E, V = disc._degeneracies(families, 0.5, 1e-4)
+        _assert_solved_alone([(family, r) for family, roots in zip(families, root_sets)
+                              for r in roots], E, V)
     # Points: every root again, with kind, coalescence, permutation and note.
     classify_families = functools.partial(
         _classify_families, tau_c=1e-6, radius=0.5, loop_radius=0.01, loop_steps=64,

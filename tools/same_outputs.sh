@@ -8,10 +8,11 @@
 # `git archive`, so that nothing is written under .git) and once in
 # this checkout (its working tree, uncommitted changes included).  Each side
 # also runs `pairdeg sweep` on the configs tools/wide_sweep_*.ini of this
-# checkout (gamma in [-2, 1], 61 samples, on the reference model and on L5,
-# whose discriminant retries its radius) and `pairdeg encircle` on
-# tools/long_loop_*.ini (six turns around the L7 exceptional point, whose
-# later stacks repeat earlier couplings), writing into its .perfbench_out/.
+# checkout (gamma in [-2, 1], 61 samples: on the reference model, classified
+# and unclassified, and on L5, whose discriminant retries its radius) and
+# `pairdeg encircle` on tools/long_loop_*.ini (six turns around the L7
+# exceptional point, whose later stacks repeat earlier couplings), writing
+# into its .perfbench_out/.
 # Then compares the two .perfbench_out/ trees with diff -r, leaving out the
 # timing spans (spans.json).  Last, this checkout runs reference and midsize
 # at seed 0 once more under `taskset -c 0`, into a tree of its own, which
