@@ -274,35 +274,42 @@ def _solve_path(family, gs):
     Each distinct coupling is solved once, at its first occurrence: loops
     and round trips come back to couplings bit for bit, and the same matrix
     gives the same eigensystem.  Couplings are keyed by their bits, so -0.0
-    and 0.0 stay apart.  A row is kept, as a copy, until the last point
-    that reuses it, and a block of repeats only makes no LAPACK call.
+    and 0.0 stay apart.  A solved row is kept until the last point that
+    reuses it; a block with repeats gathers its rows from the kept ones and
+    its own solves with one fancy index, and a block of repeats only makes
+    no LAPACK call.
     """
-    words = np.asarray(gs, dtype=complex).view(np.int64).tolist()
-    keys = list(zip(words[::2], words[1::2]))
-    last = {key: i for i, key in enumerate(keys)}
-    kept = {}  # key -> (e, v, b) of a solved coupling that a later point reuses
+    keys = np.asarray(gs, dtype=complex).view("V16").tolist()
+    first, last = {}, {key: i for i, key in enumerate(keys)}
+    source = np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=int)
+    until = np.array([last[key] for key in keys], dtype=int)  # a point's last reader
+    solves = source == np.arange(len(keys))
+    slot = np.empty(len(keys), dtype=int)  # a solving point's row in the block's pool
+    kept = np.empty(0, dtype=int), None  # the solving points whose rows are kept, and those rows
 
     def run(block):
-        first = {}  # key -> the point of the block where it is solved
-        for i in block:
-            if keys[i] not in kept:
-                first.setdefault(keys[i], i)
-        couplings = [gs[i] for i in first.values()]
-        E, V, b = (_eig_stack(family.matrices(couplings), couplings) if couplings
-                   else ((), (), ()))
-        if len(couplings) < len(block):  # repeats: gather the rows in path order
-            solved = dict(zip(first, zip(E, V, b)))
-            rows = [solved[keys[i]] if keys[i] in solved else kept[keys[i]]
-                    for i in block]
-            E, V, b = (np.array(part) for part in zip(*rows))
-        for i in block:
-            if last[keys[i]] == i:
-                kept.pop(keys[i], None)
-        for key, i in first.items():
-            if last[key] > block[-1]:
-                r = i - block[0]
-                kept[key] = E[r].copy(), V[r].copy(), b[r].copy()
-        return [gs[i] for i in block], E, V, b
+        nonlocal kept
+        start, end = block[0], block[-1] + 1
+        new = start + np.flatnonzero(solves[start:end])
+        couplings = [gs[i] for i in new]
+        n = family.dim
+        solved = (_eig_stack(family.matrices(couplings), couplings) if couplings
+                  else (np.empty((0, n), complex), np.empty((0, n, n), complex),
+                        np.empty((0, n), complex)))
+        ids, pool = kept
+        if len(ids):
+            ids = np.concatenate([ids, new])
+            pool = tuple(np.concatenate(parts) for parts in zip(pool, solved))
+        else:
+            ids, pool = new, solved
+        E, V, b = solved
+        if len(new) < end - start:  # repeats
+            slot[ids] = np.arange(len(ids))
+            at = slot[source[start:end]]
+            E, V, b = (part[at] for part in pool)
+        keep = until[ids] >= end
+        kept = ids[keep], tuple(part[keep] for part in pool)
+        return gs[start:end], E, V, b
 
     return _in_stacks(run, range(len(gs)), family.dim, vectors=True)
 

@@ -369,6 +369,12 @@ def test_heatmap_error_is_the_first_in_row_major_order(model, capfd):
         with pytest.raises(EigensolverError, match="non-finite eigenvalues") as info:
             discriminant_grid(model, (0.1, 1e300, 7e306, -0.2), 3, 2)
         assert info.value.g == complex(0.1, 7e306)
+        # The second row mirrors the first and is not solved; the first
+        # raises as it did when both rows were solved.
+        for im in (-7e306, 7e306):
+            with pytest.raises(EigensolverError, match="non-finite eigenvalues") as info:
+                discriminant_grid(model, (0.1, 1e300, im, -im), 3, 2)
+            assert info.value.g == complex(0.1, im)
     assert capfd.readouterr().err == ""
 
 

@@ -224,18 +224,103 @@ def test_discriminant_rows_match_scalar_loop(n, seed, k, exponent):
         _assert_same_bytes(_discriminant_rows(e[None]), [d])
 
 
+def _discriminant_grid_oracle(family, res, ims):
+    """|D| at every grid point, one eigvals call per point."""
+    return np.array([[abs(_discriminant_oracle(np.linalg.eigvals(family.matrix(complex(x, y)))))
+                      for x in res] for y in ims])
+
+
+def _mirrored_rows(family, ims):
+    axis = np.zeros(len(ims), dtype=complex)
+    axis.imag = ims
+    return sum(j >= 0 for j in disc._conjugate_partners(family, axis))
+
+
 @oracle_settings
 @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), n_re=st.integers(1, 30),
-       n_im=st.integers(1, 4), half=st.sampled_from([0.05, 0.5, 3.0]))
-def test_discriminant_grid_matches_pointwise_oracle(n, seed, n_re, n_im, half):
+       n_im=st.integers(1, 6), half=st.sampled_from([0.05, 0.5, 3.0]),
+       centred=st.booleans(), complex_parts=st.booleans())
+def test_discriminant_grid_matches_pointwise_oracle(n, seed, n_re, n_im, half, centred,
+                                                    complex_parts):
+    # A window centred on 0 has rows that mirror earlier ones, which a real
+    # family does not solve.
     rng = np.random.default_rng(seed)
-    family = _random_family(rng, n)
-    c = complex(*rng.normal(size=2))
+    family = _random_family(rng, n, complex_parts)
+    c = 0j if centred else complex(*rng.normal(size=2))
     window = (c.real - half, c.real + half, c.imag - half, c.imag + half)
     res, ims, grid = discriminant_grid(family, window, n_re, n_im)
-    want = [[abs(_discriminant_oracle(np.linalg.eigvals(family.matrix(complex(x, y)))))
-             for x in res] for y in ims]
-    _assert_same_bytes(grid, np.array(want))
+    _assert_same_bytes(grid, _discriminant_grid_oracle(family, res, ims))
+
+
+@pytest.mark.parametrize("levels, window, n_re, n_im, mirrored", [
+    # The midsize L7 heatmap.
+    (((0, 1, 2), (6, 2, 6), 3), (-6, 6, -6, 6), 21, 21, 5),
+    # Three rows to a stack: partners sit in different stacks.
+    (((0, 1, 2), (6, 2, 6), 3), (-6, 6, -6, 6), 101, 101, 23),
+    # An asymmetric window still has rows that mirror earlier ones.
+    (((0, 1, 2), (2, 6, 2), 2), (-0.3, 0.2, -0.3, 0.2), 11, 101, 9),
+])
+def test_mirrored_heatmap_rows_match_pointwise_oracle(levels, window, n_re, n_im,
+                                                      mirrored):
+    family = ModelSpec.from_arrays(*levels, -0.5).family()
+    res, ims, grid = discriminant_grid(family, window, n_re, n_im)
+    assert _mirrored_rows(family, ims) == mirrored
+    _assert_same_bytes(grid, _discriminant_grid_oracle(family, res, ims))
+
+
+# The reference model and the ladder rungs L5-L7 of the benchmark.
+BENCHMARK_LEVELS = {"reference": ((0, 1, 2), (2, 6, 2), 2),
+                    "L5": ((0, 1, 2), (2, 4, 4), 2),
+                    "L6": ((0, 1, 2), (4, 2, 6), 3),
+                    "L7": ((0, 1, 2), (6, 2, 6), 3)}
+
+
+def _assert_conjugation_equivariant(family, gs):
+    """eigvals at conj(g) are the conjugated eigvals at g, bit for bit, in order.
+
+    H(conj g) = conj H(g) for a real family; the heatmap and the gap Newton
+    of a real family solve only one of two conjugate couplings and rely on
+    LAPACK keeping this symmetry exactly.  They never mirror Im g = +-0,
+    where the eigenvalues' zero imaginary parts need not change sign.
+    """
+    gs = np.asarray(gs, dtype=complex)
+    gs = gs[gs.imag != 0]
+    E = np.linalg.eigvals(family.matrices(gs))
+    _assert_same_bytes(np.linalg.eigvals(family.matrices(np.conj(gs))), np.conj(E))
+
+
+@pytest.mark.parametrize("name", BENCHMARK_LEVELS)
+def test_lapack_eigenvalues_are_conjugation_equivariant(name, monkeypatch):
+    # At the heatmap couplings of the benchmark's windows, and at every
+    # coupling root finding solves: discriminant samples, hold-outs and the
+    # gap-Newton triples.
+    family = ModelSpec.from_arrays(*BENCHMARK_LEVELS[name], -0.5).family()
+    half, points = (0.3, 101) if name == "reference" else (6.0, 21)
+    res, ims = np.linspace(-half, half, points), np.linspace(-half, half, points)
+    _assert_conjugation_equivariant(family, (res + 1j * ims[:, None]).ravel())
+    solved = []
+    eigvals_at = disc._eigvals_at
+
+    def recorded(groups):
+        solved.extend(g for _, part in groups for g in part)
+        return eigvals_at(groups)
+
+    monkeypatch.setattr(disc, "_eigvals_at", recorded)
+    find_degeneracies(family)
+    n = family.dim
+    assert len(solved) > n * (n - 1) + 1 + disc.HOLDOUT_POINTS  # gap-Newton triples too
+    _assert_conjugation_equivariant(family, solved)
+
+
+@oracle_settings
+@given(n=st.integers(2, 11), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40),
+       exponent=st.sampled_from([-3, 0, 2]))
+def test_lapack_eigenvalues_are_conjugation_equivariant_on_random_families(n, seed, k,
+                                                                          exponent):
+    rng = np.random.default_rng(seed)
+    family = _random_family(rng, n)
+    gs = [complex(x, y) for x, y in rng.normal(size=(k, 2)) * 10.0 ** exponent]
+    _assert_conjugation_equivariant(family, gs)
 
 
 def _contour_moments_oracle(family, center, radius):
@@ -292,6 +377,29 @@ def test_lockstep_newton_matches_single_root_runs(n, seed, bound, jitter):
     assert repr(got) == repr([_gap_newton_oracle(family, s, bound) for s in starts])
     assert repr(got) == repr([_gap_newton([family], [[s]], [bound])[0][0]
                               for s in starts])
+
+
+def test_lockstep_newton_mirrors_conjugate_roots_as_single_root_runs(monkeypatch):
+    # At L7, gamma = -1/2, 28 root-iterations take the conjugated eigenvalues
+    # of an earlier root's triple instead of a solve; every root still ends
+    # where it ends alone.
+    family = ModelSpec.from_arrays(*BENCHMARK_LEVELS["L7"], -0.5).family()
+    poly = discriminant_poly(family)
+    starts = [c.centroid for c in _root_clusters(poly, 1e-4) if c.multiplicity == 1]
+    bound = 2e-4 * poly.radius
+    mirrored = []
+    partners = disc._conjugate_partners
+
+    def counted(family, gs, tags=None):
+        found = partners(family, gs, tags)
+        mirrored.append(sum(j >= 0 for j in found))
+        return found
+
+    monkeypatch.setattr(disc, "_conjugate_partners", counted)
+    [got] = _gap_newton([family], [starts], [bound])
+    assert sum(mirrored) == 28
+    monkeypatch.undo()
+    assert repr(got) == repr([_gap_newton_oracle(family, s, bound) for s in starts])
 
 
 def _roots_and_eigensystems(family):
@@ -510,7 +618,9 @@ def test_sweep_solves_each_stage_in_one_stack(model, monkeypatch):
 
 def test_heatmap_solves_whole_rows_per_stack(model, monkeypatch):
     # 1,024 points of dim-4 matrices per stack: ten rows of 101 at a time,
-    # each stack counted where it is handed to LAPACK.
+    # each stack counted where it is handed to LAPACK.  Of the real family,
+    # 11 rows mirror an earlier row and are not solved, so 90 rows fill nine
+    # stacks; the same family with complex parts solves all 101.
     stacks = []
     lapack = disc._lapack
 
@@ -519,5 +629,10 @@ def test_heatmap_solves_whole_rows_per_stack(model, monkeypatch):
         return lapack(solve, H, gs, returned)
 
     monkeypatch.setattr(disc, "_lapack", counted)
-    discriminant_grid(model, (-0.6, 0.6, -0.6, 0.6), 101, 101)
+    family = model.family()
+    discriminant_grid(family, (-0.6, 0.6, -0.6, 0.6), 101, 101)
+    assert stacks == [1010] * 9
+    stacks.clear()
+    family = MatrixFamily(family.base.astype(complex), family.linear)
+    discriminant_grid(family, (-0.6, 0.6, -0.6, 0.6), 101, 101)
     assert stacks == [1010] * 10 + [101]

@@ -9,10 +9,13 @@
 # this checkout (its working tree, uncommitted changes included).  Each side
 # also runs `pairdeg sweep` on the configs tools/wide_sweep_*.ini of this
 # checkout (gamma in [-2, 1], 61 samples: on the reference model, classified
-# and unclassified, and on L5, whose discriminant retries its radius) and
+# and unclassified, and on L5, whose discriminant retries its radius),
 # `pairdeg encircle` on tools/long_loop_*.ini (six turns around the L7
-# exceptional point, whose later stacks repeat earlier couplings), writing
-# into its .perfbench_out/.
+# exceptional point, whose later stacks repeat earlier couplings) and
+# `pairdeg atlas` on tools/atlas_*.ini (101-point heatmaps whose rows mirror
+# earlier rows: L7 on +-6, where a row and its partner can sit in different
+# stacks, and the reference on an asymmetric window), writing into its
+# .perfbench_out/.
 # Then compares the two .perfbench_out/ trees with diff -r, leaving out the
 # timing spans (spans.json).  Last, this checkout runs reference and midsize
 # at seed 0 once more under `taskset -c 0`, into a tree of its own, which
@@ -46,10 +49,12 @@ for side in base checkout; do
             echo "$side $workload seed $seed: $(tail -n 1 "$work/run.log" | cut -c 1-45)"
         done
     done
-    for config in "$root"/tools/wide_sweep_*.ini "$root"/tools/long_loop_*.ini; do
+    for config in "$root"/tools/wide_sweep_*.ini "$root"/tools/long_loop_*.ini \
+            "$root"/tools/atlas_*.ini; do
         case $(basename "$config") in
             wide_sweep_*) command=sweep ;;
-            *) command=encircle ;;
+            long_loop_*) command=encircle ;;
+            *) command=atlas ;;
         esac
         out=$dir/.perfbench_out/$(basename "$config" .ini)
         if ! (cd "$dir" && PYTHONPATH=src python3 -m pairdeg.cli "$command" \
@@ -63,7 +68,7 @@ for side in base checkout; do
 done
 diff -r -x spans.json "$work/base/.perfbench_out" "$root/.perfbench_out"
 echo "same outputs: $base and this checkout, reference and midsize at seeds 0 and 26," \
-    "the wide sweeps and the long loop"
+    "the wide sweeps, the long loop and the atlas configs"
 if command -v taskset > /dev/null 2>&1; then
     mv "$root/.perfbench_out" "$work/all-cpus"
     for workload in reference midsize; do
