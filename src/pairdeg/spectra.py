@@ -285,18 +285,16 @@ def _solve_path(family, gs):
     until = np.array([last[key] for key in keys], dtype=int)  # a point's last reader
     solves = source == np.arange(len(keys))
     slot = np.empty(len(keys), dtype=int)  # a solving point's row in the block's pool
-    kept = np.empty(0, dtype=int), None  # the solving points whose rows are kept, and those rows
+    kept = np.empty(0, dtype=int), None  # solving points whose rows are kept, and the rows
 
     def run(block):
         nonlocal kept
         start, end = block[0], block[-1] + 1
         new = start + np.flatnonzero(solves[start:end])
         couplings = [gs[i] for i in new]
-        n = family.dim
+        ids, pool = kept  # a block of repeats only has kept rows
         solved = (_eig_stack(family.matrices(couplings), couplings) if couplings
-                  else (np.empty((0, n), complex), np.empty((0, n, n), complex),
-                        np.empty((0, n), complex)))
-        ids, pool = kept
+                  else tuple(part[:0] for part in pool))
         if len(ids):
             ids = np.concatenate([ids, new])
             pool = tuple(np.concatenate(parts) for parts in zip(pool, solved))
