@@ -298,12 +298,19 @@ def _merge_event(family_at, g_lo, g_k, g_hi, center, radius, merge_radius):
     quadrature); Illinois finds the zero of Re sep2 on either half.  The
     contact order k, sep2 ~ (gamma - gamma*)^k, comes from sep2 at h and 2h
     toward the farther end.  None if no sign change or s0 = 2 bracket is
-    found, or the pair stays more than ``merge_radius`` apart.
+    found, or the pair stays more than ``merge_radius`` apart.  The moments
+    are kept by the bits of P + gamma*Q: two gammas can build the same
+    matrices.
     """
-    @functools.lru_cache(maxsize=None)
+    memo = {}
+
     def moments(gamma):
-        s0, s1, s2 = contour_moments(family_at(gamma), center, radius)
-        return s0, s1, 2 * s2 - s1 * s1
+        family = family_at(gamma)
+        key = family.linear.tobytes()
+        if key not in memo:
+            s0, s1, s2 = contour_moments(family, center, radius)
+            memo[key] = s0, s1, 2 * s2 - s1 * s1
+        return memo[key]
 
     def sep2(gamma):
         return moments(gamma)[2].real

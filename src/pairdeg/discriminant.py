@@ -25,7 +25,7 @@ import numpy as np
 from .errors import EigensolverError, InterpolationError, VanishingDiscriminantError
 from .model import as_family
 from .spectra import (EPS, ORDER_IM_TOL, _canonical_orders, _eig_stack, _in_stacks,
-                      _lapack, closest_pair)
+                      _lapack, _sources, closest_pair)
 
 __all__ = [
     "char_poly",
@@ -145,32 +145,6 @@ def _require_finite(values: np.ndarray, gs) -> None:
     if not finite.all():
         raise EigensolverError("non-finite discriminant",
                                g=gs[int(np.argmin(finite))])
-
-
-def _conjugate_partners(family, gs, tags=None) -> list:
-    """For each coupling of ``gs``, an earlier one that is its exact conjugate.
-
-    Returns, per coupling, the index of the first earlier coupling whose
-    bits are those of its conjugate, with an equal tag when ``tags`` are
-    given, and which has no partner itself; else -1, always for Im g = +-0
-    and for a family that is not real.  For a real family H(conj g) =
-    conj H(g), and LAPACK returns the conjugated eigenvalues bit for bit
-    (``test_lapack_eigenvalues_are_conjugation_equivariant`` pins it), so a
-    coupling with a partner need not be solved.
-    """
-    gs = np.asarray(gs, dtype=complex)
-    if not family.is_real:
-        return [-1] * len(gs)
-    tags = [None] * len(gs) if tags is None else tags
-    keys = zip(gs.view("V16").tolist(), np.conj(gs).view("V16").tolist(),
-               (gs.imag != 0).tolist(), tags)
-    solved, partners = {}, []
-    for k, (key, conj_key, off_axis, tag) in enumerate(keys):
-        j = solved.get((conj_key, tag), -1) if off_axis else -1
-        partners.append(j)
-        if j < 0:
-            solved.setdefault((key, tag), k)
-    return partners
 
 
 def _eigvals_at(groups) -> np.ndarray:
@@ -463,39 +437,33 @@ def _gap_newton(families, starts, step_bounds) -> list:
     the (g, g + h, g - h) triple of every root still iterating, of every
     family, in one stack.  Each root keeps its own h and stop rule, takes at
     most 12 steps, and falls back to its start if a step, or its total move,
-    exceeds its family's bound.  A root of a real family whose g is bitwise
-    the conjugate of an earlier iterating root's, with an equal h, is not
-    solved: its triple's eigenvalues are that root's, conjugated
-    (``_conjugate_partners``).  Returns the polished roots, one list per
-    family, in the order of ``starts``.
+    exceeds its family's bound.  Each family's triple points are solved
+    once per iteration: a point that repeats an earlier point of its
+    family, or is its exact conjugate, takes that point's eigenvalues,
+    conjugated for a conjugate (``spectra._sources``).  Returns the
+    polished roots, one list per family, in the order of ``starts``.
     """
     g = [[complex(g0) for g0 in roots] for roots in starts]
     h = [[1e-6 * max(1.0, abs(x)) for x in roots] for roots in g]
     active = [list(range(len(roots))) for roots in g]
     for _ in range(12):
-        # Per row of every iterating root's triple: the stack row that
+        # Per triple point of every iterating root: the stack row that
         # solves it, and whether it is the conjugate of that row.
         groups, rows, flip, stacked = [], [], [], 0
         for f, ks in enumerate(active):
             if not ks:
                 continue
-            partners = _conjugate_partners(families[f], [g[f][k] for k in ks],
-                                           [h[f][k] for k in ks])
-            points, at = [], []  # at[p]: the stack row of the p-th root's g
-            for k, j in zip(ks, partners):
-                if j < 0:
-                    at.append(stacked + len(points))
-                    points += (g[f][k], g[f][k] + h[f][k], g[f][k] - h[f][k])
-                else:
-                    at.append(at[j])
-                rows += range(at[-1], at[-1] + 3)
-                flip += [j >= 0] * 3
-            groups.append((families[f], points))
-            stacked += len(points)
+            points = [x for k in ks for x in (g[f][k], g[f][k] + h[f][k], g[f][k] - h[f][k])]
+            source, mirrored = _sources(points, families[f])
+            solved = np.flatnonzero(source == np.arange(len(points)))
+            groups.append((families[f], [points[i] for i in solved]))
+            rows.append(stacked + np.searchsorted(solved, source))
+            flip.append(mirrored)
+            stacked += len(solved)
         if not groups:
             break
-        E = _eigvals_at(groups)[rows]
-        flip = np.array(flip)
+        E = _eigvals_at(groups)[np.concatenate(rows)]
+        flip = np.concatenate(flip)
         E[flip] = np.conj(E[flip])
         gaps = iter(_closest_gap_squared(E))
         for f, ks in enumerate(active):
@@ -665,12 +633,12 @@ def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
     imaginary grid axes and an (n_im, n_re) array whose row i holds
     |D(re + i*ims[i])| along the real axis.  Whole rows are solved together
     (``_in_stacks``), in one stacked eigensolve and one
-    ``_discriminant_rows`` call.  For a real family a row whose imaginary
-    coordinate is bitwise the negative of an earlier solved row's, and not
-    +-0, is not solved: D(conj g) = conj D(g) bit for bit
-    (``_conjugate_partners``), so it takes that row's |D|.  A non-finite |D|
+    ``_discriminant_rows`` call.  A row whose imaginary coordinate repeats
+    an earlier row's bits, or for a real family is bitwise its negative
+    and not +-0, is not solved: D(conj g) = conj D(g) bit for bit
+    (``spectra._sources``), so it takes that row's |D|.  A non-finite |D|
     raises EigensolverError naming the first such g in row-major order,
-    which is never in such a row, as its partner comes first.
+    which is never in such a row, as its source comes first.
     """
     family = as_family(model_or_family)
     re_min, re_max, im_min, im_max = window
@@ -679,7 +647,7 @@ def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
     grid = np.empty((n_im, n_re))
     axis = np.zeros(n_im, dtype=complex)
     axis.imag = ims
-    partners = _conjugate_partners(family, axis)
+    source = _sources(axis, family)[0]
 
     def fill(rows):
         gs = np.empty((len(rows), n_re), dtype=complex)
@@ -691,12 +659,10 @@ def discriminant_grid(model_or_family, window, n_re: int, n_im: int):
         _require_finite(absD, gs)
         grid[rows] = absD.reshape(len(rows), n_re)
 
-    solved = [i for i, j in enumerate(partners) if j < 0]
+    solved = np.flatnonzero(source == np.arange(n_im))
     for _ in _in_stacks(fill, solved, family.dim, n_re):
         pass
-    for i, j in enumerate(partners):
-        if j >= 0:
-            grid[i] = grid[j]
+    grid[:] = grid[source]
     return res, ims, grid
 
 

@@ -264,6 +264,32 @@ def _in_stacks(run, items, dim: int, matrices: int = 1, vectors: bool = False):
         yield from out
 
 
+def _sources(gs, family=None):
+    """For each coupling of ``gs``, the earlier one whose solve it reuses.
+
+    Returns ``(source, flip)``, two arrays over ``gs``: ``source[i]`` is
+    the first coupling with the bits of ``gs[i]`` (all 16 bytes, so -0.0
+    and 0.0 stay apart) or, for a real ``family`` and Im g != +-0, with
+    the bits of its conjugate, and ``flip[i]`` says that the source is its
+    conjugate.  For a real family H(conj g) = conj H(g), and LAPACK returns
+    the conjugated eigenvalues bit for bit
+    (``test_lapack_eigenvalues_are_conjugation_equivariant`` pins it).  A
+    source is its own source and comes first, so the first failing
+    coupling, and its error, are the same whether the others are solved or
+    not.
+    """
+    gs = np.asarray(gs, dtype=complex)
+    first = {}
+    keys = enumerate(gs.view("V16").tolist())
+    own = np.array([first.setdefault(key, i) for i, key in keys], dtype=int)
+    if family is None or not family.is_real:
+        return own, np.zeros(len(own), dtype=bool)
+    keys = enumerate(np.conj(gs).view("V16").tolist())
+    conj = np.array([first.get(key, i) for i, key in keys], dtype=int)
+    source = np.where(gs.imag != 0, np.minimum(own, conj), own)
+    return source, source != own
+
+
 def _solve_path(family, gs):
     """Eigensystems at the couplings ``gs``, in order, in stacks (``_in_stacks``).
 
@@ -271,20 +297,18 @@ def _solve_path(family, gs):
     stack, with the arrays of ``_eig_stack``; a coupling that fails a check
     raises its own EigensolverError once every row before it is yielded.
 
-    Each distinct coupling is solved once, at its first occurrence: loops
-    and round trips come back to couplings bit for bit, and the same matrix
-    gives the same eigensystem.  Couplings are keyed by their bits, so -0.0
-    and 0.0 stay apart.  A solved row is kept until the last point that
-    reuses it; a block with repeats gathers its rows from the kept ones and
-    its own solves with one fancy index, and a block of repeats only makes
-    no LAPACK call.
+    Each distinct coupling is solved once, at its first occurrence
+    (``_sources``): loops and round trips come back to couplings bit for
+    bit, and the same matrix gives the same eigensystem.  A solved row is
+    kept until the last point that reuses it; a block with repeats gathers
+    its rows from the kept ones and its own solves with one fancy index,
+    and a block of repeats only makes no LAPACK call.
     """
-    keys = np.asarray(gs, dtype=complex).view("V16").tolist()
-    first, last = {}, {key: i for i, key in enumerate(keys)}
-    source = np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=int)
-    until = np.array([last[key] for key in keys], dtype=int)  # a point's last reader
-    solves = source == np.arange(len(keys))
-    slot = np.empty(len(keys), dtype=int)  # a solving point's row in the block's pool
+    source = _sources(gs)[0]
+    last = dict(zip(source.tolist(), range(len(gs))))
+    until = np.array([last[i] for i in source.tolist()], dtype=int)  # a point's last reader
+    solves = source == np.arange(len(gs))
+    slot = np.empty(len(gs), dtype=int)  # a solving point's row in the block's pool
     kept = np.empty(0, dtype=int), None  # solving points whose rows are kept, and the rows
 
     def run(block):

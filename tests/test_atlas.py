@@ -268,6 +268,24 @@ def test_descending_sweep_reports_the_same_events(model, default_sweep):
     assert repr(down.events[::-1]) == repr(default_sweep.events)
 
 
+def test_merge_refinement_solves_each_circle_once_per_operator(model, default_sweep,
+                                                              monkeypatch):
+    # Two Illinois iterates of the order-3 event near gamma = -0.4305 build
+    # the same P + gamma*Q bit for bit, so their circle is solved once: 55
+    # contour solves, each of a distinct (P + gamma*Q, centre, radius).
+    solved = []
+    moments = pairdeg.atlas.contour_moments
+
+    def counted(family, center, radius):
+        solved.append((family.linear.tobytes(), center, radius))
+        return moments(family, center, radius)
+
+    monkeypatch.setattr(pairdeg.atlas, "contour_moments", counted)
+    traj = sweep_gamma(model, -0.6, -0.4, steps=21, classify_points=True)
+    assert len(solved) == len(set(solved)) == 55
+    assert repr(traj.events) == repr(default_sweep.events)
+
+
 @pytest.mark.parametrize("start, stop", [(-0.6, -0.59), (-0.49, -0.48)])
 def test_near_miss_brackets_give_no_event(model, start, stop):
     # Edge brackets of the reference sweeps where the closest pair comes

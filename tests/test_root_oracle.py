@@ -27,7 +27,7 @@ from pairdeg.discriminant import (DegeneracyRoot, _discriminant_rows, _gap_newto
                                   poly_derivative)
 from pairdeg.errors import PairdegError
 from pairdeg.model import as_family, build_operator_matrices
-from pairdeg.spectra import _in_stacks, closest_pair
+from pairdeg.spectra import _in_stacks, _sources, closest_pair
 
 oracle_settings = settings(derandomize=True, max_examples=25, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -233,7 +233,7 @@ def _discriminant_grid_oracle(family, res, ims):
 def _mirrored_rows(family, ims):
     axis = np.zeros(len(ims), dtype=complex)
     axis.imag = ims
-    return sum(j >= 0 for j in disc._conjugate_partners(family, axis))
+    return int(_sources(axis, family)[1].sum())
 
 
 @oracle_settings
@@ -380,24 +380,23 @@ def test_lockstep_newton_matches_single_root_runs(n, seed, bound, jitter):
 
 
 def test_lockstep_newton_mirrors_conjugate_roots_as_single_root_runs(monkeypatch):
-    # At L7, gamma = -1/2, 28 root-iterations take the conjugated eigenvalues
-    # of an earlier root's triple instead of a solve; every root still ends
-    # where it ends alone.
+    # At L7, gamma = -1/2, 88 triple points take the conjugated eigenvalues
+    # of an earlier point instead of a solve; every root still ends where it
+    # ends alone.
     family = ModelSpec.from_arrays(*BENCHMARK_LEVELS["L7"], -0.5).family()
     poly = discriminant_poly(family)
     starts = [c.centroid for c in _root_clusters(poly, 1e-4) if c.multiplicity == 1]
     bound = 2e-4 * poly.radius
     mirrored = []
-    partners = disc._conjugate_partners
 
-    def counted(family, gs, tags=None):
-        found = partners(family, gs, tags)
-        mirrored.append(sum(j >= 0 for j in found))
-        return found
+    def counted(gs, family=None):
+        source, flip = _sources(gs, family)
+        mirrored.append(int(flip.sum()))
+        return source, flip
 
-    monkeypatch.setattr(disc, "_conjugate_partners", counted)
+    monkeypatch.setattr(disc, "_sources", counted)
     [got] = _gap_newton([family], [starts], [bound])
-    assert sum(mirrored) == 28
+    assert sum(mirrored) == 88
     monkeypatch.undo()
     assert repr(got) == repr([_gap_newton_oracle(family, s, bound) for s in starts])
 

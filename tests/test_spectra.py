@@ -772,6 +772,52 @@ def test_in_stacks_raises_the_first_failing_items_error():
     assert groups == [["a", "b"]]
 
 
+def _sources_oracle(gs, family):
+    """Each coupling's source: the first coupling with its bits or, for a
+    real family and Im g != +-0, with its conjugate's; flipped if the
+    source's bits are not its own."""
+    keys = [np.complex128(g).tobytes() for g in gs]
+    mirror = family is not None and family.is_real
+    source, flip = [], []
+    for i, g in enumerate(gs):
+        mates = {keys[i]}
+        if mirror and g.imag != 0:
+            mates.add(np.conj(np.complex128(g)).tobytes())
+        j = next(j for j in range(i + 1) if keys[j] in mates)
+        source.append(j)
+        flip.append(keys[j] != keys[i])
+    return source, flip
+
+
+REAL_FAMILY = MatrixFamily(np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+COMPLEX_TYPED_FAMILY = MatrixFamily(REAL_FAMILY.base.astype(complex),
+                                    REAL_FAMILY.linear.astype(complex))
+
+
+PARTS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(PARTS, PARTS), max_size=30),
+       family=st.sampled_from([None, REAL_FAMILY, COMPLEX_TYPED_FAMILY]))
+def test_sources_match_the_first_coupling_with_the_same_or_conjugate_bits(parts, family):
+    # Few distinct parts, so that repeats, conjugates and signed zeros abound.
+    gs = [complex(re, im) for re, im in parts]
+    source, flip = pairdeg.spectra._sources(gs, family)
+    assert (source.tolist(), flip.tolist()) == _sources_oracle(gs, family)
+
+
+def test_sources_keep_signed_zeros_apart_and_follow_a_flip_to_its_source():
+    a, b = 0.5 + 0.5j, 0.5 - 0.5j
+    gs = [0j, complex(0.0, -0.0), complex(-0.0, 0.0), a, b, b, a, np.conj(b)]
+    source, flip = pairdeg.spectra._sources(gs, REAL_FAMILY)
+    assert source.tolist() == [0, 1, 2, 3, 3, 3, 3, 3]
+    assert flip.tolist() == [False, False, False, False, True, True, False, False]
+    source, flip = pairdeg.spectra._sources(gs, COMPLEX_TYPED_FAMILY)
+    assert source.tolist() == [0, 1, 2, 3, 4, 4, 3, 3] and not flip.any()
+    assert pairdeg.spectra._sources(gs)[0].tolist() == source.tolist()
+
+
 def _stack_sizes(monkeypatch):
     """The size of every stack that ``_eig_stack`` hands to LAPACK, in order."""
     sizes = []
